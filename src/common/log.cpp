@@ -1,38 +1,8 @@
 #include "common/log.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 namespace fixd {
-namespace {
-
-LogLevel initial_level() {
-  const char* env = std::getenv("FIXD_LOG");
-  if (!env) return LogLevel::kWarn;
-  if (std::strcmp(env, "debug") == 0) return LogLevel::kDebug;
-  if (std::strcmp(env, "info") == 0) return LogLevel::kInfo;
-  if (std::strcmp(env, "error") == 0) return LogLevel::kError;
-  return LogLevel::kWarn;
-}
-
-LogLevel& level_ref() {
-  static LogLevel level = initial_level();
-  return level;
-}
-
-std::mutex& sink_mu() {
-  static std::mutex mu;
-  return mu;
-}
-
-LogSink& sink_ref() {
-  static LogSink sink;  // empty = stderr default
-  return sink;
-}
-
-}  // namespace
 
 const char* log_level_name(LogLevel level) {
   switch (level) {
@@ -42,16 +12,6 @@ const char* log_level_name(LogLevel level) {
     case LogLevel::kError: return "ERROR";
   }
   return "?";
-}
-
-LogLevel log_level() { return level_ref(); }
-void set_log_level(LogLevel level) { level_ref() = level; }
-
-LogSink set_log_sink(LogSink sink) {
-  std::lock_guard<std::mutex> lock(sink_mu());
-  LogSink prev = std::move(sink_ref());
-  sink_ref() = std::move(sink);
-  return prev;
 }
 
 LogRing::LogRing(std::size_t capacity) : capacity_(capacity ? capacity : 1) {}
@@ -79,27 +39,5 @@ std::uint64_t LogRing::total() const {
   std::lock_guard<std::mutex> lock(mu_);
   return next_seq_;
 }
-
-LogSink LogRing::sink() {
-  return [this](LogLevel level, const std::string& msg) {
-    append(level, msg);
-    std::fprintf(stderr, "[fixd:%s] %s\n", log_level_name(level), msg.c_str());
-  };
-}
-
-namespace detail {
-void log_emit(LogLevel level, const std::string& msg) {
-  LogSink sink;
-  {
-    std::lock_guard<std::mutex> lock(sink_mu());
-    sink = sink_ref();
-  }
-  if (sink) {
-    sink(level, msg);
-    return;
-  }
-  std::fprintf(stderr, "[fixd:%s] %s\n", log_level_name(level), msg.c_str());
-}
-}  // namespace detail
 
 }  // namespace fixd

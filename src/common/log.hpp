@@ -1,19 +1,13 @@
-// Minimal leveled diagnostic logger for the FixD library itself.
+// Log records for the fixdd daemon's flight recorder.
 //
-// This is *library* logging (debugging FixD), entirely separate from the
-// Scroll (which records the application under test). Default level is Warn
-// so tests and benches stay quiet; set FIXD_LOG=debug|info|warn|error or call
-// set_log_level().
-//
-// The emit path is pluggable: set_log_sink() reroutes records (fixdd
-// installs a LogRing so its own lifecycle history is ingestible by the
-// Scroll/blackbox like any other process — it also still echoes to stderr).
+// jobd appends its own lifecycle events (submit, cancel, journal recovery,
+// lease expiry, fenced writes, failure, completion) straight to a LogRing,
+// and the `tail-log` RPC reads the most recent records back out. Nothing else consumes the ring: it is not wired
+// into the Scroll, and the library itself has no leveled logger.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <mutex>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -22,19 +16,6 @@ namespace fixd {
 enum class LogLevel : int { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
 
 const char* log_level_name(LogLevel level);
-
-/// Global level; reads FIXD_LOG on first use.
-LogLevel log_level();
-void set_log_level(LogLevel level);
-
-/// Receives every record that passes the level filter. Must be callable
-/// from any thread; keep it cheap (it runs inline at the log site).
-using LogSink = std::function<void(LogLevel, const std::string&)>;
-
-/// Replace the global sink (nullptr restores the stderr default).
-/// Thread-safe; the previous sink is returned so scoped installs can
-/// restore it.
-LogSink set_log_sink(LogSink sink);
 
 /// A captured record, in arrival order. `seq` is a global monotonically
 /// increasing sequence number (records dropped by ring overwrite leave
@@ -60,34 +41,11 @@ class LogRing {
   /// Records ever appended (>= what tail() can still return).
   std::uint64_t total() const;
 
-  /// A LogSink that appends to this ring AND echoes to stderr; pass to
-  /// set_log_sink(). The ring must outlive the installation.
-  LogSink sink();
-
  private:
   mutable std::mutex mu_;
   std::vector<LogRecord> ring_;
   std::size_t capacity_;
   std::uint64_t next_seq_ = 0;
 };
-
-namespace detail {
-void log_emit(LogLevel level, const std::string& msg);
-}
-
-#define FIXD_LOG(level, expr)                                       \
-  do {                                                              \
-    if (static_cast<int>(level) >= static_cast<int>(                \
-                                       ::fixd::log_level())) {      \
-      std::ostringstream fixd_log_os;                               \
-      fixd_log_os << expr;                                          \
-      ::fixd::detail::log_emit((level), fixd_log_os.str());         \
-    }                                                               \
-  } while (0)
-
-#define FIXD_DEBUG(expr) FIXD_LOG(::fixd::LogLevel::kDebug, expr)
-#define FIXD_INFO(expr) FIXD_LOG(::fixd::LogLevel::kInfo, expr)
-#define FIXD_WARN(expr) FIXD_LOG(::fixd::LogLevel::kWarn, expr)
-#define FIXD_ERROR(expr) FIXD_LOG(::fixd::LogLevel::kError, expr)
 
 }  // namespace fixd

@@ -1,7 +1,9 @@
-// Concurrency primitives for the parallel SystemExplorer (mc/sysmodel).
+// Concurrency primitives for the SystemExplorer's search engine (mc/sysmodel).
 //
-// The parallel explorer shards the frontier across worker threads, each
-// owning a private scratch world. The shared structures coordinating them:
+// The engine shards the frontier across workers, each owning a scratch
+// world. The shared structures coordinating them are lock-striped; the
+// engine sizes them with stripes_for(workers), so a one-worker search pays
+// for one uncontended stripe rather than 64:
 //
 //  - CompactDigestSet / StripedVisitedSet: the canonical-state dedup set.
 //    The storage is a compact open-addressing table of raw u64 digests
@@ -15,7 +17,7 @@
 //    (well-mixed) digests rarely contend. Insertion is linearizable per
 //    stripe; exactly one worker wins each digest, so every unique state is
 //    expanded exactly once — the property the differential tests
-//    (tests/test_mc_parallel.cpp) pin against the sequential explorer.
+//    (tests/test_mc_parallel.cpp) pin against a reference BFS.
 //
 //  - StealableDeque: a per-worker frontier deque. The owner pushes and
 //    pops at its preferred end (back for DFS, front for BFS); idle workers
@@ -51,6 +53,45 @@
 #include "common/hash.hpp"
 
 namespace fixd::mc {
+
+/// Lock stripes for a search with `workers` workers: one when there is no
+/// concurrency to spread (building and freeing 64 mutex-guarded tables
+/// costs more than a small search), 64 otherwise.
+inline std::size_t stripes_for(std::size_t workers) {
+  return workers > 1 ? 64 : 1;
+}
+
+/// A power-of-two array of mutex-guarded stripes (each `Stripe` carries a
+/// `mu`), selected by a re-mixed digest so a biased low byte cannot
+/// serialize them; in-stripe tables probe on the raw digest, so the two
+/// index streams stay independent.
+template <typename Stripe>
+class StripeArray {
+ public:
+  explicit StripeArray(std::size_t stripes) {
+    std::size_t n = 1;
+    while (n < stripes) n <<= 1;  // stripe selection is a mask
+    stripes_.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      stripes_.push_back(std::make_unique<Stripe>());
+    }
+    mask_ = n - 1;
+  }
+
+  Stripe& of(std::uint64_t h) {
+    return *stripes_[static_cast<std::size_t>(mix64(h)) & mask_];
+  }
+
+  /// Visit every stripe (callers lock `mu` themselves).
+  template <typename F>
+  void for_each(F&& f) const {
+    for (const auto& s : stripes_) f(*s);
+  }
+
+ private:
+  std::vector<std::unique_ptr<Stripe>> stripes_;
+  std::size_t mask_ = 0;
+};
 
 /// Open-addressing set of 64-bit state digests: a flat power-of-two slot
 /// array with linear probing, grown at a 0.7 load factor. Digests are
@@ -145,21 +186,12 @@ class CompactDigestSet {
 /// Lock-striped set of 64-bit state digests over compact tables.
 class StripedVisitedSet {
  public:
-  explicit StripedVisitedSet(std::size_t stripes = 64) {
-    // Round up to a power of two so stripe selection is a mask.
-    std::size_t n = 1;
-    while (n < stripes) n <<= 1;
-    stripes_.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      stripes_.push_back(std::make_unique<Stripe>());
-    }
-    mask_ = n - 1;
-  }
+  explicit StripedVisitedSet(std::size_t stripes = 64) : stripes_(stripes) {}
 
   /// Insert a digest; true iff it was not present (the caller owns the
   /// state and must expand it).
   bool insert(std::uint64_t h) {
-    Stripe& s = *stripes_[stripe_of(h)];
+    Stripe& s = stripes_.of(h);
     std::lock_guard<std::mutex> lk(s.mu);
     return s.set.insert(h);
   }
@@ -168,10 +200,10 @@ class StripedVisitedSet {
   /// stat; call with the workers quiescent or joined for an exact figure).
   std::uint64_t bytes() const {
     std::uint64_t n = 0;
-    for (const auto& s : stripes_) {
-      std::lock_guard<std::mutex> lk(s->mu);
-      n += s->set.bytes();
-    }
+    stripes_.for_each([&n](const Stripe& s) {
+      std::lock_guard<std::mutex> lk(s.mu);
+      n += s.set.bytes();
+    });
     return n;
   }
 
@@ -179,10 +211,10 @@ class StripedVisitedSet {
   /// workers have joined).
   std::vector<std::uint64_t> sorted_contents() const {
     std::vector<std::uint64_t> out;
-    for (const auto& s : stripes_) {
-      std::lock_guard<std::mutex> lk(s->mu);
-      s->set.for_each([&out](std::uint64_t v) { out.push_back(v); });
-    }
+    stripes_.for_each([&out](const Stripe& s) {
+      std::lock_guard<std::mutex> lk(s.mu);
+      s.set.for_each([&out](std::uint64_t v) { out.push_back(v); });
+    });
     std::sort(out.begin(), out.end());
     return out;
   }
@@ -193,15 +225,7 @@ class StripedVisitedSet {
     CompactDigestSet set;
   };
 
-  std::size_t stripe_of(std::uint64_t h) const {
-    // Stripe selection re-mixes so a biased low byte cannot serialize the
-    // stripes; the in-stripe table probes on the raw digest, so the two
-    // index streams stay independent.
-    return static_cast<std::size_t>(mix64(h)) & mask_;
-  }
-
-  std::vector<std::unique_ptr<Stripe>> stripes_;
-  std::size_t mask_ = 0;
+  StripeArray<Stripe> stripes_;
 };
 
 /// The visited set for sleep_sets + dedup searches: digest -> the sorted
@@ -231,15 +255,8 @@ class StripedSleepVisited {
  public:
   enum class Verdict { kNew, kPrune, kReexpand };
 
-  explicit StripedSleepVisited(std::size_t stripes = 64) {
-    std::size_t n = 1;
-    while (n < stripes) n <<= 1;
-    stripes_.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      stripes_.push_back(std::make_unique<Stripe>());
-    }
-    mask_ = n - 1;
-  }
+  explicit StripedSleepVisited(std::size_t stripes = 64)
+      : stripes_(stripes) {}
 
   /// `keys` is the arriving node's sorted sleep-key signature; on
   /// kReexpand it is replaced by the intersection to expand with. When
@@ -251,7 +268,7 @@ class StripedSleepVisited {
   /// the child's smaller sleep set no longer skips them.
   Verdict visit(std::uint64_t digest, std::vector<std::uint64_t>& keys,
                 std::vector<std::uint64_t>* released = nullptr) {
-    Stripe& s = *stripes_[stripe_of(digest)];
+    Stripe& s = stripes_.of(digest);
     std::lock_guard<std::mutex> lk(s.mu);
     auto it = s.map.find(digest);
     if (it == s.map.end()) {
@@ -278,23 +295,23 @@ class StripedSleepVisited {
 
   std::uint64_t bytes() const {
     std::uint64_t n = 0;
-    for (const auto& s : stripes_) {
-      std::lock_guard<std::mutex> lk(s->mu);
+    stripes_.for_each([&n](const Stripe& s) {
+      std::lock_guard<std::mutex> lk(s.mu);
       n += sizeof(Stripe);
-      for (const auto& [d, keys] : s->map) {
+      for (const auto& [d, keys] : s.map) {
         n += sizeof(d) + sizeof(keys) + keys.capacity() * sizeof(keys[0]);
       }
-    }
+    });
     return n;
   }
 
   /// Sorted digests (the collect_visited hook; call with workers joined).
   std::vector<std::uint64_t> sorted_contents() const {
     std::vector<std::uint64_t> out;
-    for (const auto& s : stripes_) {
-      std::lock_guard<std::mutex> lk(s->mu);
-      for (const auto& [d, keys] : s->map) out.push_back(d);
-    }
+    stripes_.for_each([&out](const Stripe& s) {
+      std::lock_guard<std::mutex> lk(s.mu);
+      for (const auto& [d, keys] : s.map) out.push_back(d);
+    });
     std::sort(out.begin(), out.end());
     return out;
   }
@@ -305,19 +322,14 @@ class StripedSleepVisited {
     std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> map;
   };
 
-  std::size_t stripe_of(std::uint64_t h) const {
-    return static_cast<std::size_t>(mix64(h)) & mask_;
-  }
-
-  std::vector<std::unique_ptr<Stripe>> stripes_;
-  std::size_t mask_ = 0;
+  StripeArray<Stripe> stripes_;
 };
 
 /// Per-state expansion records for dynamic POR: digest -> {the enabled
 /// action keys at that state, the keys already run from it, the keys
 /// requested by race detection but not yet run}. One stripe lock covers
-/// every transition of a record, so the sequential explorer and all
-/// parallel workers share the same code path. The lifecycle:
+/// every transition of a record, so any number of workers can share it.
+/// The lifecycle:
 ///
 ///   begin_expand  -> called when a node materializing the state is
 ///                    expanded; registers the enabled set on first
@@ -336,15 +348,7 @@ class StripedPorRecords {
  public:
   enum class Request { kRegistered, kCovered, kNotEnabled, kNoRecord };
 
-  explicit StripedPorRecords(std::size_t stripes = 64) {
-    std::size_t n = 1;
-    while (n < stripes) n <<= 1;
-    stripes_.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      stripes_.push_back(std::make_unique<Stripe>());
-    }
-    mask_ = n - 1;
-  }
+  explicit StripedPorRecords(std::size_t stripes = 64) : stripes_(stripes) {}
 
   /// `enabled_sorted` is the state's full enabled key set (deterministic
   /// per digest, so every expansion presents the same set). Drains pending
@@ -353,7 +357,7 @@ class StripedPorRecords {
   void begin_expand(std::uint64_t digest,
                     const std::vector<std::uint64_t>& enabled_sorted,
                     std::vector<std::uint64_t>& take, bool& first) {
-    Stripe& s = *stripes_[stripe_of(digest)];
+    Stripe& s = stripes_.of(digest);
     std::lock_guard<std::mutex> lk(s.mu);
     Record& r = s.map[digest];
     first = !r.expanded;
@@ -368,7 +372,7 @@ class StripedPorRecords {
   /// Record the selected keys as run (sorted-unique merge).
   void commit_done(std::uint64_t digest,
                    const std::vector<std::uint64_t>& keys) {
-    Stripe& s = *stripes_[stripe_of(digest)];
+    Stripe& s = stripes_.of(digest);
     std::lock_guard<std::mutex> lk(s.mu);
     Record& r = s.map[digest];
     std::vector<std::uint64_t> merged;
@@ -387,7 +391,7 @@ class StripedPorRecords {
   /// one in the unexpanded state and the eventual begin_expand drains it.
   /// No-op if the key is already done or pending.
   void seed_pending(std::uint64_t digest, std::uint64_t key) {
-    Stripe& s = *stripes_[stripe_of(digest)];
+    Stripe& s = stripes_.of(digest);
     std::lock_guard<std::mutex> lk(s.mu);
     Record& r = s.map[digest];
     if (std::binary_search(r.done.begin(), r.done.end(), key) ||
@@ -399,7 +403,7 @@ class StripedPorRecords {
   }
 
   Request request(std::uint64_t digest, std::uint64_t key) {
-    Stripe& s = *stripes_[stripe_of(digest)];
+    Stripe& s = stripes_.of(digest);
     std::lock_guard<std::mutex> lk(s.mu);
     auto it = s.map.find(digest);
     if (it == s.map.end() || !it->second.expanded) return Request::kNoRecord;
@@ -429,12 +433,7 @@ class StripedPorRecords {
     std::unordered_map<std::uint64_t, Record> map;
   };
 
-  std::size_t stripe_of(std::uint64_t h) const {
-    return static_cast<std::size_t>(mix64(h)) & mask_;
-  }
-
-  std::vector<std::unique_ptr<Stripe>> stripes_;
-  std::size_t mask_ = 0;
+  StripeArray<Stripe> stripes_;
 };
 
 /// A mutex-guarded deque supporting owner pop at either end plus stealing

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <deque>
+#include <exception>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
@@ -209,9 +210,9 @@ class SystemExplorer::AnchorRegistry {
 /// exactly one snapshot field, so a single node can no longer reach the
 /// same checkpoint through two routes (the old snap-vs-anchor shape
 /// could, and double-counted the per-node proc-table term for it); the
-/// refcounts still dedupe any aliasing *across* nodes. The sequential
-/// search keeps one exact meter. The parallel search gives each worker a
-/// private meter (Node::owner tags the pusher): a worker charges at push
+/// refcounts still dedupe any aliasing *across* nodes. Each worker keeps a
+/// private meter (Node::owner tags the pusher), so a one-worker search has
+/// one exact meter. With more workers, a worker charges at push
 /// and refunds only nodes it both pushed and popped, so the rare stolen
 /// node (deque or priority shard) stays charged on its victim's meter —
 /// per-worker peaks are upper bounds with slack bounded by steal
@@ -308,38 +309,89 @@ class SystemExplorer::FrontierMeter {
 };
 
 // ---------------------------------------------------------------------------
-// Parallel coordination state
+// Search coordination state
 // ---------------------------------------------------------------------------
 
-/// Everything the worker threads share. The visited set and the per-worker
-/// deques are individually synchronized; the atomics below carry the
-/// global budgets. `active` counts frontier nodes that are queued or being
-/// expanded — it is incremented *before* a child is pushed and decremented
-/// *after* its expansion finishes, so an idle worker observing active == 0
-/// knows the search is complete (no node can reappear).
 /// POR bookkeeping for one search: shared expansion records plus the root
 /// anchor every backtrack node re-materializes from (root snapshot +
 /// deterministic replay of the path prefix — the same machinery trail
 /// frontiers use, which is why backtracking works identically in snapshot
 /// and trail modes and across workers).
 struct SystemExplorer::PorState {
+  explicit PorState(std::size_t stripes) : recs(stripes) {}
   StripedPorRecords recs;
   /// The root *anchor* (pinned, never evicted) — backtrack nodes point at
   /// it and re-materialize by full-path replay.
   std::shared_ptr<Anchor> root;
 };
 
+/// Everything the workers share. The visited set and the per-worker
+/// deques are individually synchronized; the atomics below carry the
+/// global budgets. `active` counts frontier nodes that are queued or being
+/// expanded — it is incremented *before* a child is pushed and decremented
+/// *after* its expansion finishes, so an idle worker observing active == 0
+/// knows the search is complete (no node can reappear). Every striped
+/// structure is sized by stripes_for(workers): one stripe for a one-worker
+/// search.
 struct SystemExplorer::Shared {
-  StripedVisitedSet visited;
-  /// Budgeted dedup (visited_budget_bytes > 0, plain dedup only): the
-  /// Bloom-fronted spill-to-disk set used instead of `visited`, with its
-  /// per-run scratch directory (RAII: spill files vanish on every exit
-  /// path). Same per-stripe linearizability, so exactly-one-winner holds.
+  Shared(const SysExploreOptions& o, std::size_t n_workers)
+      : por(stripes_for(n_workers)) {
+    if (!o.dedup) return;
+    if (o.sleep_sets) {
+      // Sleep+dedup needs the visited set to remember the sleep signature
+      // a state was expanded with (see StripedSleepVisited). That map is a
+      // weakening *map*, not an insert-only set, so it is not spillable
+      // and ignores visited_budget_bytes.
+      sleepvis = std::make_unique<StripedSleepVisited>(stripes_for(n_workers));
+    } else if (o.visited_budget_bytes > 0) {
+      spill_scratch = ScratchDir::create(o.spill_dir, "fixd-spill");
+      tiered = std::make_unique<TieredVisitedSet>(o.visited_budget_bytes,
+                                                  spill_scratch.path());
+    } else {
+      visited = std::make_unique<StripedVisitedSet>(stripes_for(n_workers));
+    }
+  }
+
+  /// Insert into whichever visited set this search uses (dedup on); true
+  /// iff `h` is new. The sleep-signature map takes it as an arrival with
+  /// an empty sleep set — the root's.
+  bool insert(std::uint64_t h) {
+    if (visited) return visited->insert(h);
+    if (tiered) return tiered->insert(h);
+    std::vector<std::uint64_t> none;
+    return sleepvis->visit(h, none) == StripedSleepVisited::Verdict::kNew;
+  }
+
+  /// The visited-set stats (and, when `collect`, the sorted contents).
+  void report_visited(SysExploreResult& res, bool collect) const {
+    ExploreStats& s = res.stats;
+    if (tiered) {
+      s.visited_resident_bytes = tiered->resident_bytes();
+      s.visited_peak_resident_bytes = tiered->peak_resident_bytes();
+      s.visited_spilled_bytes = tiered->spilled_bytes();
+      s.spilled_bytes = tiered->spill_bytes_written();
+      s.bloom_fp_rate = tiered->bloom_fp_rate();
+      if (collect) res.visited = tiered->sorted_contents();
+    } else if (visited) {
+      s.visited_resident_bytes = visited->bytes();
+      s.visited_peak_resident_bytes = s.visited_resident_bytes;
+      if (collect) res.visited = visited->sorted_contents();
+    } else if (sleepvis) {
+      s.visited_resident_bytes = sleepvis->bytes();
+      s.visited_peak_resident_bytes = s.visited_resident_bytes;
+      if (collect) res.visited = sleepvis->sorted_contents();
+    }
+  }
+
+  /// The visited set, chosen once from the options: at most one of these
+  /// is non-null (none with dedup off). `tiered` is the Bloom-fronted
+  /// spill-to-disk set of budgeted dedup, with its per-run scratch
+  /// directory (RAII: spill files vanish on every exit path); it keeps
+  /// per-stripe linearizability, so exactly-one-winner holds for all three.
+  std::unique_ptr<StripedVisitedSet> visited;
   ScratchDir spill_scratch;
   std::unique_ptr<TieredVisitedSet> tiered;
-  /// Sleep-signature-aware visited set, used instead of `visited` when
-  /// sleep_sets && dedup (the signature decides prune vs re-expand).
-  StripedSleepVisited sleepvis;
+  std::unique_ptr<StripedSleepVisited> sleepvis;
   PorState por;
   std::atomic<std::uint64_t> states{0};
   std::atomic<std::uint64_t> violation_count{0};
@@ -351,22 +403,25 @@ struct SystemExplorer::Shared {
   /// un-expanded frontier parked in the worker deques for capture.
   std::atomic<bool> paused{false};
 
-  /// First worker exception, re-thrown on the coordinating thread after
-  /// join (an exception escaping a std::thread would terminate).
+  /// First worker exception, re-thrown with its original type on the
+  /// calling thread after join (an exception escaping a std::thread would
+  /// terminate).
   std::mutex err_mu;
-  std::string error;
+  std::exception_ptr error;
 
   std::vector<std::unique_ptr<Worker>> workers;
 };
 
-/// One worker: a private scratch world (cloned from the investigated
-/// state), a stealable frontier shard (deque for kBfs/kDfs, priority
-/// shard for kPriority — the old single mutex-guarded global heap
-/// serialized every push and pop across workers), and private
-/// stats/violations merged by the coordinator after join.
+/// One worker: a scratch world, a stealable frontier shard (deque for
+/// kBfs/kDfs, priority shard for kPriority — a single mutex-guarded global
+/// heap would serialize every push and pop across workers), and private
+/// stats/violations merged after join.
 struct SystemExplorer::Worker {
   std::size_t id = 0;
-  std::unique_ptr<rt::World> world;
+  /// The world this worker expands on: the explorer's own scratch_ in a
+  /// one-worker search, else `own_world`, a private clone of the root.
+  rt::World* world = nullptr;
+  std::unique_ptr<rt::World> own_world;
   StealableDeque<Node> deque;
   PriorityShard<Node> pq;
   /// Private frontier meter (owner-paired charges; see FrontierMeter).
@@ -420,12 +475,7 @@ void SystemExplorer::materialize(rt::World& w, const Node& n,
       for (const SysAction* a : prefix) apply_action(w, *a);
       w.clear_violations();
       stats.replayed_actions += anchor.depth;
-      auto t0 = SteadyClock::now();
-      auto fresh =
-          std::make_shared<const rt::WorldSnapshot>(w.snapshot(/*cow=*/true));
-      if (opts_.workers > 1) fresh->share_across_threads();
-      stats.snapshot_ms += ms_since(t0);
-      reg_->install(anchor, std::move(fresh));
+      reg_->install(anchor, capture(w, stats));
       ++stats.anchor_recomputes;
       // w already sits at the anchor state; fall through to the suffix.
     }
@@ -914,7 +964,6 @@ std::vector<SystemExplorer::Node> SystemExplorer::resume_nodes(
 SysExploreResult SystemExplorer::explore() {
   auto t0 = SteadyClock::now();
   check_pause_resume_options();
-  SysExploreResult res;
   // Anchor eviction needs a replay recipe per node, which only trail-mode
   // graph searches have; snapshot mode ignores the frontier budget.
   reg_.reset();
@@ -922,13 +971,9 @@ SysExploreResult SystemExplorer::explore() {
       opts_.order != SearchOrder::kRandomWalk) {
     reg_ = std::make_unique<AnchorRegistry>(opts_.frontier_budget_bytes);
   }
-  if (opts_.order == SearchOrder::kRandomWalk) {
-    res = random_walk();
-  } else if (opts_.workers > 1) {
-    res = graph_search_parallel();
-  } else {
-    res = graph_search();
-  }
+  SysExploreResult res = opts_.order == SearchOrder::kRandomWalk
+                             ? random_walk()
+                             : graph_search();
   res.stats.wall_ms = ms_since(t0);
   return res;
 }
@@ -946,371 +991,40 @@ bool SystemExplorer::probe_root(SysExploreResult& res) {
   return res.violations.size() < opts_.max_violations;
 }
 
-SysExploreResult SystemExplorer::graph_search() {
-  SysExploreResult res;
-  CompactDigestSet visited;
-  // Sleep+dedup needs the visited set to remember the sleep signature a
-  // state was expanded with (see StripedSleepVisited); the plain digest
-  // set stays for every other configuration.
-  const bool use_sleepvis = opts_.sleep_sets && opts_.dedup;
-  StripedSleepVisited sleepvis;
-  // Budgeted dedup: the Bloom-fronted spill-to-disk set replaces the
-  // in-RAM table. The sleep-signature map is a weakening *map*, not an
-  // insert-only set, so it is not spillable and ignores the budget.
-  const bool use_tier =
-      opts_.dedup && !use_sleepvis && opts_.visited_budget_bytes > 0;
-  ScratchDir spill_scratch;
-  std::unique_ptr<TieredVisitedSet> tiered;
-  if (use_tier) {
-    spill_scratch = ScratchDir::create(opts_.spill_dir, "fixd-spill");
-    tiered = std::make_unique<TieredVisitedSet>(opts_.visited_budget_bytes,
-                                                spill_scratch.path());
-  }
-  auto visited_insert = [&](std::uint64_t h) {
-    return use_tier ? tiered->insert(h) : visited.insert(h);
-  };
-  PorState por;
-  std::vector<Node> backtracks;
-  std::deque<PathNode> arena;  // reachability-graph edges, freed at return
-
-  // kPriority frontier: a plain binary heap of (priority, Node) so pops
-  // move the node out (std::priority_queue::top forces a copy, and Node
-  // is move-only now that its sleep set lives behind a unique_ptr).
-  struct HeapEntry {
-    double pri;
-    Node n;
-  };
-  auto heap_less = [](const HeapEntry& a, const HeapEntry& b) {
-    return a.pri < b.pri;
-  };
-  std::vector<HeapEntry> pq;
-  std::deque<Node> fifo;
-
-  // Resume slices do not re-probe (or re-count) the root: the first slice
-  // already did, and the checkpointed stats accumulate across slices.
-  if (!opts_.resume_from_checkpoint && !probe_root(res)) return res;
-
-  FrontierMeter meter;
-  meter.set_charge_snapshots(reg_ == nullptr);
-
-  Node root;
-  root.depth = 0;
-  {
-    auto t0 = SteadyClock::now();
-    root.state = std::make_shared<Anchor>();
-    root.state->snap = std::make_shared<const rt::WorldSnapshot>(
-        scratch_->snapshot(/*cow=*/true));
-    res.stats.snapshot_ms += ms_since(t0);
-  }
-  if (reg_) reg_->set_root(root.state);
-  if (opts_.dedup) {
-    if (opts_.resume_from_checkpoint) {
-      // Preseed with the checkpoint's visited set (root digest included);
-      // children re-reaching pre-crash states dedup against it exactly as
-      // the uninterrupted run deduped against its own history.
-      for (std::uint64_t h : opts_.resume_visited) visited_insert(h);
-    } else {
-      const std::uint64_t h =
-          timed_mc_digest(*scratch_, res.stats, opts_.abstract_time);
-      if (use_sleepvis) {
-        std::vector<std::uint64_t> none;  // the root has no sleep set
-        sleepvis.visit(h, none);
-      } else {
-        visited_insert(h);
-      }
-    }
-  }
-  if (opts_.por) por.root = root.state;
-
-  auto push_frontier = [&](Node&& nd, double pri) {
-    meter.push(nd);
-    if (opts_.order == SearchOrder::kPriority) {
-      pq.push_back({pri, std::move(nd)});
-      std::push_heap(pq.begin(), pq.end(), heap_less);
-    } else {
-      fifo.push_back(std::move(nd));
-    }
-  };
-
-  if (opts_.resume_from_checkpoint) {
-    // Re-plant the captured frontier in captured order: push_back then
-    // BFS pop_front / DFS pop_back reproduces the uninterrupted run's pop
-    // sequence exactly.
-    for (Node& nd : resume_nodes(root.state, arena)) {
-      push_frontier(std::move(nd), 0.0);
-    }
-  } else {
-    double pri = opts_.order == SearchOrder::kPriority && opts_.priority
-                     ? opts_.priority(*scratch_)
-                     : 0.0;
-    push_frontier(std::move(root), pri);
-  }
-
-  auto finish = [&]() {
-    res.stats.peak_frontier_bytes = meter.peak();
-    if (reg_) {
-      // Meter (node shells) + registry (resident anchor snapshots); see
-      // the FrontierMeter comment for why budgeted mode splits these.
-      res.stats.peak_frontier_bytes += reg_->peak_resident();
-      res.stats.anchor_evictions = reg_->evictions();
-    }
-    if (opts_.dedup) {
-      if (use_tier) {
-        res.stats.visited_resident_bytes = tiered->resident_bytes();
-        res.stats.visited_peak_resident_bytes = tiered->peak_resident_bytes();
-        res.stats.visited_spilled_bytes = tiered->spilled_bytes();
-        res.stats.spilled_bytes = tiered->spill_bytes_written();
-        res.stats.bloom_fp_rate = tiered->bloom_fp_rate();
-      } else {
-        res.stats.visited_resident_bytes =
-            use_sleepvis ? sleepvis.bytes() : visited.bytes();
-        res.stats.visited_peak_resident_bytes =
-            res.stats.visited_resident_bytes;
-      }
-    }
-    if (opts_.collect_visited) {
-      if (use_sleepvis) {
-        res.visited = sleepvis.sorted_contents();
-      } else if (use_tier) {
-        res.visited = tiered->sorted_contents();
-      } else {
-        visited.for_each(
-            [&](std::uint64_t v) { res.visited.push_back(v); });
-        std::sort(res.visited.begin(), res.visited.end());
-      }
-    }
-  };
-
-  while (true) {
-    // Pause only with work left: a pause on an empty frontier would read
-    // as a resumable checkpoint when the search is in fact complete.
-    if (opts_.pause_check &&
-        !(opts_.order == SearchOrder::kPriority ? pq.empty() : fifo.empty()) &&
-        opts_.pause_check(res.stats)) {
-      res.paused = true;
-      break;
-    }
-    Node cur;
-    if (opts_.order == SearchOrder::kPriority) {
-      if (pq.empty()) break;
-      std::pop_heap(pq.begin(), pq.end(), heap_less);
-      cur = std::move(pq.back().n);
-      pq.pop_back();
-    } else if (opts_.order == SearchOrder::kBfs) {
-      if (fifo.empty()) break;
-      cur = std::move(fifo.front());
-      fifo.pop_front();
-    } else {
-      if (fifo.empty()) break;
-      cur = std::move(fifo.back());
-      fifo.pop_back();
-    }
-    meter.pop(cur);
-
-    if (cur.depth >= opts_.max_depth) {
-      res.stats.truncated = true;
-      continue;
-    }
-
-    materialize(*scratch_, cur, res.stats);
-    std::vector<SysAction> actions = enabled_actions(*scratch_);
-
-    // Trail mode: when the children's replay distance would reach the
-    // interval, snapshot the parent state (scratch_ holds it right now)
-    // once and re-anchor cur on it — every child then hangs one action
-    // off this shared anchor (one anchor per expanded node, not per
-    // child), and the per-action materialize calls below replay nothing.
-    // Snapshot mode re-anchors whenever replay_len > 0: the only such
-    // nodes are POR backtracks (root anchor + full-path replay), and one
-    // snapshot here beats replaying the prefix once per child.
-    if (!actions.empty() &&
-        (opts_.trail_frontier ? cur.replay_len + 1 >= opts_.anchor_interval
-                              : cur.replay_len > 0)) {
-      auto t0 = SteadyClock::now();
-      auto anchor = std::make_shared<Anchor>();
-      anchor->snap = std::make_shared<const rt::WorldSnapshot>(
-          scratch_->snapshot(/*cow=*/true));
-      res.stats.snapshot_ms += ms_since(t0);
-      if (reg_) {
-        // Evictable: record the root-relative rebuild recipe first.
-        anchor->path = cur.path;
-        anchor->depth = cur.depth;
-        reg_->admit(anchor);
-      }
-      cur.state = std::move(anchor);
-      cur.replay_len = 0;
-    }
-
-    // Keys and footprints are computed against the pre-state (footprints
-    // peek queued messages to resolve channels), before any action runs.
-    const std::size_t n_act = actions.size();
-    std::vector<std::uint64_t> keys(n_act);
-    std::vector<ActionFootprint> fps(n_act);
-    for (std::size_t i = 0; i < n_act; ++i) {
-      keys[i] = action_key(actions[i]);
-      fps[i] = footprint(*scratch_, actions[i]);
-    }
-
-    std::uint64_t cur_digest = 0;
-    std::vector<std::size_t> run;
-    if (opts_.por && n_act > 0) {
-      cur_digest =
-          timed_mc_digest(*scratch_, res.stats, opts_.abstract_time);
-      run = por_select(por, cur_digest, actions, fps, keys, cur, res.stats);
-    } else {
-      run.resize(n_act);
-      for (std::size_t i = 0; i < n_act; ++i) run[i] = i;
-    }
-
-    for (std::size_t pos = 0; pos < run.size(); ++pos) {
-      const std::size_t i = run[pos];
-      const SysAction& a = actions[i];
-      const std::uint64_t akey = keys[i];
-      const ActionFootprint& afp = fps[i];
-
-      if (opts_.sleep_sets && is_slept(cur, akey)) continue;
-
-      materialize(*scratch_, cur, res.stats);
-      scratch_->clear_violations();
-      apply_action(*scratch_, a);
-      ++res.stats.transitions;
-
-      if (opts_.por) {
-        por_race_detect(por, cur, afp, akey, backtracks, res.stats);
-        for (Node& b : backtracks) push_frontier(std::move(b), 0.0);
-        backtracks.clear();
-      }
-
-      arena.push_back({cur.path, a, afp, cur_digest});
-      const PathNode* path = &arena.back();
-      std::size_t depth = cur.depth + 1;
-
-      if (!scratch_->violations().empty()) {
-        for (const rt::Violation& v : scratch_->violations()) {
-          res.violations.push_back({v, trail_of(path), depth});
-          if (res.violations.size() >= opts_.max_violations) {
-            finish();
-            return res;
-          }
-        }
-      }
-
-      auto sleep = opts_.sleep_sets
-                       ? child_sleep(cur, actions, fps, keys, run, pos)
-                       : nullptr;
-
-      bool reexpand_child = false;
-      if (opts_.dedup) {
-        std::uint64_t h =
-            timed_mc_digest(*scratch_, res.stats, opts_.abstract_time);
-        if (use_sleepvis) {
-          std::vector<std::uint64_t> skeys;
-          if (sleep) {
-            skeys.reserve(sleep->size());
-            for (const SleepEntry& e : *sleep) skeys.push_back(e.key);
-            std::sort(skeys.begin(), skeys.end());
-          }
-          std::vector<std::uint64_t> released;
-          const auto verdict =
-              sleepvis.visit(h, skeys, opts_.por ? &released : nullptr);
-          if (verdict == StripedSleepVisited::Verdict::kPrune) {
-            ++res.stats.duplicates;
-            arena.pop_back();  // never published; nothing references it
-            continue;
-          }
-          if (verdict == StripedSleepVisited::Verdict::kReexpand) {
-            // Duplicate state, but the stored expansion ran with a sleep
-            // set that is not a subset of this arrival's — its coverage
-            // claim does not hold for this path. Re-expand with the
-            // intersection; no fresh state is counted.
-            ++res.stats.duplicates;
-            ++res.stats.sleep_reexpansions;
-            reexpand_child = true;
-            if (sleep) {
-              sleep->erase(
-                  std::remove_if(sleep->begin(), sleep->end(),
-                                 [&](const SleepEntry& e) {
-                                   return !std::binary_search(
-                                       skeys.begin(), skeys.end(), e.key);
-                                 }),
-                  sleep->end());
-              if (sleep->empty()) sleep.reset();
-            }
-            // POR selection at the re-expanded node seeds from pending —
-            // force the released keys onto its work list, or the
-            // re-expansion would find nothing to run.
-            for (std::uint64_t k : released) por.recs.seed_pending(h, k);
-          }
-        } else if (!visited_insert(h)) {
-          ++res.stats.duplicates;
-          arena.pop_back();  // never published; nothing references it
-          continue;
-        }
-      }
-      if (!reexpand_child) {
-        ++res.stats.states;
-        res.stats.max_depth =
-            std::max<std::uint64_t>(res.stats.max_depth, depth);
-        if (res.stats.states >= opts_.max_states) {
-          res.stats.truncated = true;
-          finish();
-          return res;
-        }
-      }
-
-      Node child;
-      child.path = path;
-      child.depth = static_cast<std::uint32_t>(depth);
-      if (!opts_.trail_frontier) {
-        auto t0 = SteadyClock::now();
-        child.state = std::make_shared<Anchor>();
-        child.state->snap = std::make_shared<const rt::WorldSnapshot>(
-            scratch_->snapshot(/*cow=*/true));
-        res.stats.snapshot_ms += ms_since(t0);
-      } else {
-        // The expansion loop re-anchored the parent when its children
-        // would exceed the interval, so extending by one is always valid.
-        child.state = cur.state;
-        child.replay_len = cur.replay_len + 1;
-      }
-      child.sleep = std::move(sleep);
-      double pri = 0.0;
-      if (opts_.order == SearchOrder::kPriority && opts_.priority) {
-        pri = opts_.priority(*scratch_);
-      }
-      push_frontier(std::move(child), pri);
-    }
-  }
-  if (res.paused && opts_.capture_frontier) {
-    // Front-to-back deque order: resume's push_back sequence restores the
-    // identical pop order for both kBfs (pop_front) and kDfs (pop_back).
-    // Capture happens ONLY at a pause — a budget truncation returns
-    // mid-expansion and would lose the popped node's unexpanded children.
-    for (const Node& nd : fifo) res.frontier.push_back(trail_of(nd.path));
-  }
-  finish();
-  return res;
+std::shared_ptr<const rt::WorldSnapshot> SystemExplorer::capture(
+    rt::World& w, ExploreStats& stats) const {
+  auto t0 = SteadyClock::now();
+  auto snap =
+      std::make_shared<const rt::WorldSnapshot>(w.snapshot(/*cow=*/true));
+  if (opts_.workers > 1) snap->share_across_threads();
+  stats.snapshot_ms += ms_since(t0);
+  return snap;
 }
 
 // ---------------------------------------------------------------------------
-// Parallel graph search
+// Graph search: one engine for every worker count
 // ---------------------------------------------------------------------------
 
-// expand() re-states the sequential expansion loop's *control flow*
-// (re-anchoring, violation/dedup/budget order): graph_search() is the
-// trusted oracle the differential suite (tests/test_mc_parallel.cpp)
-// compares this code against, and sharing the whole body would make that
-// comparison vacuous. The *reduction semantics*, however — footprints,
-// is_slept, child_sleep inherit/extend, POR selection and race detection —
-// live in shared helpers on purpose: an independence rule that drifted
-// between the sequential and parallel paths would be an unsoundness the
-// differential could only catch by luck, so that logic has exactly one
-// definition. Any control-flow change here must be mirrored in
-// graph_search(), and the differential tests enforce the equivalence.
+void SystemExplorer::push(Shared& sh, Worker& me, Node&& nd,
+                          double pri) const {
+  nd.owner = static_cast<std::uint32_t>(me.id);
+  sh.active.fetch_add(1);
+  me.meter.push(nd);
+  if (opts_.order == SearchOrder::kPriority) {
+    me.pq.push(pri, std::move(nd));
+  } else {
+    me.deque.push_back(std::move(nd));
+  }
+}
+
+// The *reduction semantics* — footprints, is_slept, child_sleep
+// inherit/extend, POR selection and race detection — live in helpers of
+// their own; tests/test_mc_parallel.cpp checks this engine at every worker
+// count against an independent reference BFS written only against the
+// public rt::World API.
 void SystemExplorer::expand(Shared& sh, Worker& me, Node cur) {
   rt::World& w = *me.world;
   ExploreStats& stats = me.stats;
-  const bool use_sleepvis = opts_.sleep_sets && opts_.dedup;
   std::vector<Node> backtracks;
 
   if (cur.depth >= opts_.max_depth) {
@@ -1321,20 +1035,21 @@ void SystemExplorer::expand(Shared& sh, Worker& me, Node cur) {
   materialize(w, cur, stats);
   std::vector<SysAction> actions = enabled_actions(w);
 
-  // Re-anchoring, as in the sequential search (snapshot mode re-anchors
-  // POR backtrack nodes, the only replay_len > 0 nodes it produces); the
-  // fresh anchor is marked shared because any child may be stolen.
+  // Trail mode: when the children's replay distance would reach the
+  // interval, snapshot the parent state (w holds it right now) once and
+  // re-anchor cur on it — every child then hangs one action off this
+  // shared anchor (one anchor per expanded node, not per child), and the
+  // per-action materialize calls below replay nothing. Snapshot mode
+  // re-anchors whenever replay_len > 0: the only such nodes are POR
+  // backtracks and resumed checkpoint trails (root anchor + full-path
+  // replay), and one snapshot here beats replaying the prefix per child.
   if (!actions.empty() &&
       (opts_.trail_frontier ? cur.replay_len + 1 >= opts_.anchor_interval
                             : cur.replay_len > 0)) {
-    auto t0 = SteadyClock::now();
-    auto snap = std::make_shared<const rt::WorldSnapshot>(
-        w.snapshot(/*cow=*/true));
-    snap->share_across_threads();
-    stats.snapshot_ms += ms_since(t0);
     auto anchor = std::make_shared<Anchor>();
-    anchor->snap = std::move(snap);
+    anchor->snap = capture(w, stats);
     if (reg_) {
+      // Evictable: record the root-relative rebuild recipe first.
       anchor->path = cur.path;
       anchor->depth = cur.depth;
       reg_->admit(anchor);
@@ -1343,7 +1058,8 @@ void SystemExplorer::expand(Shared& sh, Worker& me, Node cur) {
     cur.replay_len = 0;
   }
 
-  // Keys and footprints against the pre-state, as in graph_search().
+  // Keys and footprints are computed against the pre-state (footprints
+  // peek queued messages to resolve channels), before any action runs.
   const std::size_t n_act = actions.size();
   std::vector<std::uint64_t> keys(n_act);
   std::vector<ActionFootprint> fps(n_act);
@@ -1362,21 +1078,6 @@ void SystemExplorer::expand(Shared& sh, Worker& me, Node cur) {
     for (std::size_t i = 0; i < n_act; ++i) run[i] = i;
   }
 
-  // active must rise before a node becomes visible, so an idle worker can
-  // never observe "no work anywhere" while a child is in flight. Meter
-  // pairing follows the deque rule: the pusher charged, only the pusher
-  // refunds (worker_loop).
-  auto push_local = [&](Node&& nd, double pri) {
-    nd.owner = static_cast<std::uint32_t>(me.id);
-    sh.active.fetch_add(1);
-    me.meter.push(nd);
-    if (opts_.order == SearchOrder::kPriority) {
-      me.pq.push(pri, std::move(nd));
-    } else {
-      me.deque.push_back(std::move(nd));
-    }
-  };
-
   for (std::size_t pos = 0; pos < run.size(); ++pos) {
     if (sh.stop.load(std::memory_order_acquire)) return;
     const std::size_t i = run[pos];
@@ -1393,7 +1094,7 @@ void SystemExplorer::expand(Shared& sh, Worker& me, Node cur) {
 
     if (opts_.por) {
       por_race_detect(sh.por, cur, afp, akey, backtracks, stats);
-      for (Node& b : backtracks) push_local(std::move(b), 0.0);
+      for (Node& b : backtracks) push(sh, me, std::move(b), 0.0);
       backtracks.clear();
     }
 
@@ -1419,7 +1120,8 @@ void SystemExplorer::expand(Shared& sh, Worker& me, Node cur) {
     bool reexpand_child = false;
     if (opts_.dedup) {
       std::uint64_t h = timed_mc_digest(w, stats, opts_.abstract_time);
-      if (use_sleepvis) {
+      bool duplicate = false;
+      if (sh.sleepvis) {
         std::vector<std::uint64_t> skeys;
         if (sleep) {
           skeys.reserve(sleep->size());
@@ -1428,19 +1130,13 @@ void SystemExplorer::expand(Shared& sh, Worker& me, Node cur) {
         }
         std::vector<std::uint64_t> released;
         const auto verdict =
-            sh.sleepvis.visit(h, skeys, opts_.por ? &released : nullptr);
-        if (verdict == StripedSleepVisited::Verdict::kPrune) {
-          ++stats.duplicates;
-          // The edge (if allocated for the violation trail above) was
-          // never published to a frontier node; the Trail copied its
-          // actions.
-          if (path) me.arena.pop_back();
-          continue;
-        }
+            sh.sleepvis->visit(h, skeys, opts_.por ? &released : nullptr);
+        duplicate = verdict == StripedSleepVisited::Verdict::kPrune;
         if (verdict == StripedSleepVisited::Verdict::kReexpand) {
-          // Duplicate state whose stored expansion slept actions this
-          // arrival path does not cover; re-expand with the intersection
-          // (see graph_search()).
+          // Duplicate state, but the stored expansion ran with a sleep set
+          // that is not a subset of this arrival's — its coverage claim
+          // does not hold for this path. Re-expand with the intersection;
+          // no fresh state is counted.
           ++stats.duplicates;
           ++stats.sleep_reexpansions;
           reexpand_child = true;
@@ -1454,9 +1150,15 @@ void SystemExplorer::expand(Shared& sh, Worker& me, Node cur) {
                 sleep->end());
             if (sleep->empty()) sleep.reset();
           }
+          // POR selection at the re-expanded node seeds from pending —
+          // force the released keys onto its work list, or the
+          // re-expansion would find nothing to run.
           for (std::uint64_t k : released) sh.por.recs.seed_pending(h, k);
         }
-      } else if (!(sh.tiered ? sh.tiered->insert(h) : sh.visited.insert(h))) {
+      } else {
+        duplicate = !sh.insert(h);
+      }
+      if (duplicate) {
         ++stats.duplicates;
         // The edge (if allocated for the violation trail above) was never
         // published to a frontier node; the Trail copied its actions.
@@ -1483,14 +1185,13 @@ void SystemExplorer::expand(Shared& sh, Worker& me, Node cur) {
     child.path = path;
     child.depth = static_cast<std::uint32_t>(depth);
     if (!opts_.trail_frontier) {
-      auto t0 = SteadyClock::now();
+      // capture() publishes the snapshot before the push makes the node
+      // stealable.
       child.state = std::make_shared<Anchor>();
-      child.state->snap = std::make_shared<const rt::WorldSnapshot>(
-          w.snapshot(/*cow=*/true));
-      // Publish before the push below makes the node stealable.
-      child.state->snap->share_across_threads();
-      stats.snapshot_ms += ms_since(t0);
+      child.state->snap = capture(w, stats);
     } else {
+      // The expansion re-anchored the parent when its children would
+      // exceed the interval, so extending by one is always valid.
       child.state = cur.state;
       child.replay_len = cur.replay_len + 1;
     }
@@ -1501,7 +1202,7 @@ void SystemExplorer::expand(Shared& sh, Worker& me, Node cur) {
       // top hint looks best.
       pri = opts_.priority(w);
     }
-    push_local(std::move(child), pri);
+    push(sh, me, std::move(child), pri);
   }
 }
 
@@ -1514,12 +1215,14 @@ void SystemExplorer::worker_loop(Shared& sh, Worker& me) {
     // Clean-boundary pause: checked BEFORE popping, so a paused worker
     // parks its remaining frontier untouched (in-flight expansions on
     // other workers still complete and push their children). pause_check
-    // doubles as the lease heartbeat, so it is polled on idle iterations
-    // too. The probe's `states` is the slice-wide shared total — states
-    // are counted in sh.states, not per worker, and the checkpoint
-    // threshold is defined over the whole slice's progress.
+    // doubles as the lease heartbeat, so idle workers poll it too — but
+    // only while the search has work: a pause with nothing queued or in
+    // flight would read as a resumable checkpoint when the search is in
+    // fact complete. The probe's `states` is the slice-wide shared total
+    // — states are counted in sh.states, not per worker, and the
+    // checkpoint threshold is defined over the whole slice's progress.
     if (sh.paused.load(std::memory_order_acquire)) return;
-    if (opts_.pause_check) {
+    if (opts_.pause_check && sh.active.load(std::memory_order_acquire) > 0) {
       ExploreStats probe = me.stats;
       probe.states = sh.states.load(std::memory_order_relaxed);
       if (opts_.pause_check(probe)) {
@@ -1573,8 +1276,8 @@ void SystemExplorer::worker_loop(Shared& sh, Worker& me) {
     if (!got) {
       if (sh.active.load(std::memory_order_acquire) == 0) return;
       // Back off when repeatedly idle: spinning at full speed would burn
-      // a core per idle worker and, in kPriority mode, contend the shared
-      // heap mutex against the workers still making progress.
+      // a core per idle worker and contend the shard locks of the workers
+      // still making progress.
       if (++idle_rounds < 16) {
         std::this_thread::yield();
       } else {
@@ -1586,10 +1289,10 @@ void SystemExplorer::worker_loop(Shared& sh, Worker& me) {
     idle_rounds = 0;
     try {
       expand(sh, me, std::move(cur));
-    } catch (const std::exception& e) {
+    } catch (...) {
       {
         std::lock_guard<std::mutex> lk(sh.err_mu);
-        if (sh.error.empty()) sh.error = e.what();
+        if (!sh.error) sh.error = std::current_exception();
       }
       sh.stop.store(true, std::memory_order_release);
       sh.active.fetch_sub(1);
@@ -1599,98 +1302,76 @@ void SystemExplorer::worker_loop(Shared& sh, Worker& me) {
   }
 }
 
-SysExploreResult SystemExplorer::graph_search_parallel() {
+SysExploreResult SystemExplorer::graph_search() {
   SysExploreResult res;
+  // Resume slices do not re-probe (or re-count) the root: the first slice
+  // already did, and the checkpointed stats accumulate across slices.
   if (!opts_.resume_from_checkpoint && !probe_root(res)) return res;
 
   const std::size_t n_workers = std::max<std::size_t>(1, opts_.workers);
-  Shared sh;
+  Shared sh(opts_, n_workers);
 
-  // One COW snapshot of the investigated state, shared by the root node
-  // and every worker world; marked before any thread exists so in-place
-  // mutation of its buffers is off for good.
-  auto root_ws = std::make_shared<const rt::WorldSnapshot>(
-      scratch_->snapshot(/*cow=*/true));
-  root_ws->share_across_threads();
+  // One COW snapshot of the investigated state: the root node's anchor,
+  // the POR backtrack anchor, and the image every worker world of a
+  // multi-worker search is cloned from (capture() marks it shared before
+  // any thread exists).
   auto root_anchor = std::make_shared<Anchor>();
-  root_anchor->snap = root_ws;
+  root_anchor->snap = capture(*scratch_, res.stats);
   if (reg_) reg_->set_root(root_anchor);
-  const bool use_sleepvis = opts_.sleep_sets && opts_.dedup;
-  if (opts_.dedup && !use_sleepvis && opts_.visited_budget_bytes > 0) {
-    sh.spill_scratch = ScratchDir::create(opts_.spill_dir, "fixd-spill");
-    sh.tiered = std::make_unique<TieredVisitedSet>(
-        opts_.visited_budget_bytes, sh.spill_scratch.path());
-  }
+  if (opts_.por) sh.por.root = root_anchor;
   if (opts_.dedup) {
     if (opts_.resume_from_checkpoint) {
-      for (std::uint64_t h : opts_.resume_visited) {
-        if (sh.tiered) {
-          sh.tiered->insert(h);
-        } else {
-          sh.visited.insert(h);
-        }
-      }
+      // Preseed with the checkpoint's visited set (root digest included);
+      // children re-reaching pre-crash states dedup against it exactly as
+      // the uninterrupted run deduped against its own history.
+      for (std::uint64_t h : opts_.resume_visited) sh.insert(h);
     } else {
-      const std::uint64_t h =
-          timed_mc_digest(*scratch_, res.stats, opts_.abstract_time);
-      if (use_sleepvis) {
-        std::vector<std::uint64_t> none;  // the root has no sleep set
-        sh.sleepvis.visit(h, none);
-      } else if (sh.tiered) {
-        sh.tiered->insert(h);
-      } else {
-        sh.visited.insert(h);
-      }
+      sh.insert(timed_mc_digest(*scratch_, res.stats, opts_.abstract_time));
     }
   }
-  if (opts_.por) sh.por.root = root_anchor;
   sh.states.store(res.stats.states);  // the probed root
-  // Root violations count against the budget exactly as in the
-  // sequential search.
+  // Root violations count against the budget like any other.
   sh.violation_count.store(res.violations.size());
 
-  Node root;
-  root.depth = 0;
-  // Both modes share the one root snapshot object (snapshot mode nodes
-  // are "anchor + zero replay" in the unified representation).
-  root.state = root_anchor;
-
+  // One worker expands on scratch_ itself, on the calling thread; more
+  // workers each get a private clone of the root.
   for (std::size_t i = 0; i < n_workers; ++i) {
     auto wk = std::make_unique<Worker>();
     wk->id = i;
-    wk->world = scratch_->clone_from_snapshot(*root_ws);
-    if (opts_.install_invariants) opts_.install_invariants(*wk->world);
+    if (n_workers == 1) {
+      wk->world = scratch_.get();
+    } else {
+      wk->own_world = scratch_->clone_from_snapshot(*root_anchor->snap);
+      if (opts_.install_invariants) opts_.install_invariants(*wk->own_world);
+      wk->world = wk->own_world.get();
+    }
     wk->meter.set_charge_snapshots(reg_ == nullptr);
     sh.workers.push_back(std::move(wk));
   }
 
   if (opts_.resume_from_checkpoint) {
-    // Re-plant the checkpoint frontier round-robin. Path chains go into
-    // worker 0's arena (pre-thread, so single-writer holds); readers
-    // reach them through the frontier-deque mutexes as usual. kPriority
-    // is rejected by check_pause_resume_options, so deques suffice.
+    // Re-plant the checkpoint frontier in captured order, round-robin. At
+    // one worker every node lands on the one deque, whose BFS pop_front /
+    // DFS pop_back then reproduces the uninterrupted run's pop sequence
+    // exactly. Path chains go into worker 0's arena (before any thread
+    // starts, so single-writer holds). kPriority is rejected by
+    // check_pause_resume_options, so deques suffice.
     std::vector<Node> nodes = resume_nodes(root_anchor, sh.workers[0]->arena);
-    sh.active.store(nodes.size());
-    std::size_t wi = 0;
-    for (Node& nd : nodes) {
-      nd.owner = static_cast<std::uint32_t>(wi);
-      sh.workers[wi]->meter.push(nd);
-      sh.workers[wi]->deque.push_back(std::move(nd));
-      wi = (wi + 1) % n_workers;
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      push(sh, *sh.workers[i % n_workers], std::move(nodes[i]), 0.0);
     }
   } else {
-    sh.active.store(1);
-    root.owner = 0;
-    sh.workers[0]->meter.push(root);
-    if (opts_.order == SearchOrder::kPriority) {
-      double pri = opts_.priority ? opts_.priority(*scratch_) : 0.0;
-      sh.workers[0]->pq.push(pri, std::move(root));
-    } else {
-      sh.workers[0]->deque.push_back(std::move(root));
-    }
+    Node root;
+    root.state = root_anchor;
+    const double pri = opts_.order == SearchOrder::kPriority && opts_.priority
+                           ? opts_.priority(*scratch_)
+                           : 0.0;
+    push(sh, *sh.workers[0], std::move(root), pri);
   }
 
-  {
+  if (n_workers == 1) {
+    worker_loop(sh, *sh.workers[0]);
+  } else {
     std::vector<std::thread> threads;
     threads.reserve(n_workers);
     for (std::size_t i = 0; i < n_workers; ++i) {
@@ -1698,9 +1379,7 @@ SysExploreResult SystemExplorer::graph_search_parallel() {
     }
     for (auto& t : threads) t.join();
   }
-  if (!sh.error.empty()) {
-    throw FixdError("parallel explorer worker failed: " + sh.error);
-  }
+  if (sh.error) std::rethrow_exception(sh.error);
 
   // Merge. The shared counter is the state total (root included); timing
   // counters sum across workers (CPU time, can exceed wall time).
@@ -1719,50 +1398,41 @@ SysExploreResult SystemExplorer::graph_search_parallel() {
     res.stats.sleep_reexpansions += wk->stats.sleep_reexpansions;
     res.stats.por_deferred += wk->stats.por_deferred;
     res.stats.por_backtracks += wk->stats.por_backtracks;
-    // Sum-of-peaks upper bound plus the largest single-worker share.
+    // Sum-of-peaks upper bound plus the largest single-worker share (one
+    // worker's meter is exact, and the share is reported as 0).
     res.stats.peak_frontier_bytes += wk->meter.peak();
-    res.stats.peak_frontier_bytes_max_worker =
-        std::max(res.stats.peak_frontier_bytes_max_worker, wk->meter.peak());
+    if (n_workers > 1) {
+      res.stats.peak_frontier_bytes_max_worker = std::max(
+          res.stats.peak_frontier_bytes_max_worker, wk->meter.peak());
+    }
     for (auto& v : wk->violations) res.violations.push_back(std::move(v));
   }
   res.stats.workers = n_workers;
-  // Violations arrive in nondeterministic worker order; re-sort into a
-  // stable shape (shallowest first, ties by invariant name). The count may
-  // exceed max_violations by the few found concurrently with the stop.
-  std::stable_sort(res.violations.begin(), res.violations.end(),
-                   [](const SysViolation& a, const SysViolation& b) {
-                     if (a.depth != b.depth) return a.depth < b.depth;
-                     return a.violation.invariant < b.violation.invariant;
-                   });
+  if (n_workers > 1) {
+    // Violations arrive in nondeterministic worker order; re-sort into a
+    // stable shape (shallowest first, ties by invariant name). The count
+    // may exceed max_violations by the few found concurrently with the
+    // stop. One worker keeps discovery order, which is deterministic.
+    std::stable_sort(res.violations.begin(), res.violations.end(),
+                     [](const SysViolation& a, const SysViolation& b) {
+                       if (a.depth != b.depth) return a.depth < b.depth;
+                       return a.violation.invariant < b.violation.invariant;
+                     });
+  }
   if (reg_) {
+    // Meter (node shells) + registry (resident anchor snapshots); see the
+    // FrontierMeter comment for why budgeted mode splits these.
     res.stats.peak_frontier_bytes += reg_->peak_resident();
     res.stats.anchor_evictions = reg_->evictions();
   }
-  if (opts_.dedup) {
-    if (sh.tiered) {
-      res.stats.visited_resident_bytes = sh.tiered->resident_bytes();
-      res.stats.visited_peak_resident_bytes =
-          sh.tiered->peak_resident_bytes();
-      res.stats.visited_spilled_bytes = sh.tiered->spilled_bytes();
-      res.stats.spilled_bytes = sh.tiered->spill_bytes_written();
-      res.stats.bloom_fp_rate = sh.tiered->bloom_fp_rate();
-    } else {
-      res.stats.visited_resident_bytes =
-          use_sleepvis ? sh.sleepvis.bytes() : sh.visited.bytes();
-      res.stats.visited_peak_resident_bytes =
-          res.stats.visited_resident_bytes;
-    }
-  }
-  if (opts_.collect_visited) {
-    res.visited = use_sleepvis  ? sh.sleepvis.sorted_contents()
-                  : sh.tiered ? sh.tiered->sorted_contents()
-                              : sh.visited.sorted_contents();
-  }
+  sh.report_visited(res, opts_.collect_visited);
   // A pause that raced a hard stop (budget/violation cap) is NOT a clean
   // boundary — stop abandons in-flight children — so it is not reported
   // as paused and nothing is captured.
   res.paused = sh.paused.load() && !sh.stop.load();
   if (res.paused && opts_.capture_frontier) {
+    // Front-to-back deque order: resume's in-order re-plant restores the
+    // identical pop order for both kBfs (pop_front) and kDfs (pop_back).
     for (auto& wk : sh.workers) {
       Node nd;
       while (wk->deque.pop_front(nd)) {
@@ -1836,7 +1506,7 @@ SysExploreResult SystemExplorer::random_walk() {
     std::atomic<std::size_t> violation_count{0};
     std::atomic<bool> stop{false};
     std::mutex err_mu;
-    std::string error;
+    std::exception_ptr error;
 
     struct WalkWorker {
       std::unique_ptr<rt::World> world;
@@ -1867,10 +1537,10 @@ SysExploreResult SystemExplorer::random_walk() {
                 stop.store(true, std::memory_order_release);
               }
             }
-          } catch (const std::exception& e) {
+          } catch (...) {
             {
               std::lock_guard<std::mutex> lk(err_mu);
-              if (error.empty()) error = e.what();
+              if (!error) error = std::current_exception();
             }
             stop.store(true, std::memory_order_release);
           }
@@ -1878,9 +1548,7 @@ SysExploreResult SystemExplorer::random_walk() {
       }
       for (auto& t : threads) t.join();
     }
-    if (!error.empty()) {
-      throw FixdError("parallel random walk worker failed: " + error);
-    }
+    if (error) std::rethrow_exception(error);
 
     for (auto& wk : workers) {
       res.stats.transitions += wk.stats.transitions;
@@ -1889,7 +1557,7 @@ SysExploreResult SystemExplorer::random_walk() {
       for (auto& v : wk.violations) tagged.push_back(std::move(v));
     }
     // Walks complete in nondeterministic worker order; walk-index order is
-    // the sequential report order.
+    // the one-worker report order.
     std::stable_sort(tagged.begin(), tagged.end(),
                      [](const auto& a, const auto& b) {
                        return a.first < b.first;

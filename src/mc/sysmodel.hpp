@@ -142,8 +142,8 @@ struct SysExploreOptions {
   /// defers the rest; every executed transition is then checked for races
   /// against the footprints along its path, and a race re-expands the
   /// ancestor state with the deferred action (a root-anchored backtrack
-  /// node — works in snapshot and trail frontier modes and in the
-  /// parallel expand() path alike). Soundness: deferred actions are
+  /// node — works in snapshot and trail frontier modes and at any worker
+  /// count alike). Soundness: deferred actions are
   /// independent of the explored suffix until a race fires, so every
   /// violation of a *stable* predicate (one that keeps holding once
   /// reached, e.g. conflicting-decision or divergence invariants) is
@@ -166,32 +166,36 @@ struct SysExploreOptions {
   /// anchor reaches this many actions (trades replay time for memory).
   std::size_t anchor_interval = 8;
 
-  /// Worker threads. 1 = the sequential explorer. For graph searches
-  /// (kDfs/kBfs/kPriority) the frontier is sharded across workers (one
-  /// private scratch world each, work-stealing deques — per-worker
-  /// best-effort-top priority heaps for kPriority — and a lock-striped
-  /// visited set). kRandomWalk shards the walk budget instead: each walk
-  /// draws from an RNG derived from (seed, walk index), so any worker
-  /// count runs the exact same trajectories — results match the
-  /// sequential walk modulo the early stop when max_violations fills
-  /// mid-flight.
+  /// Workers of the graph-search engine (kDfs/kBfs/kPriority). Every
+  /// worker count runs the same engine: each worker owns a scratch world
+  /// and a stealable frontier shard (a deque, or a best-effort-top
+  /// priority heap for kPriority), and all share one lock-striped visited
+  /// set. One worker runs on the calling thread over the explorer's own
+  /// scratch world with single-stripe structures, pops in exact BFS
+  /// (front) / DFS (back) / heap order, and reports violations in
+  /// discovery order. kRandomWalk shards the walk budget instead: each
+  /// walk draws from an RNG derived from (seed, walk index), so any worker
+  /// count runs the exact same trajectories — results match the one-worker
+  /// walk modulo the early stop when max_violations fills mid-flight.
   ///
-  /// Determinism contract (tested by tests/test_mc_parallel.cpp): with
-  /// dedup on, no sleep sets, and budgets that don't truncate, the
-  /// parallel search visits exactly the sequential explorer's canonical
-  /// state set and state/transition counts; violations are reported as an
-  /// unordered set (stably re-sorted by depth), and every reported trail
-  /// replays on a fresh sequential world. Sleep-set pruning, por, and
-  /// truncated budgets are traversal-order-sensitive, so for them the
-  /// guarantee is soundness (a subset of the reachable graph) plus the
-  /// reduction property (same violation set as the unreduced search,
-  /// pinned differentially per worker count) — not visited-set identity.
-  /// Priority/install_invariants callbacks must be thread-safe (stateless
-  /// lambdas are; every in-tree installer qualifies). kPriority's pop
-  /// order is best-effort global across the per-worker heaps (stale top
-  /// hints can momentarily pick a worse node); the visited-set contract
-  /// above holds regardless, because pop order never changes *which*
-  /// states a dedup'd exhaustive search visits.
+  /// Determinism contract (tested by tests/test_mc_parallel.cpp against an
+  /// independent reference BFS over the public rt::World API): with dedup
+  /// on, no sleep sets, and budgets that don't truncate, every worker
+  /// count visits exactly the reference's canonical state set with its
+  /// state/transition/duplicate counts (and, for kBfs, its max_depth).
+  /// With workers > 1 violations are an unordered set (stably re-sorted by
+  /// depth), and every reported trail replays on a fresh world. Sleep-set
+  /// pruning, por, and truncated budgets are traversal-order-sensitive, so
+  /// for them the guarantee is soundness (a subset of the reachable graph)
+  /// plus the reduction property (same violation set as the unreduced
+  /// search, pinned differentially per worker count) — not visited-set
+  /// identity. With workers > 1, priority/install_invariants callbacks
+  /// must be thread-safe (stateless lambdas are; every in-tree installer
+  /// qualifies). kPriority's pop order is then best-effort global across
+  /// the per-worker heaps (stale top hints can momentarily pick a worse
+  /// node); the visited-set contract above holds regardless, because pop
+  /// order never changes *which* states a dedup'd exhaustive search
+  /// visits.
   std::size_t workers = 1;
 
   /// Beyond-RAM budgets (0 = unbounded, the historical behavior; see
@@ -220,8 +224,8 @@ struct SysExploreOptions {
   std::string spill_dir;
 
   /// Test hook: return the visited canonical-digest set (sorted) in
-  /// SysExploreResult::visited — the differential suites compare parallel
-  /// against sequential with this.
+  /// SysExploreResult::visited — the differential suites compare worker
+  /// counts, and the engine against the reference BFS, with this.
   bool collect_visited = false;
 
   /// Heuristic for kPriority order (higher first).
@@ -236,7 +240,7 @@ struct SysExploreOptions {
   // visited set: preseed ∪ reachable-from-frontier. That makes a search
   // *sliceable* — stop at a clean node boundary, capture {visited,
   // frontier-as-trails}, and a later explorer (even in a fresh process)
-  // resumes to the identical final visited set; sequential BFS/DFS
+  // resumes to the identical final visited set; one-worker BFS/DFS
   // additionally preserve the exact pop order, so violation trails come
   // back byte-identical. src/svc/jobd.cpp builds durable, kill -9
   // survivable investigation jobs on exactly this contract.
@@ -245,12 +249,13 @@ struct SysExploreOptions {
   // sleep_sets/por off (those carry traversal-order-sensitive extra
   // state); explore() throws ConfigError otherwise.
 
-  /// Polled once per frontier pop (per worker when workers > 1 — must be
-  /// thread-safe then). The stats it receives carry the slice-wide
-  /// `states` total (shared across workers) with the polling worker's
-  /// other counters, so a `states >= N` threshold means the same thing
-  /// at any worker count. Returning
-  /// true pauses the search at the current clean node boundary:
+  /// Polled by each worker before every frontier pop, idle polls included,
+  /// but only while the search still has work queued or in flight (must be
+  /// thread-safe when workers > 1). The stats it receives carry the
+  /// slice-wide `states` total (shared across workers) with the polling
+  /// worker's other counters, so a `states >= N` threshold means the same
+  /// thing at any worker count. Returning true pauses the search at the
+  /// current clean node boundary:
   /// in-flight expansions complete (their children are pushed or deduped,
   /// never dropped), then SysExploreResult::paused is set. Also the
   /// service heartbeat: jobd's lease supervision feeds off these calls.
@@ -328,8 +333,8 @@ class SystemExplorer {
   };
 
   /// One reachability-graph edge, parent-linked toward the root (null at
-  /// the root). Edges live in append-only arenas (a std::deque per search
-  /// — per *worker* in the parallel search), so addresses are stable,
+  /// the root). Edges live in append-only arenas (a std::deque per
+  /// worker), so addresses are stable,
   /// nodes are immutable once another node or frontier entry points at
   /// them, and teardown is a flat bulk free after the workers have joined
   /// — no refcount traffic on the hot path, no recursive destruction on
@@ -389,8 +394,8 @@ class SystemExplorer {
     /// Trail mode: actions to re-execute from `state` (0 in snapshot mode).
     std::uint32_t replay_len = 0;
     std::uint32_t depth = 0;
-    /// Parallel searches: index of the worker that pushed this node, so
-    /// frontier-meter refunds pair with the meter that charged it.
+    /// Index of the worker that pushed this node, so frontier-meter
+    /// refunds pair with the meter that charged it.
     std::uint32_t owner = 0;
   };
 
@@ -417,9 +422,8 @@ class SystemExplorer {
   /// The sleep set a child created via run[pos] inherits: surviving
   /// entries of the parent's sleep set plus every earlier branch of this
   /// expansion (run[0..pos)), both filtered by independence with the
-  /// child's action. One implementation shared by the sequential and
-  /// parallel expansion paths, so the independence semantics cannot drift
-  /// between them. Returns null for an empty set.
+  /// child's action. Kept apart from expand() so the independence rule
+  /// has exactly one definition. Returns null for an empty set.
   static std::unique_ptr<std::vector<SleepEntry>> child_sleep(
       const Node& cur, const std::vector<SysAction>& actions,
       const std::vector<ActionFootprint>& fps,
@@ -470,10 +474,18 @@ class SystemExplorer {
   /// Probe the investigated state itself (the violation might already
   /// hold); returns false when the violation budget is already exhausted.
   bool probe_root(SysExploreResult& res);
+  /// Snapshot `w` (COW) for a frontier anchor, timed into snapshot_ms;
+  /// with workers > 1 it is marked shared, since any node may be stolen.
+  std::shared_ptr<const rt::WorldSnapshot> capture(rt::World& w,
+                                                   ExploreStats& stats) const;
+  /// The graph-search engine (kBfs/kDfs/kPriority) at any worker count.
   SysExploreResult graph_search();
-  SysExploreResult graph_search_parallel();
   void worker_loop(Shared& sh, Worker& me);
   void expand(Shared& sh, Worker& me, Node cur);
+  /// Make `nd` visible on `me`'s frontier shard (`pri` is read by
+  /// kPriority only); `active` rises first, so an idle worker can never
+  /// observe "no work anywhere" while a node is in flight.
+  void push(Shared& sh, Worker& me, Node&& nd, double pri) const;
   SysExploreResult random_walk();
 
   rt::World& base_;

@@ -1,21 +1,29 @@
-// Parallel SystemExplorer: differential equivalence against the sequential
-// explorer, trail replay of parallel-found violations, and seeded stress
-// over randomized option mixes.
+// The SystemExplorer's graph-search engine at every worker count:
+// differential equivalence against an independent reference BFS and
+// between worker counts, trail replay of multi-worker violations, worker
+// exception propagation, and seeded stress over randomized option mixes.
 //
 // The determinism contract under test (see SysExploreOptions::workers):
 // with dedup on, no sleep sets, and budgets that don't truncate, a graph
-// search sharded across N workers visits *exactly* the sequential
-// explorer's canonical-state set, with identical state/transition/
-// duplicate counts — and every violation it reports carries a trail that
-// re-executes to the same violation on a fresh sequential world.
+// search on any number of workers visits *exactly* the reference BFS's
+// canonical-state set, with identical state/transition/duplicate counts —
+// and every violation it reports carries a trail that re-executes to the
+// same violation on a fresh world. The reference (reference_bfs below) is
+// written only against the public rt::World API, so it shares no code
+// with the engine it checks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
+#include <unordered_set>
 
 #include "apps/kv_store.hpp"
 #include "apps/token_ring.hpp"
 #include "apps/two_phase_commit.hpp"
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "mc/sysmodel.hpp"
 
@@ -99,8 +107,59 @@ SysExploreOptions differential_opts(SearchOrder order, bool trail,
   return o;
 }
 
+/// What the reference BFS reports: the engine's count semantics (the root
+/// counts as a state; a transition into an already-seen state is a
+/// duplicate) and the sorted canonical visited set.
+struct ReferenceResult {
+  std::uint64_t states = 0;
+  std::uint64_t transitions = 0;
+  std::uint64_t duplicates = 0;
+  std::uint64_t max_depth = 0;  ///< BFS (shortest-path) depth
+  std::vector<std::uint64_t> visited;
+};
+
+/// Exhaustive dedup'd BFS over the runtime's enabled events, written only
+/// against public rt::World calls — one snapshot per frontier node, one
+/// hash set, no explorer code — so it is an independent oracle for the
+/// engine's abstract-time, no-environment-model search.
+ReferenceResult reference_bfs(rt::World& base,
+                              const std::function<void(rt::World&)>& install) {
+  auto w = base.clone();
+  w->set_abstract_time(true);
+  w->set_check_global_invariants(true);
+  w->set_stop_on_violation(false);
+  if (install) install(*w);
+
+  ReferenceResult r;
+  std::unordered_set<std::uint64_t> seen{w->mc_digest()};
+  r.states = 1;
+  std::deque<std::pair<rt::WorldSnapshot, std::uint64_t>> frontier;
+  frontier.emplace_back(w->snapshot(), 0);
+  while (!frontier.empty()) {
+    const rt::WorldSnapshot snap = std::move(frontier.front().first);
+    const std::uint64_t depth = frontier.front().second;
+    frontier.pop_front();
+    w->restore(snap);
+    for (const rt::EventDesc& ev : w->enabled_events()) {
+      w->restore(snap);
+      w->execute_event(ev);
+      ++r.transitions;
+      if (!seen.insert(w->mc_digest()).second) {
+        ++r.duplicates;
+        continue;
+      }
+      ++r.states;
+      r.max_depth = std::max(r.max_depth, depth + 1);
+      frontier.emplace_back(w->snapshot(), depth + 1);
+    }
+  }
+  r.visited.assign(seen.begin(), seen.end());
+  std::sort(r.visited.begin(), r.visited.end());
+  return r;
+}
+
 // ---------------------------------------------------------------------------
-// Differential: parallel == sequential
+// Differential: every worker count == the reference BFS == one worker
 // ---------------------------------------------------------------------------
 
 class ParallelDifferential
@@ -117,7 +176,7 @@ TEST_P(ParallelDifferential, VisitedSetAndCountsMatchSequential) {
     o.install_invariants = mc.installer;
     if (order == SearchOrder::kPriority) {
       // A deterministic, thread-safe heuristic: the sharded best-effort
-      // heaps may pop in a different order than the sequential heap, but
+      // heaps may pop in a different order than one worker's heap, but
       // a dedup'd exhaustive search must visit the identical set anyway
       // — exactly what this differential pins.
       o.priority = [](const rt::World& world) {
@@ -127,6 +186,9 @@ TEST_P(ParallelDifferential, VisitedSetAndCountsMatchSequential) {
   };
 
   auto w = mc.make();
+  const ReferenceResult oracle = reference_bfs(*w, mc.installer);
+  ASSERT_GT(oracle.states, 1u);
+
   auto seq_opts = differential_opts(order, trail, 1);
   configure(seq_opts);
   SystemExplorer seq(*w, seq_opts);
@@ -134,6 +196,24 @@ TEST_P(ParallelDifferential, VisitedSetAndCountsMatchSequential) {
   ASSERT_FALSE(ref.stats.truncated) << mc.name << ": budget too small";
   ASSERT_GT(ref.stats.states, 1u);
   EXPECT_GT(ref.stats.visited_resident_bytes, 0u);
+
+  for (std::size_t workers : {1u, 2u, 4u, 8u}) {
+    auto opts = differential_opts(order, trail, workers);
+    configure(opts);
+    SystemExplorer ex(*w, opts);
+    auto got = ex.explore();
+    SCOPED_TRACE(std::string(mc.name) + " vs reference, workers=" +
+                 std::to_string(workers) + (trail ? " trail" : " snap"));
+    EXPECT_FALSE(got.stats.truncated);
+    EXPECT_EQ(got.stats.states, oracle.states);
+    EXPECT_EQ(got.stats.transitions, oracle.transitions);
+    EXPECT_EQ(got.stats.duplicates, oracle.duplicates);
+    EXPECT_EQ(got.visited, oracle.visited);
+    // Only BFS reaches every state first along a shortest path.
+    if (order == SearchOrder::kBfs) {
+      EXPECT_EQ(got.stats.max_depth, oracle.max_depth);
+    }
+  }
 
   for (std::size_t workers : {2u, 4u, 8u}) {
     auto par_opts = differential_opts(order, trail, workers);
@@ -249,7 +329,7 @@ TEST(EnabledIndexDifferential, VisitedSetsUnchangedByIndex) {
 // Each walk draws from an RNG derived from (seed, walk index), so worker
 // count cannot change any trajectory. With an unbounded violation budget
 // every walk runs on both sides: stats and the walk-ordered violation
-// report must match the sequential explorer exactly.
+// report must match the one-worker walk exactly.
 class ParallelRandomWalk : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(ParallelRandomWalk, MatchesSequentialWalks) {
@@ -340,7 +420,7 @@ TEST(ParallelFrontierMeter, SumOfPeaksReportedAtEveryWorkerCount) {
   EXPECT_EQ(ref.stats.peak_frontier_bytes_max_worker, 0u);
 
   // The merged parallel number bounds *that run's* retained frontier from
-  // above (it is not comparable to the sequential run's peak: workers
+  // above (it is not comparable to the one-worker run's peak: workers
   // drain the frontier while it is produced, so the parallel frontier can
   // genuinely stand lower). What must hold: metering is on (nonzero), the
   // per-worker max is a consistent share of the sum, and a single node's
@@ -397,6 +477,43 @@ TEST_P(ParallelReplay, EveryParallelViolationTrailReproduces) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Frontiers, ParallelReplay, ::testing::Bool());
+
+// ---------------------------------------------------------------------------
+// A worker's exception reaches the caller with its original type
+// ---------------------------------------------------------------------------
+
+TEST(ParallelErrors, WorkerExceptionKeepsItsType) {
+  for (std::size_t workers : {1u, 4u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    TwoPcConfig cfg;
+    cfg.total_txns = 1;
+    auto w = make_two_pc_world(3, 2, cfg);
+    // Holds at the root (probed on the calling thread) and throws two
+    // events in, inside a worker's expansion.
+    const std::uint64_t root_step = w->step_count();
+    auto opts = differential_opts(SearchOrder::kBfs, /*trail=*/false, workers);
+    opts.install_invariants = [root_step](rt::World& world) {
+      apps::install_two_pc_invariants(world);
+      world.invariants().add_global(
+          "test/throws",
+          [root_step](const rt::World& cur) -> std::optional<std::string> {
+            if (cur.step_count() >= root_step + 2) {
+              throw ConfigError("invariant refused the state");
+            }
+            return std::nullopt;
+          });
+    };
+    SystemExplorer ex(*w, opts);
+    try {
+      ex.explore();
+      ADD_FAILURE() << "explore() returned normally";
+    } catch (const ConfigError& e) {
+      EXPECT_STREQ(e.what(), "invariant refused the state");
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "wrong exception type: " << e.what();
+    }
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Seeded stress: odd option mixes under small budgets must never crash

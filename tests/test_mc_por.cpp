@@ -10,8 +10,8 @@
 //     >= 2x for n = 6);
 //   - both hold across search orders, snapshot/trail frontiers, and
 //     worker counts — the reduction machinery (footprints, source sets,
-//     race-driven backtracks) is shared between the sequential and
-//     parallel paths.
+//     race-driven backtracks) lives in one engine that every worker
+//     count runs.
 //
 // Also here: the sleep+dedup differential (the former soundness caveat):
 // sleep_sets && dedup must visit the *identical* canonical state set as

@@ -37,17 +37,21 @@ constexpr std::uint64_t kPr4TrailPeakN4 = 101252;
 constexpr std::uint64_t kPr4SnapPeakN6 = 10240920;
 constexpr double kTrailMemGate = 1.8;  // required n=6 trail reduction
 
-void header_row() {
-  bench::row("%-12s %3s %-8s %9s %11s %7s %8s %9s %8s %8s %9s %8s %10s",
+// `replay` adds the trail-replay column: actions re-executed to
+// materialize popped nodes, per state (0 in snapshot mode).
+void header_row(bool replay = false) {
+  bench::row("%-12s %3s %-8s %9s %11s %7s %8s %9s %8s %8s %9s %8s %10s%s",
              "app", "N", "order", "states", "trans", "bug?", "depth", "ms",
-             "dig.ms", "snap.ms", "peak KiB", "vis KiB", "states/s");
+             "dig.ms", "snap.ms", "peak KiB", "vis KiB", "states/s",
+             replay ? " replay/st" : "");
 }
 
 mc::SysExploreResult explore_row(
     const char* app, std::size_t n, const char* order_name,
     mc::SearchOrder order, rt::World& w,
     const std::function<void(rt::World&)>& installer, std::size_t max_states,
-    bool trail_frontier = false, bool replay_warm = true) {
+    bool trail_frontier = false, bool replay_warm = true,
+    bool replay_col = false) {
   mc::SysExploreOptions o;
   o.order = order;
   o.max_states = max_states;
@@ -66,8 +70,14 @@ mc::SysExploreResult explore_row(
   }
   mc::SystemExplorer ex(w, o);
   auto res = ex.explore();
+  char replay[24] = "";
+  if (replay_col) {
+    std::snprintf(replay, sizeof replay, " %9.2f",
+                  static_cast<double>(res.stats.replayed_actions) /
+                      static_cast<double>(res.stats.states));
+  }
   bench::row("%-12s %3zu %-8s %9llu %11llu %7s %8zu %9.1f %8.1f %8.1f "
-             "%9.1f %8.1f %10.0f",
+             "%9.1f %8.1f %10.0f%s",
              app, n, order_name, (unsigned long long)res.stats.states,
              (unsigned long long)res.stats.transitions,
              res.found_violation() ? "YES" : "no",
@@ -75,7 +85,7 @@ mc::SysExploreResult explore_row(
              res.stats.wall_ms, res.stats.digest_ms, res.stats.snapshot_ms,
              res.stats.peak_frontier_bytes / 1024.0,
              res.stats.visited_resident_bytes / 1024.0,
-             res.stats.states_per_sec());
+             res.stats.states_per_sec(), replay);
   return res;
 }
 
@@ -138,7 +148,7 @@ int main() {
   bench::header(
       "Frontier representation at the feasibility wall (2pc, BFS: snapshot "
       "vs cold trail vs replay-warmed trail)");
-  header_row();
+  header_row(/*replay=*/true);
   bench::rule();
   for (std::size_t n : {std::size_t{4}, std::size_t{6}}) {
     std::uint64_t want_states = 0;
@@ -152,7 +162,7 @@ int main() {
           mode == 0 ? "2pc-snap" : (mode == 1 ? "2pc-trail-c" : "2pc-trail");
       auto res = explore_row(name, n, "bfs", mc::SearchOrder::kBfs, *w,
                              apps::install_two_pc_invariants, 120000, trail,
-                             warm);
+                             warm, /*replay_col=*/true);
       if (mode == 0) {
         want_states = res.stats.states;
       } else if (res.stats.states != want_states) {
@@ -389,11 +399,13 @@ int main() {
                    "\"peak_frontier_bytes\": %llu, "
                    "\"visited_resident_bytes\": %llu, "
                    "\"visited_spilled_bytes\": %llu, "
+                   "\"replayed_actions\": %llu, "
                    "\"states_per_sec\": %.0f}%s\n",
                    fr.n, fr.mode,
                    (unsigned long long)fr.stats.peak_frontier_bytes,
                    (unsigned long long)fr.stats.visited_resident_bytes,
                    (unsigned long long)fr.stats.visited_spilled_bytes,
+                   (unsigned long long)fr.stats.replayed_actions,
                    fr.stats.states_per_sec(),
                    i + 1 < frontier.size() ? "," : "");
     }

@@ -1035,29 +1035,6 @@ void SystemExplorer::expand(Shared& sh, Worker& me, Node cur) {
   materialize(w, cur, stats);
   std::vector<SysAction> actions = enabled_actions(w);
 
-  // Trail mode: when the children's replay distance would reach the
-  // interval, snapshot the parent state (w holds it right now) once and
-  // re-anchor cur on it — every child then hangs one action off this
-  // shared anchor (one anchor per expanded node, not per child), and the
-  // per-action materialize calls below replay nothing. Snapshot mode
-  // re-anchors whenever replay_len > 0: the only such nodes are POR
-  // backtracks and resumed checkpoint trails (root anchor + full-path
-  // replay), and one snapshot here beats replaying the prefix per child.
-  if (!actions.empty() &&
-      (opts_.trail_frontier ? cur.replay_len + 1 >= opts_.anchor_interval
-                            : cur.replay_len > 0)) {
-    auto anchor = std::make_shared<Anchor>();
-    anchor->snap = capture(w, stats);
-    if (reg_) {
-      // Evictable: record the root-relative rebuild recipe first.
-      anchor->path = cur.path;
-      anchor->depth = cur.depth;
-      reg_->admit(anchor);
-    }
-    cur.state = std::move(anchor);
-    cur.replay_len = 0;
-  }
-
   // Keys and footprints are computed against the pre-state (footprints
   // peek queued messages to resolve channels), before any action runs.
   const std::size_t n_act = actions.size();
@@ -1078,6 +1055,41 @@ void SystemExplorer::expand(Shared& sh, Worker& me, Node cur) {
     for (std::size_t i = 0; i < n_act; ++i) run[i] = i;
   }
 
+  // Each expansion materializes cur once (above): the first child that
+  // runs applies its action straight onto w, and every later child
+  // restores `parent`, one capture of this state, instead of re-replaying
+  // cur's trail suffix. When the children's replay distance would reach
+  // the interval, that capture is promoted to a new anchor shared by all
+  // of them (one anchor per expanded node, not per child); snapshot mode
+  // re-anchors whenever replay_len > 0 (only POR backtracks and resumed
+  // checkpoint trails: root anchor + full-path replay). Otherwise a trail
+  // node with more than one child to run keeps the capture transient: it
+  // is never pushed, metered or registered, and dies with this expansion,
+  // so the children still hang off cur.state. With replay_len == 0 no
+  // capture is needed; the per-child materialize is one restore.
+  std::shared_ptr<const rt::WorldSnapshot> parent;
+  if (!actions.empty() &&
+      (opts_.trail_frontier ? cur.replay_len + 1 >= opts_.anchor_interval
+                            : cur.replay_len > 0)) {
+    auto anchor = std::make_shared<Anchor>();
+    anchor->snap = parent = capture(w, stats);
+    if (reg_) {
+      // Evictable: record the root-relative rebuild recipe first.
+      anchor->path = cur.path;
+      anchor->depth = cur.depth;
+      reg_->admit(anchor);
+    }
+    cur.state = std::move(anchor);
+    cur.replay_len = 0;
+  } else if (cur.replay_len > 0) {
+    std::size_t to_run = 0;
+    for (std::size_t i : run) {
+      if (!(opts_.sleep_sets && is_slept(cur, keys[i]))) ++to_run;
+    }
+    if (to_run > 1) parent = capture(w, stats);
+  }
+  bool at_parent = true;
+
   for (std::size_t pos = 0; pos < run.size(); ++pos) {
     if (sh.stop.load(std::memory_order_acquire)) return;
     const std::size_t i = run[pos];
@@ -1087,9 +1099,16 @@ void SystemExplorer::expand(Shared& sh, Worker& me, Node cur) {
 
     if (opts_.sleep_sets && is_slept(cur, akey)) continue;
 
-    materialize(w, cur, stats);
+    if (!at_parent) {
+      if (parent) {
+        w.restore(*parent);
+      } else {
+        materialize(w, cur, stats);
+      }
+    }
     w.clear_violations();
     apply_action(w, a);
+    at_parent = false;
     ++stats.transitions;
 
     if (opts_.por) {

@@ -164,6 +164,9 @@ struct SysExploreOptions {
   bool trail_frontier = false;
   /// Take a fresh anchor snapshot once a node's replay distance from its
   /// anchor reaches this many actions (trades replay time for memory).
+  /// Each expanded node replays at most anchor_interval - 1 actions, once;
+  /// its children start from that one materialization (the first in place,
+  /// the rest from a transient parent snapshot).
   std::size_t anchor_interval = 8;
 
   /// Workers of the graph-search engine (kDfs/kBfs/kPriority). Every

@@ -5,6 +5,9 @@
 // snapshot frontier visits.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "apps/kv_store.hpp"
 #include "apps/token_ring.hpp"
 #include "apps/two_phase_commit.hpp"
@@ -271,6 +274,93 @@ TEST(TrailFrontier, WorksWithSleepSetsAndDfs) {
   auto res = ex.explore();
   ASSERT_TRUE(res.found_violation());
   EXPECT_EQ(res.violations[0].violation.invariant, "2pc/atomicity");
+}
+
+// The cost model docs/PERF.md states for trail mode: each expanded node
+// replays its trail suffix once (at most anchor_interval - 1 actions), and
+// its children start from that one materialization instead of replaying
+// the suffix again each.
+TEST(TrailFrontier, ReplayIsBoundedPerExpansion) {
+  for (std::size_t interval : {2u, 4u, 8u}) {
+    auto t = explore_two_pc(4, /*trail=*/true, interval);
+    SCOPED_TRACE("interval " + std::to_string(interval));
+    ASSERT_FALSE(t.stats.truncated);
+    EXPECT_GT(t.stats.replayed_actions, 0u);
+    EXPECT_LE(t.stats.replayed_actions, t.stats.states * (interval - 1));
+  }
+}
+
+std::string rendered_trails(const mc::SysExploreResult& r) {
+  std::string all;
+  for (const auto& v : r.violations) {
+    all += v.violation.invariant + "\n" + v.trail.render() + "\n";
+  }
+  return all;
+}
+
+std::set<std::string> violation_names(const mc::SysExploreResult& r) {
+  std::set<std::string> s;
+  for (const auto& v : r.violations) s.insert(v.violation.invariant);
+  return s;
+}
+
+// Buggy 2pc with every violation reported, under one reduction: sleep
+// sets alone, or dynamic POR alone.
+mc::SysExploreResult explore_buggy_two_pc(bool por, bool trail,
+                                          std::size_t anchor_interval,
+                                          std::size_t workers,
+                                          std::uint64_t frontier_budget = 0) {
+  apps::TwoPcConfig cfg;
+  cfg.total_txns = 1;
+  auto w = apps::make_two_pc_world(3, /*version=*/1, cfg);
+  mc::SysExploreOptions o;
+  o.order = mc::SearchOrder::kBfs;
+  o.max_states = 100000;
+  o.max_depth = 64;
+  o.max_violations = ~std::size_t{0};
+  o.sleep_sets = !por;
+  o.por = por;
+  o.trail_frontier = trail;
+  o.anchor_interval = anchor_interval;
+  o.workers = workers;
+  o.frontier_budget_bytes = frontier_budget;
+  o.collect_visited = true;
+  o.install_invariants = apps::install_two_pc_invariants;
+  mc::SystemExplorer ex(*w, o);
+  return ex.explore();
+}
+
+// Trail mode must reach exactly what snapshot mode reaches, including
+// where an expansion's first action is slept (w stays at the parent for
+// the next one), where POR backtrack nodes replay from the root, at every
+// anchor interval, and while a tiny frontier budget evicts anchors.
+TEST(TrailFrontier, MatchesSnapshotUnderReductions) {
+  for (bool por : {false, true}) {
+    SCOPED_TRACE(por ? "por" : "sleep sets");
+    auto ref = explore_buggy_two_pc(por, /*trail=*/false, 8, 1);
+    ASSERT_FALSE(ref.stats.truncated);
+    ASSERT_TRUE(ref.found_violation());
+    auto expect_identical = [&](const mc::SysExploreResult& t) {
+      ASSERT_FALSE(t.stats.truncated);
+      EXPECT_EQ(t.visited, ref.visited);
+      EXPECT_EQ(t.stats.states, ref.stats.states);
+      EXPECT_EQ(t.stats.transitions, ref.stats.transitions);
+      EXPECT_EQ(t.stats.duplicates, ref.stats.duplicates);
+      EXPECT_EQ(rendered_trails(t), rendered_trails(ref));
+    };
+    for (std::size_t interval : {1u, 2u, 3u, 8u}) {
+      SCOPED_TRACE("interval " + std::to_string(interval));
+      expect_identical(explore_buggy_two_pc(por, /*trail=*/true, interval, 1));
+      auto par = explore_buggy_two_pc(por, /*trail=*/true, interval, 4);
+      ASSERT_FALSE(par.stats.truncated);
+      EXPECT_EQ(violation_names(par), violation_names(ref));
+    }
+    // 2 KiB holds less than one anchor snapshot: anchors are evicted and
+    // rebuilt by root replay throughout.
+    auto budgeted = explore_buggy_two_pc(por, /*trail=*/true, 2, 1, 2 * 1024);
+    EXPECT_GT(budgeted.stats.anchor_evictions, 0u);
+    expect_identical(budgeted);
+  }
 }
 
 }  // namespace

@@ -217,7 +217,6 @@ void TimeMachine::execute_line(RecoveryLine& rl) {
     }
   }
   delivered_log_ = std::move(keep);
-  rl.reinjected = rl.reinjected;  // (clarity; already accumulated)
 
   // 4. Checkpoints in the undone future are no longer valid restore points.
   for (ProcessId pid = 0; pid < n; ++pid) {

@@ -30,6 +30,12 @@
 
 namespace fixd {
 
+/// Byte count of BinaryWriter::write_varint(v): one byte per started
+/// 7-bit group, and one for zero.
+constexpr std::size_t varint_size(std::uint64_t v) {
+  return v < 0x80 ? 1 : (static_cast<std::size_t>(std::bit_width(v)) + 6) / 7;
+}
+
 /// Appends binary data to an internal byte buffer.
 class BinaryWriter {
  public:

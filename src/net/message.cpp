@@ -43,7 +43,10 @@ std::uint64_t Message::content_digest_uncached() const {
 }
 
 std::uint64_t Message::state_digest_uncached() const {
-  BinaryWriter w;
+  // One scratch writer per thread, reused: every enqueue hashes a message,
+  // and the bytes hashed are the same as a fresh writer's.
+  thread_local BinaryWriter w;
+  w.clear();
   save(w);
   return hash_bytes(w.bytes());
 }

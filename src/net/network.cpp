@@ -175,7 +175,7 @@ void SimNetwork::enqueue(Message msg) {
   messages_.emplace(id, warm_or_make(std::move(msg)));
 }
 
-std::optional<MsgId> SimNetwork::submit(Message msg) {
+std::optional<MsgId> SimNetwork::submit(Message&& msg) {
   ++stats_.submitted;
   stats_.bytes_submitted += msg.payload.size();
 

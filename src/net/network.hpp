@@ -251,8 +251,10 @@ class SimNetwork {
 
   /// Submit a message; assigns Message::id. Loss policy may drop or
   /// duplicate it (duplicates get fresh ids). Returns the assigned id, or
-  /// nullopt if the policy dropped the message.
-  std::optional<MsgId> submit(Message msg);
+  /// nullopt if the policy dropped the message — in which case `msg` is
+  /// left untouched (not moved from), so the caller still holds what it
+  /// sent.
+  std::optional<MsgId> submit(Message&& msg);
 
   /// Ids currently eligible for delivery, in deterministic (ascending id
   /// within channel-order) sequence. FIFO mode: one per nonempty channel.

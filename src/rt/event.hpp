@@ -36,6 +36,9 @@ struct EventDesc {
 
   bool operator==(const EventDesc& o) const = default;
 
+  /// Byte count of save(): every field is fixed width.
+  static constexpr std::size_t kEncodedSize = 1 + 4 + 8 + 8 + 8;
+
   void save(BinaryWriter& w) const {
     w.write_u8(static_cast<std::uint8_t>(kind));
     w.write_u32(pid);

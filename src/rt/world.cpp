@@ -182,14 +182,12 @@ class World::Ctx final : public Context {
     m.vclock = pi.vclock;
     if (w_.spec_hooks_) m.spec_taints = w_.spec_hooks_->taints_of(pid_);
 
-    if (w_.observers_.empty()) {
-      w_.net_.submit(std::move(m));
-    } else {
-      net::Message copy = m;
-      auto id = w_.net_.submit(std::move(m));
-      copy.id = id.value_or(0);  // 0: dropped by the loss policy at submit
-      for (auto* o : w_.observers_) o->on_send(w_, copy);
-    }
+    // Observers see the enqueued message itself (its digest memo is warm),
+    // or, when the loss policy dropped it, the untouched `m` with id 0.
+    const auto id = w_.net_.submit(std::move(m));
+    if (w_.observers_.empty()) return;
+    const net::Message& sent = id ? *w_.net_.peek(*id) : m;
+    for (auto* o : w_.observers_) o->on_send(w_, sent);
   }
 
   TimerId set_timer(VirtualTime delay, std::uint32_t kind) override {
@@ -970,9 +968,12 @@ void World::eidx_ensure() const {
 ProcessCheckpoint World::capture_process(ProcessId pid, bool cow) {
   FIXD_CHECK_MSG(pid < procs_.size(), "capture: bad id");
   ProcessCheckpoint c;
-  BinaryWriter rw;
-  procs_[pid]->save_root(rw);
-  c.root = rw.take();
+  // Root and info serialize into the reused scratch writer and are copied
+  // out at exact size: no writer growth per capture.
+  BinaryWriter& w = digest_scratch_;
+  w.clear();
+  procs_[pid]->save_root(w);
+  c.root.assign(w.bytes().begin(), w.bytes().end());
   if (mem::PagedHeap* h = procs_[pid]->cow_heap()) {
     if (cow) {
       c.heap_snap = h->snapshot();
@@ -982,9 +983,9 @@ ProcessCheckpoint World::capture_process(ProcessId pid, bool cow) {
       c.heap_bytes = hw.take();
     }
   }
-  BinaryWriter iw;
-  infos_[pid].save(iw);
-  c.info = iw.take();
+  w.clear();
+  infos_[pid].save(w);
+  c.info.assign(w.bytes().begin(), w.bytes().end());
   c.vclock = infos_[pid].vclock;
   c.lamport = infos_[pid].lamport.now();
   c.at = now_;

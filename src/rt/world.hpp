@@ -620,8 +620,9 @@ class World : private net::DeliverableListener {
   /// capture_process_shared / shared restore_process. This is what makes
   /// WorldSnapshot capture O(changed processes).
   std::vector<std::shared_ptr<const ProcessCheckpoint>> ckpt_cache_;
-  /// Reused serialization scratch for digest computation (avoids one
-  /// BinaryWriter allocation per process per digest call).
+  /// Reused serialization scratch for digest computation and process
+  /// capture (avoids one BinaryWriter allocation per process per digest
+  /// call or checkpoint).
   mutable BinaryWriter digest_scratch_;
 
   // --- replay-warm state (see set_replay_warm) ----------------------------

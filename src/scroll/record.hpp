@@ -10,6 +10,7 @@
 // full-payload baseline.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -63,6 +64,15 @@ struct ScrollRecord {
     w.write_bytes(payload);
     w.write_u64(spec);
     w.write_u8(spec_op);
+  }
+
+  /// Byte count save() writes, computed without serializing (the Scroll
+  /// sizes every record it keeps). Must track save() field for field.
+  std::size_t encoded_size() const {
+    return 1 + varint_size(seq) + 4 + varint_size(lamport) +
+           rt::EventDesc::kEncodedSize + varint_size(msg) + 4 + 4 + 8 + 8 +
+           varint_size(text.size()) + text.size() +
+           varint_size(payload.size()) + payload.size() + 8 + 1;
   }
 
   void load(BinaryReader& r) {

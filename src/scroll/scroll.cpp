@@ -34,13 +34,15 @@ std::string ScrollRecord::to_string() const {
   return head + "?";
 }
 
-void Scroll::push(ScrollRecord rec) {
-  rec.seq = next_seq_++;
-  BinaryWriter w;
-  rec.save(w);
-  stats_.bytes += w.size();
+void Scroll::account(const ScrollRecord& rec) {
+  stats_.bytes += rec.encoded_size();
   ++stats_.records;
   ++stats_.by_kind[static_cast<std::size_t>(rec.kind)];
+}
+
+void Scroll::push(ScrollRecord rec) {
+  rec.seq = next_seq_++;
+  account(rec);
   records_.push_back(std::move(rec));
 }
 
@@ -219,11 +221,7 @@ void Scroll::load(BinaryReader& r) {
   for (std::size_t i = 0; i < n; ++i) {
     ScrollRecord rec;
     rec.load(r);
-    BinaryWriter sz;
-    rec.save(sz);
-    stats_.bytes += sz.size();
-    ++stats_.records;
-    ++stats_.by_kind[static_cast<std::size_t>(rec.kind)];
+    account(rec);
     records_.push_back(std::move(rec));
   }
 }
@@ -232,13 +230,7 @@ void Scroll::truncate(std::size_t n) {
   if (n >= records_.size()) return;
   records_.resize(n);
   stats_ = {};
-  for (const auto& rec : records_) {
-    BinaryWriter sz;
-    rec.save(sz);
-    stats_.bytes += sz.size();
-    ++stats_.records;
-    ++stats_.by_kind[static_cast<std::size_t>(rec.kind)];
-  }
+  for (const auto& rec : records_) account(rec);
 }
 
 }  // namespace fixd::scroll

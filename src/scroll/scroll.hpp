@@ -60,7 +60,9 @@ struct LoggingPreset {
 
 struct ScrollStats {
   std::uint64_t records = 0;
-  std::uint64_t bytes = 0;  ///< serialized size of all records
+  /// Serialized size of all records (the bytes save() would write),
+  /// computed by ScrollRecord::encoded_size() without serializing.
+  std::uint64_t bytes = 0;
   std::array<std::uint64_t, 8> by_kind{};
 };
 
@@ -116,6 +118,8 @@ class Scroll final : public rt::RuntimeObserver {
 
  private:
   void push(ScrollRecord rec);
+  /// Add one kept record to stats_.
+  void account(const ScrollRecord& rec);
 
   LoggingPreset preset_;
   std::vector<ScrollRecord> records_;

@@ -239,6 +239,108 @@ TEST(World, HaltedWorldQuiesces) {
   EXPECT_FALSE(w->step());
 }
 
+// What a sender handed to ctx.send, in send order.
+struct SentRec {
+  ProcessId src;
+  ProcessId dst;
+  net::Tag tag;
+  std::vector<std::byte> payload;
+};
+
+// Fans out: every start sends kFanout messages, every delivery forwards one
+// until kHops, with payload sizes varying per message. Logs each send.
+class FanoutProc final : public ProcessBase<FanoutProc> {
+ public:
+  explicit FanoutProc(std::vector<SentRec>* log) : log_(log) {}
+
+  void on_start(Context& ctx) override {
+    for (std::uint32_t i = 0; i < kFanout; ++i) send(ctx, i, 0);
+  }
+  void on_message(Context& ctx, const net::Message& msg) override {
+    const std::uint32_t hops = static_cast<std::uint32_t>(msg.payload.size());
+    if (hops < kHops) send(ctx, msg.tag + 1, hops + 1);
+  }
+  void save_root(BinaryWriter& w) const override { w.write_u64(sent_); }
+  void load_root(BinaryReader& r) override { sent_ = r.read_u64(); }
+  std::string type_name() const override { return "fanout"; }
+
+ private:
+  static constexpr std::uint32_t kFanout = 12;
+  static constexpr std::uint32_t kHops = 6;
+
+  // The payload length carries the hop count.
+  void send(Context& ctx, net::Tag tag, std::uint32_t hops) {
+    const ProcessId dst =
+        static_cast<ProcessId>((ctx.self() + 1 + tag) % ctx.world_size());
+    std::vector<std::byte> payload(hops, std::byte{static_cast<unsigned char>(
+                                             ctx.self() * 16 + tag)});
+    log_->push_back({ctx.self(), dst, tag, payload});
+    ++sent_;
+    ctx.send(dst, tag, std::move(payload));
+  }
+
+  std::vector<SentRec>* log_;
+  std::uint64_t sent_ = 0;
+};
+
+class SendRecorder final : public RuntimeObserver {
+ public:
+  void on_send(const World&, const net::Message& msg) override {
+    seen.push_back({msg.id, {msg.src, msg.dst, msg.tag, msg.payload}});
+    if (msg.content_digest() != msg.content_digest_uncached()) ++bad_digests;
+  }
+  std::vector<std::pair<MsgId, SentRec>> seen;
+  std::size_t bad_digests = 0;
+};
+
+TEST(World, SendObserversSeeEachSubmittedMessageOnce) {
+  const net::NetworkOptions nets[] = {
+      net::NetworkOptions::reliable_fifo(),
+      net::NetworkOptions::reordering(),
+      net::NetworkOptions::lossy(0.5, 0.5, 77),
+  };
+  for (const net::NetworkOptions& no : nets) {
+    std::vector<SentRec> log;
+    WorldOptions wo;
+    wo.net = no;
+    World w(wo);
+    for (int i = 0; i < 4; ++i) w.add_process(std::make_unique<FanoutProc>(&log));
+    w.seal();
+    SendRecorder rec;
+    w.add_observer(&rec);
+    w.run();
+
+    // One on_send per ctx.send, carrying what the sender sent.
+    ASSERT_EQ(rec.seen.size(), log.size());
+    EXPECT_EQ(rec.bad_digests, 0u);
+    // The ids the network assigns: a second network with the same options
+    // fed the same sends returns them (nullopt for a policy drop; the
+    // original's id, never its duplicate's).
+    net::SimNetwork ref(no);
+    std::size_t dropped = 0;
+    for (std::size_t i = 0; i < log.size(); ++i) {
+      const auto& [id, got] = rec.seen[i];
+      EXPECT_EQ(got.src, log[i].src) << i;
+      EXPECT_EQ(got.dst, log[i].dst) << i;
+      EXPECT_EQ(got.tag, log[i].tag) << i;
+      EXPECT_EQ(got.payload, log[i].payload) << i;
+      net::Message m;
+      m.src = log[i].src;
+      m.dst = log[i].dst;
+      m.tag = log[i].tag;
+      m.payload = log[i].payload;
+      const std::optional<MsgId> want = ref.submit(std::move(m));
+      EXPECT_EQ(id, want.value_or(0)) << i;
+      if (!want) ++dropped;
+    }
+    EXPECT_EQ(dropped, w.network().stats().dropped_policy);
+    if (no.drop_prob > 0.0) {
+      EXPECT_GT(dropped, 0u);
+      EXPECT_GT(w.network().stats().duplicated, 0u);
+    }
+  }
+}
+
 TEST(EventDesc, StringAndIdentity) {
   EventDesc a{EventKind::kDeliver, 2, 17, 0, 5};
   EventDesc b = a;

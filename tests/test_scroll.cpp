@@ -120,6 +120,130 @@ TEST(Scroll, SaveLoadRoundTrip) {
   }
 }
 
+// Sum of the bytes save() writes for every kept record. stats().bytes must
+// equal it: the Scroll sizes records arithmetically, without serializing.
+std::uint64_t saved_bytes(const Scroll& s) {
+  std::uint64_t n = 0;
+  for (const auto& r : s.records()) n += to_bytes(r).size();
+  return n;
+}
+
+// 0, both sides of every varint width step (2^7k - 1, 2^7k), 2^63 and the
+// largest value.
+std::vector<std::uint64_t> varint_edges() {
+  std::vector<std::uint64_t> out{0};
+  for (int k = 1; k <= 9; ++k) {
+    const std::uint64_t step = std::uint64_t{1} << (7 * k);
+    out.push_back(step - 1);
+    out.push_back(step);
+  }
+  out.push_back(std::uint64_t{1} << 63);
+  out.push_back(~std::uint64_t{0});
+  return out;
+}
+
+// Every RecordKind with seq, lamport and msg at the varint width edges, and
+// with empty, short and long (two-byte length prefix) text and payload.
+std::vector<ScrollRecord> edge_records() {
+  std::vector<ScrollRecord> out;
+  for (std::uint8_t k = 0; k < 8; ++k) {
+    for (std::uint64_t v : varint_edges()) {
+      for (std::size_t len : {std::size_t{0}, std::size_t{3},
+                              std::size_t{300}}) {
+        ScrollRecord r;
+        r.kind = static_cast<RecordKind>(k);
+        r.seq = v;
+        r.lamport = v;
+        r.msg = v;
+        r.pid = k;
+        r.event.msg = v;
+        r.text = std::string(len, 't');
+        r.payload.assign(len, std::byte{0x5a});
+        r.spec = v;
+        out.push_back(std::move(r));
+      }
+    }
+  }
+  return out;
+}
+
+TEST(Scroll, StatsBytesEqualSerializedSize) {
+  for (const LoggingPreset& preset :
+       {LoggingPreset::nondet_only(), LoggingPreset::digests(),
+        LoggingPreset::full()}) {
+    // Loaded records: a stream in Scroll::save's layout (preset flags,
+    // next seq, count, records) carrying the hand-built edge records.
+    const std::vector<ScrollRecord> recs = edge_records();
+    BinaryWriter bw;
+    for (bool b : {preset.schedule, preset.rng, preset.time_reads,
+                   preset.env_reads, preset.sends, preset.delivers,
+                   preset.payloads, preset.annotations, preset.spec_events}) {
+      bw.write_bool(b);
+    }
+    bw.write_varint(recs.size());
+    bw.write_varint(recs.size());
+    for (const auto& r : recs) {
+      EXPECT_EQ(r.encoded_size(), to_bytes(r).size()) << r.to_string();
+      r.save(bw);
+    }
+    Scroll loaded;
+    BinaryReader br(bw.bytes());
+    loaded.load(br);
+    ASSERT_EQ(loaded.size(), recs.size());
+    EXPECT_EQ(loaded.stats().bytes, saved_bytes(loaded));
+
+    // Live records: every tap, with message ids at the varint edges.
+    auto w = make_counter_world(3, 2, CounterConfig{2});
+    Scroll live(preset);
+    w->add_observer(&live);
+    w->run();
+    for (std::uint64_t v : varint_edges()) {
+      net::Message m;
+      m.id = v;
+      m.src = 0;
+      m.dst = 1;
+      m.tag = 7;
+      m.payload.assign(static_cast<std::size_t>(v % 200), std::byte{1});
+      live.on_send(*w, m);
+      live.on_deliver(*w, m);
+      rt::EventDesc ev;
+      ev.kind = rt::EventKind::kDeliver;
+      ev.pid = 1;
+      ev.msg = v;
+      live.on_event(*w, ev);
+      live.on_rng(*w, 2, v);
+      live.on_time_read(*w, 2, v);
+      live.on_env_read(*w, 1, std::string(static_cast<std::size_t>(v % 150),
+                                          'e'),
+                       v);
+      live.on_annotation(*w, 0, "note");
+      live.on_spec(*w, 0, v, rt::RuntimeObserver::SpecOp::kAbort);
+    }
+    for (std::size_t k = 0; k < 8; ++k) {
+      const bool kept = (k != static_cast<std::size_t>(RecordKind::kSend) &&
+                         k != static_cast<std::size_t>(RecordKind::kDeliver)) ||
+                        preset.sends;
+      EXPECT_EQ(live.stats().by_kind[k] > 0, kept) << "kind " << k;
+    }
+    EXPECT_EQ(live.stats().bytes, saved_bytes(live));
+
+    for (Scroll* s : {&loaded, &live}) {
+      // Round trip: the reloaded scroll re-derives the same figure.
+      BinaryWriter sw;
+      s->save(sw);
+      Scroll again;
+      BinaryReader sr(sw.bytes());
+      again.load(sr);
+      EXPECT_EQ(again.stats().bytes, s->stats().bytes);
+      EXPECT_EQ(again.stats().bytes, saved_bytes(again));
+
+      s->truncate(s->size() / 2 + 1);
+      EXPECT_EQ(s->stats().records, s->size());
+      EXPECT_EQ(s->stats().bytes, saved_bytes(*s));
+    }
+  }
+}
+
 TEST(Scroll, TotalOrderIsLamportMonotone) {
   auto w = make_counter_world(4, 2, CounterConfig{3});
   Scroll s(LoggingPreset::digests());

@@ -11,6 +11,7 @@
 #include "apps/kv_store.hpp"
 #include "apps/token_ring.hpp"
 #include "apps/two_phase_commit.hpp"
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "mc/sysmodel.hpp"
 #include "mem/paged_heap.hpp"
@@ -196,6 +197,77 @@ TEST_P(CowSnapshotParam, RandomWalkCowMatchesDeep) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CowSnapshotParam,
                          ::testing::Values(5, 17, 43, 127, 1009));
+
+// A process whose root is `root_bytes` long and whose runtime info holds
+// `timers` armed timers: captures of differently sized processes share the
+// world's scratch writer.
+class SizedRootProc final : public rt::ProcessBase<SizedRootProc> {
+ public:
+  SizedRootProc(std::size_t root_bytes, std::uint32_t timers)
+      : blob_(root_bytes, std::byte{0xa5}), timers_(timers) {}
+
+  void on_start(rt::Context& ctx) override {
+    for (std::uint32_t i = 0; i < timers_; ++i) ctx.set_timer(1000000 + i, i);
+  }
+  void on_message(rt::Context&, const net::Message&) override {}
+  void save_root(BinaryWriter& w) const override {
+    w.write_bytes(blob_);
+    w.write_u32(timers_);
+  }
+  void load_root(BinaryReader& r) override {
+    blob_ = r.read_bytes();
+    timers_ = r.read_u32();
+  }
+  std::string type_name() const override { return "sized-root"; }
+
+ private:
+  std::vector<std::byte> blob_;
+  std::uint32_t timers_;
+};
+
+TEST(CowSnapshot, CaptureScratchReuseDoesNotBleed) {
+  rt::World w;
+  w.add_process(std::make_unique<SizedRootProc>(64 * 1024, 40));
+  w.add_process(std::make_unique<SizedRootProc>(16, 0));
+  w.seal();
+  w.run(2);  // both starts: process 0 arms its timers
+
+  auto fresh_root = [&](ProcessId pid) {
+    BinaryWriter fw;
+    w.process(pid).save_root(fw);
+    return fw.take();
+  };
+  // Large, then small, then large again.
+  for (ProcessId pid : {0u, 1u, 0u}) {
+    SCOPED_TRACE("pid " + std::to_string(pid));
+    auto shared = w.capture_process_shared(pid);
+    // verify_capture_cache re-serializes root and info into fresh writers
+    // and compares them with the cached capture.
+    EXPECT_TRUE(w.verify_capture_cache(pid));
+    EXPECT_EQ(shared->root, fresh_root(pid));
+    rt::ProcessCheckpoint deep = w.capture_process(pid, /*cow=*/false);
+    EXPECT_EQ(deep.root, fresh_root(pid));
+    EXPECT_EQ(deep.info, shared->info);
+  }
+  EXPECT_GT(w.capture_process(0).info.size(),
+            w.capture_process(1).info.size());
+
+  // Message state digests hash the same bytes as a fresh serialization.
+  net::Message big;
+  big.src = 0;
+  big.dst = 1;
+  big.payload.assign(4096, std::byte{7});
+  big.vclock = VectorClock(2);
+  net::Message small;
+  small.src = 1;
+  small.dst = 0;
+  small.payload.assign(3, std::byte{9});
+  for (const net::Message* m : {&big, &small, &big}) {
+    BinaryWriter fw;
+    m->save(fw);
+    EXPECT_EQ(m->state_digest_uncached(), hash_bytes(fw.bytes()));
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Trail-based frontier

@@ -1,13 +1,13 @@
 // Ablation A1 — the Investigator's reduction machinery.
 //
 // DESIGN.md calls out the explorer's reduction choices: canonical-digest
-// state deduplication, sleep-set pruning, and dynamic partial-order
-// reduction with footprint-exact independence (SysExploreOptions::por).
-// This ablation measures each layer: states, transitions, wall time, and
-// whether the seeded violation is still found.
+// state deduplication and dynamic partial-order reduction with
+// footprint-exact independence (SysExploreOptions::por). This ablation
+// measures each layer: states, transitions, wall time, and whether the
+// seeded violation is still found.
 //
-// Gated (exit code, enforced by the perf workflow):
-//   - 2pc v1 n=6, BFS, exhaustive: dedup+sleep+por must visit <= 1/2 the
+// Gated (exit code, enforced by CI and the perf workflow):
+//   - 2pc v1 n=6, BFS, exhaustive: dedup+por must visit <= 1/2 the
 //     states of dedup alone (the reduction is far larger in practice —
 //     POR collapses the prepare/vote interleaving lattice to its
 //     dependency classes) at *equal violation coverage* (identical
@@ -20,6 +20,7 @@
 #include <set>
 #include <string>
 
+#include "apps/elect_split.hpp"
 #include "apps/token_ring.hpp"
 #include "apps/two_phase_commit.hpp"
 #include "bench_util.hpp"
@@ -34,26 +35,31 @@ struct ConfigResult {
   double ms = 0.0;
 };
 
+/// One BFS run; `partition` adds the single-cut partition model the
+/// split-brain needs (model_partition, max_cut_links = 1).
 ConfigResult run_config(const char* app, rt::World& w,
                         const std::function<void(rt::World&)>& installer,
-                        bool dedup, bool sleep, bool por,
-                        std::size_t max_states, std::size_t max_depth = 48) {
+                        bool dedup, bool por, std::size_t max_states,
+                        std::size_t max_depth = 48, bool partition = false) {
   mc::SysExploreOptions o;
   o.order = mc::SearchOrder::kBfs;
   o.max_states = max_states;
   o.max_depth = max_depth;
   o.max_violations = 1u << 20;  // keep exploring: measure coverage, not TTF
   o.dedup = dedup;
-  o.sleep_sets = sleep;
   o.por = por;
+  if (partition) {
+    o.model_partition = true;
+    o.max_cut_links = 1;
+  }
   o.install_invariants = installer;
   mc::SystemExplorer ex(w, o);
   bench::WallTimer t;
   ConfigResult out;
   out.res = ex.explore();
   out.ms = t.ms();
-  bench::row("%-12s %5s %6s %4s %9llu %11llu %7llu %6zu %9.1f", app,
-             dedup ? "on" : "off", sleep ? "on" : "off", por ? "on" : "off",
+  bench::row("%-12s %5s %4s %9llu %11llu %7llu %6zu %9.1f", app,
+             dedup ? "on" : "off", por ? "on" : "off",
              (unsigned long long)out.res.stats.states,
              (unsigned long long)out.res.stats.transitions,
              (unsigned long long)out.res.stats.duplicates,
@@ -79,39 +85,49 @@ std::string rendered_trails(const mc::SysExploreResult& r) {
 }
 
 void sweep_header() {
-  bench::row("%-12s %5s %6s %4s %9s %11s %7s %6s %9s", "app", "dedup",
-             "sleep", "por", "states", "trans", "dups", "bugs", "ms");
+  bench::row("%-12s %5s %4s %9s %11s %7s %6s %9s", "app", "dedup", "por",
+             "states", "trans", "dups", "bugs", "ms");
   bench::rule();
 }
 
 }  // namespace
 
 int main() {
-  std::printf("FixD reproduction — ablation: dedup, sleep sets, and dynamic "
-              "partial-order reduction in the Investigator\n");
+  std::printf("FixD reproduction — ablation: dedup and dynamic partial-order "
+              "reduction in the Investigator\n");
 
   bench::header("token-ring v1 (3 procs, seeded double-token bug)");
   sweep_header();
   for (bool dedup : {true, false}) {
-    for (int red = 0; red < 3; ++red) {  // off / sleep / sleep+por
+    for (bool por : {false, true}) {
       apps::TokenRingConfig cfg;
       cfg.target_rounds = 2;
       auto w = apps::make_token_ring_world(3, 1, cfg);
       run_config("token-ring", *w, apps::install_token_ring_invariants,
-                 dedup, red >= 1, red == 2, 20000);
+                 dedup, por, 20000);
     }
   }
 
   bench::header("2pc v2 (3 procs, full verification sweep — no bug)");
   sweep_header();
   for (bool dedup : {true, false}) {
-    for (int red = 0; red < 3; ++red) {
+    for (bool por : {false, true}) {
       apps::TwoPcConfig cfg;
       cfg.total_txns = 1;
       auto w = apps::make_two_pc_world(3, 2, cfg);
-      run_config("2pc-v2", *w, apps::install_two_pc_invariants, dedup,
-                 red >= 1, red == 2, 60000);
+      run_config("2pc-v2", *w, apps::install_two_pc_invariants, dedup, por,
+                 60000);
     }
+  }
+
+  // The split-brain needs a link cut: partition/heal footprints and the
+  // cut budget under reduction, exhaustively (nothing truncates).
+  bench::header("elect v1 (3 procs, split-brain behind one cut)");
+  sweep_header();
+  for (bool por : {false, true}) {
+    auto w = apps::make_elect_split_world(3, 1);
+    run_config("elect-cut", *w, apps::install_elect_split_invariants,
+               /*dedup=*/true, por, 2000000, 1u << 20, /*partition=*/true);
   }
 
   // --- The gated configuration: 2pc v1 n=6, exhaustive --------------------
@@ -123,14 +139,11 @@ int main() {
   // max_depth far beyond the protocol diameter: neither side truncates,
   // so the state counts and violation sets are exact.
   auto unreduced = run_config("2pc-v1-n6", *w6, apps::install_two_pc_invariants,
-                              /*dedup=*/true, /*sleep=*/false, /*por=*/false,
-                              2000000, 1u << 20);
+                              /*dedup=*/true, /*por=*/false, 2000000, 1u << 20);
   auto reduced = run_config("2pc-v1-n6", *w6, apps::install_two_pc_invariants,
-                            /*dedup=*/true, /*sleep=*/true, /*por=*/true,
-                            2000000, 1u << 20);
+                            /*dedup=*/true, /*por=*/true, 2000000, 1u << 20);
   auto reduced2 = run_config("2pc-v1-n6", *w6, apps::install_two_pc_invariants,
-                             /*dedup=*/true, /*sleep=*/true, /*por=*/true,
-                             2000000, 1u << 20);
+                             /*dedup=*/true, /*por=*/true, 2000000, 1u << 20);
 
   const double reduction =
       reduced.res.stats.states > 0
@@ -156,7 +169,6 @@ int main() {
         "  \"reduced_transitions\": %llu,\n"
         "  \"por_deferred\": %llu,\n"
         "  \"por_backtracks\": %llu,\n"
-        "  \"sleep_reexpansions\": %llu,\n"
         "  \"states_reduction\": %.3f,\n"
         "  \"coverage_equal\": %s,\n"
         "  \"trails_deterministic\": %s,\n"
@@ -169,7 +181,6 @@ int main() {
         (unsigned long long)reduced.res.stats.transitions,
         (unsigned long long)reduced.res.stats.por_deferred,
         (unsigned long long)reduced.res.stats.por_backtracks,
-        (unsigned long long)reduced.res.stats.sleep_reexpansions,
         reduction, coverage_equal ? "true" : "false",
         deterministic ? "true" : "false", unreduced.ms, reduced.ms);
     std::fclose(f);
@@ -178,9 +189,8 @@ int main() {
 
   std::printf(
       "\nShape check: dedup collapses the interleaving lattice (orders of\n"
-      "magnitude fewer states); sleep sets cut transitions further; POR\n"
-      "defers whole independence classes; the seeded violation is found\n"
-      "in every configuration.\n\n");
+      "magnitude fewer states); POR defers whole independence classes; the\n"
+      "seeded violation is found in every configuration.\n\n");
 
   bool ok = true;
   std::printf("por gate: n=6 states %llu -> %llu = %.1fx reduction "

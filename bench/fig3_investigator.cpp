@@ -5,11 +5,10 @@
 // states/transitions explored, wall time, time-to-first-violation, and the
 // blowup with process count — the paper's observation that model checking
 // a global state space is "often prohibitively expensive, memory-wise ...
-// more than 5-10 processes" (§2.1), here made concrete. Since the
-// memory-lean-frontier PR the frontier section also gates the explorer's
-// memory trajectory: peak frontier and visited-set bytes for snapshot,
-// cold-trail, and (replay-warmed) trail frontiers, against the recorded
-// pre-compaction baselines.
+// more than 5-10 processes" (§2.1), here made concrete. The frontier
+// section also gates the explorer's memory trajectory: peak frontier and
+// visited-set bytes for snapshot, cold-trail, and (replay-warmed) trail
+// frontiers over the identical state set, compared within this run.
 #include <cstdio>
 #include <set>
 #include <string>
@@ -25,17 +24,10 @@ namespace {
 
 using namespace fixd;
 
-// Pre-compaction (PR 4) sequential-BFS baselines for the frontier-memory
-// gate below, measured at the enabled-index PR head on the x86-64 Linux
-// CI image (g++, Release, libstdc++): peak_frontier_bytes of the same
-// 2pc-v2 sweeps this file runs. Byte peaks are deterministic for a fixed
-// ABI (no timing in them), so the gate divides the recorded constant by
-// the measured peak and is skipped on non-LP64 platforms where struct
-// layouts differ.
-constexpr std::uint64_t kPr4TrailPeakN6 = 9650552;
-constexpr std::uint64_t kPr4TrailPeakN4 = 101252;
-constexpr std::uint64_t kPr4SnapPeakN6 = 10240920;
-constexpr double kTrailMemGate = 1.8;  // required n=6 trail reduction
+// Required n=6 frontier-memory reduction of the warmed trail frontier
+// against the snapshot frontier of the same run (same state set, same
+// build, so struct layout and ABI cancel out of the ratio).
+constexpr double kTrailMemGate = 1.8;
 
 // `replay` adds the trail-replay column: actions re-executed to
 // materialize popped nodes, per state (0 in snapshot mode).
@@ -258,40 +250,6 @@ int main() {
     prows.push_back({wk, res.stats});
   }
 
-  // Sharded-kPriority scaling: per-worker heaps with best-effort top
-  // steal replaced the single mutex-guarded global heap, so the
-  // heuristic search shards like the deque orders do. The 4-worker run
-  // must visit exactly the 1-worker states (pop order cannot change a
-  // dedup'd exhaustive search's set) and show actual cross-shard pops.
-  bench::header(
-      "Sharded best-effort priority search (2pc-v2 n=5, kPriority)");
-  bench::row("%-12s %3s %9s %11s %9s %7s %10s", "app", "wk", "states",
-             "trans", "ms", "steals", "states/s");
-  bench::rule();
-  std::vector<ParRow> krows;
-  for (std::size_t wk : {1u, 4u}) {
-    apps::TwoPcConfig cfg;
-    cfg.total_txns = 1;
-    auto w = apps::make_two_pc_world(5, 2, cfg);
-    mc::SysExploreOptions o;
-    o.order = mc::SearchOrder::kPriority;
-    o.max_states = 120000;
-    o.max_depth = 80;
-    o.workers = wk;
-    o.priority = [](const rt::World& world) {
-      return static_cast<double>(world.network().pending_count());
-    };
-    o.install_invariants = apps::install_two_pc_invariants;
-    mc::SystemExplorer ex(*w, o);
-    auto res = ex.explore();
-    bench::row("%-12s %3zu %9llu %11llu %9.1f %7llu %10.0f", "2pc-kpri",
-               wk, (unsigned long long)res.stats.states,
-               (unsigned long long)res.stats.transitions, res.stats.wall_ms,
-               (unsigned long long)res.stats.steals,
-               res.stats.states_per_sec());
-    krows.push_back({wk, res.stats});
-  }
-
   // Partial-order reduction at the feasibility wall: the buggy 2pc at
   // n=6, exhaustively, with and without footprint-exact DPOR. Equal
   // violation coverage (same invariant set) at a fraction of the states
@@ -314,7 +272,6 @@ int main() {
     o.max_depth = 1u << 20;  // exhaustive: nothing truncates
     o.max_violations = ~std::size_t{0};
     o.dedup = true;
-    o.sleep_sets = mode == 1;
     o.por = mode == 1;
     o.install_invariants = apps::install_two_pc_invariants;
     mc::SystemExplorer ex(*w, o);
@@ -358,17 +315,19 @@ int main() {
       speedup_4w = r.stats.states_per_sec() / base_sps;
     }
   }
+  const mc::ExploreStats* snap_n6 = nullptr;
   const mc::ExploreStats* trail_n6 = nullptr;
   const mc::ExploreStats* trail_cold_n6 = nullptr;
   for (const auto& f : frontier) {
-    if (f.n == 6 && std::string(f.mode) == "2pc-trail") trail_n6 = &f.stats;
-    if (f.n == 6 && std::string(f.mode) == "2pc-trail-c") {
-      trail_cold_n6 = &f.stats;
-    }
+    if (f.n != 6) continue;
+    const std::string mode = f.mode;
+    if (mode == "2pc-snap") snap_n6 = &f.stats;
+    if (mode == "2pc-trail") trail_n6 = &f.stats;
+    if (mode == "2pc-trail-c") trail_cold_n6 = &f.stats;
   }
   const double trail_mem_reduction =
-      trail_n6 && trail_n6->peak_frontier_bytes > 0
-          ? static_cast<double>(kPr4TrailPeakN6) /
+      snap_n6 && trail_n6 && trail_n6->peak_frontier_bytes > 0
+          ? static_cast<double>(snap_n6->peak_frontier_bytes) /
                 static_cast<double>(trail_n6->peak_frontier_bytes)
           : 0.0;
   FILE* f = std::fopen("BENCH_fig3.json", "w");
@@ -411,25 +370,9 @@ int main() {
     }
     std::fprintf(f,
                  "  ],\n"
-                 "  \"pr4_trail_peak_n6\": %llu,\n"
-                 "  \"pr4_trail_peak_n4\": %llu,\n"
-                 "  \"pr4_snap_peak_n6\": %llu,\n"
-                 "  \"trail_mem_reduction_n6\": %.3f,\n"
-                 "  \"kpriority_2pc_n5\": [\n",
-                 (unsigned long long)kPr4TrailPeakN6,
-                 (unsigned long long)kPr4TrailPeakN4,
-                 (unsigned long long)kPr4SnapPeakN6, trail_mem_reduction);
-    for (std::size_t i = 0; i < krows.size(); ++i) {
-      const auto& r = krows[i];
-      std::fprintf(f,
-                   "    {\"workers\": %zu, \"states\": %llu, "
-                   "\"steals\": %llu, \"states_per_sec\": %.0f}%s\n",
-                   r.workers, (unsigned long long)r.stats.states,
-                   (unsigned long long)r.stats.steals,
-                   r.stats.states_per_sec(), i + 1 < krows.size() ? "," : "");
-    }
+                 "  \"trail_mem_reduction_n6\": %.3f,\n",
+                 trail_mem_reduction);
     std::fprintf(f,
-                 "  ],\n"
                  "  \"spill_2pc_n6\": {\"visited_budget_bytes\": %llu, "
                  "\"frontier_budget_bytes\": %llu, "
                  "\"states_unbounded\": %llu, \"states_budgeted\": %llu, "
@@ -467,48 +410,24 @@ int main() {
   bool ok = true;
 
   // Frontier-memory gate: the warmed trail frontier must hold the same
-  // n=6 state set in <= 1/1.8 of the PR 4 trail frontier's bytes. Byte
-  // peaks are deterministic, so this gates everywhere struct layout
-  // matches the recorded baseline (LP64).
-  if (sizeof(void*) == 8) {
-    std::printf("frontier-memory gate: n=6 trail peak %.1f KiB vs PR4 "
-                "%.1f KiB -> %.2fx reduction (need >= %.2fx) -> %s\n",
-                trail_n6 ? trail_n6->peak_frontier_bytes / 1024.0 : 0.0,
-                kPr4TrailPeakN6 / 1024.0, trail_mem_reduction, kTrailMemGate,
-                trail_mem_reduction >= kTrailMemGate ? "OK" : "FAIL");
-    if (trail_mem_reduction < kTrailMemGate) ok = false;
-    if (trail_cold_n6 && trail_n6 &&
-        trail_n6->peak_frontier_bytes > trail_cold_n6->peak_frontier_bytes) {
-      std::printf("frontier-memory gate: warmed trail (%.1f KiB) must not "
-                  "exceed cold trail (%.1f KiB) -> FAIL\n",
-                  trail_n6->peak_frontier_bytes / 1024.0,
-                  trail_cold_n6->peak_frontier_bytes / 1024.0);
-      ok = false;
-    }
-  } else {
-    std::printf("frontier-memory gate skipped: non-LP64 platform, "
-                "recorded reduction %.2fx\n",
-                trail_mem_reduction);
-  }
-
-  // Sharded-kPriority gate: identical visit set at 4 workers (always
-  // enforceable — it is deterministic), and actual cross-shard pops on
-  // hardware that can interleave workers (recorded elsewhere).
-  if (krows.size() == 2) {
-    const bool same = krows[0].stats.states == krows[1].stats.states &&
-                      krows[0].stats.transitions ==
-                          krows[1].stats.transitions;
-    std::printf("kPriority gate: 4-worker states %llu vs 1-worker %llu -> "
-                "%s; steals %llu%s\n",
-                (unsigned long long)krows[1].stats.states,
-                (unsigned long long)krows[0].stats.states,
-                same ? "OK" : "FAIL",
-                (unsigned long long)krows[1].stats.steals,
-                hw >= 2 ? (krows[1].stats.steals > 0 ? " (> 0: OK)"
-                                                     : " (need > 0: FAIL)")
-                        : " (steal gate skipped: 1 hw thread)");
-    if (!same) ok = false;
-    if (hw >= 2 && krows[1].stats.steals == 0) ok = false;
+  // n=6 state set (asserted above) in <= 1/1.8 of the snapshot frontier's
+  // bytes from this same run, and never more than the cold trail. Byte
+  // peaks are deterministic and both sides share one build, so this gates
+  // on every platform.
+  std::printf("frontier-memory gate: n=6 trail peak %.1f KiB vs snapshot "
+              "%.1f KiB -> %.2fx reduction (need >= %.2fx) -> %s\n",
+              trail_n6 ? trail_n6->peak_frontier_bytes / 1024.0 : 0.0,
+              snap_n6 ? snap_n6->peak_frontier_bytes / 1024.0 : 0.0,
+              trail_mem_reduction, kTrailMemGate,
+              trail_mem_reduction >= kTrailMemGate ? "OK" : "FAIL");
+  if (trail_mem_reduction < kTrailMemGate) ok = false;
+  if (trail_cold_n6 && trail_n6 &&
+      trail_n6->peak_frontier_bytes > trail_cold_n6->peak_frontier_bytes) {
+    std::printf("frontier-memory gate: warmed trail (%.1f KiB) must not "
+                "exceed cold trail (%.1f KiB) -> FAIL\n",
+                trail_n6->peak_frontier_bytes / 1024.0,
+                trail_cold_n6->peak_frontier_bytes / 1024.0);
+    ok = false;
   }
 
   // POR gate: footprint-exact DPOR must at least halve the states visited

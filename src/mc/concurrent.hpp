@@ -27,23 +27,13 @@
 //    bounded by steal traffic, and the lock gives the happens-before edge
 //    that publishes a node's COW snapshot graph to the stealing thread.
 //
-//  - PriorityShard: a per-worker max-heap for kPriority searches, with a
-//    lock-free top-priority hint. Workers keep the heuristic *best-effort
-//    global*: before popping locally they compare their own top against
-//    every other shard's hint and take from the best-looking shard. Hints
-//    are published without the shard lock, so a worker can momentarily
-//    pick a slightly worse node than the true global best — the search
-//    stays exhaustive and the visited set provably identical (pop order
-//    never changes *which* states a dedup'd search visits, only when);
-//    only the heuristic's tie-breaking differs from the old single
-//    mutex-guarded global heap, which serialized every push and pop.
+//  - StripedPorRecords: the dynamic-POR expansion records every worker
+//    shares (one stripe lock per record transition).
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <deque>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -228,103 +218,6 @@ class StripedVisitedSet {
   StripeArray<Stripe> stripes_;
 };
 
-/// The visited set for sleep_sets + dedup searches: digest -> the sorted
-/// sleep-key signature the state was (last) expanded with. Sleep sets and
-/// digest dedup are individually sound but unsound composed naively: the
-/// first path to reach a state explores only the children outside *its*
-/// sleep set, and a later path arriving with a different sleep set would
-/// be pruned as a duplicate even though it still owes the children that
-/// are outside its own sleep set but inside the stored one. `visit`
-/// decides atomically (one stripe lock covers membership and signature):
-///
-///   - absent            -> kNew: first arrival, signature stored.
-///   - arriving ⊇ stored -> kPrune: everything the arrival would explore
-///                          (complement of its sleep set) was already
-///                          explored (complement of the stored one).
-///   - otherwise         -> kReexpand: the caller re-expands the state
-///                          with stored ∩ arriving (written back to both
-///                          `keys` and the table). The stored signature
-///                          shrinks strictly on every re-expansion, so the
-///                          process terminates.
-///
-/// The single lock per operation is what makes the parallel path safe: a
-/// plain visited-set insert followed by a separate signature lookup would
-/// let a second worker observe "duplicate" before the first worker had
-/// stored its signature, and prune unsoundly.
-class StripedSleepVisited {
- public:
-  enum class Verdict { kNew, kPrune, kReexpand };
-
-  explicit StripedSleepVisited(std::size_t stripes = 64)
-      : stripes_(stripes) {}
-
-  /// `keys` is the arriving node's sorted sleep-key signature; on
-  /// kReexpand it is replaced by the intersection to expand with. When
-  /// `released` is non-null, kReexpand also reports the keys the stored
-  /// signature slept but the intersection no longer does — the actions the
-  /// earlier expansion skipped on a coverage claim the new arrival path
-  /// cannot make. A POR search must re-seed exactly those (via pending
-  /// requests); without POR the re-expansion runs them naturally because
-  /// the child's smaller sleep set no longer skips them.
-  Verdict visit(std::uint64_t digest, std::vector<std::uint64_t>& keys,
-                std::vector<std::uint64_t>* released = nullptr) {
-    Stripe& s = stripes_.of(digest);
-    std::lock_guard<std::mutex> lk(s.mu);
-    auto it = s.map.find(digest);
-    if (it == s.map.end()) {
-      s.map.emplace(digest, keys);
-      return Verdict::kNew;
-    }
-    const std::vector<std::uint64_t>& stored = it->second;
-    if (std::includes(keys.begin(), keys.end(), stored.begin(),
-                      stored.end())) {
-      return Verdict::kPrune;
-    }
-    std::vector<std::uint64_t> inter;
-    std::set_intersection(stored.begin(), stored.end(), keys.begin(),
-                          keys.end(), std::back_inserter(inter));
-    if (released != nullptr) {
-      released->clear();
-      std::set_difference(stored.begin(), stored.end(), inter.begin(),
-                          inter.end(), std::back_inserter(*released));
-    }
-    it->second = inter;
-    keys = std::move(inter);
-    return Verdict::kReexpand;
-  }
-
-  std::uint64_t bytes() const {
-    std::uint64_t n = 0;
-    stripes_.for_each([&n](const Stripe& s) {
-      std::lock_guard<std::mutex> lk(s.mu);
-      n += sizeof(Stripe);
-      for (const auto& [d, keys] : s.map) {
-        n += sizeof(d) + sizeof(keys) + keys.capacity() * sizeof(keys[0]);
-      }
-    });
-    return n;
-  }
-
-  /// Sorted digests (the collect_visited hook; call with workers joined).
-  std::vector<std::uint64_t> sorted_contents() const {
-    std::vector<std::uint64_t> out;
-    stripes_.for_each([&out](const Stripe& s) {
-      std::lock_guard<std::mutex> lk(s.mu);
-      for (const auto& [d, keys] : s.map) out.push_back(d);
-    });
-    std::sort(out.begin(), out.end());
-    return out;
-  }
-
- private:
-  struct Stripe {
-    mutable std::mutex mu;
-    std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> map;
-  };
-
-  StripeArray<Stripe> stripes_;
-};
-
 /// Per-state expansion records for dynamic POR: digest -> {the enabled
 /// action keys at that state, the keys already run from it, the keys
 /// requested by race detection but not yet run}. One stripe lock covers
@@ -382,24 +275,6 @@ class StripedPorRecords {
     std::set_union(r.done.begin(), r.done.end(), sorted.begin(),
                    sorted.end(), std::back_inserter(merged));
     r.done = std::move(merged);
-  }
-
-  /// Force `key` onto the state's work list regardless of expansion
-  /// status. Used when a sleep-set re-expansion releases keys the stored
-  /// expansion skipped: unlike request(), the state may not have a record
-  /// yet (its first frontier node can still be queued), so this creates
-  /// one in the unexpanded state and the eventual begin_expand drains it.
-  /// No-op if the key is already done or pending.
-  void seed_pending(std::uint64_t digest, std::uint64_t key) {
-    Stripe& s = stripes_.of(digest);
-    std::lock_guard<std::mutex> lk(s.mu);
-    Record& r = s.map[digest];
-    if (std::binary_search(r.done.begin(), r.done.end(), key) ||
-        std::find(r.pending.begin(), r.pending.end(), key) !=
-            r.pending.end()) {
-      return;
-    }
-    r.pending.push_back(key);
   }
 
   Request request(std::uint64_t digest, std::uint64_t key) {
@@ -482,57 +357,6 @@ class StealableDeque {
  private:
   mutable std::mutex mu_;
   std::deque<T> q_;
-};
-
-/// One worker's shard of the best-effort sharded priority frontier: a
-/// mutex-guarded binary max-heap of (priority, T) plus an atomic hint
-/// publishing the current top priority (-inf when empty). Owners push to
-/// their own shard; any worker pops the top of whichever shard's hint
-/// looks best (see the header comment for the ordering guarantee). The
-/// shard mutex provides the happens-before edge publishing a node's COW
-/// snapshot graph to a stealing thread, exactly like StealableDeque's.
-template <typename T>
-class PriorityShard {
- public:
-  void push(double pri, T&& v) {
-    std::lock_guard<std::mutex> lk(mu_);
-    heap_.push_back(Entry{pri, std::move(v)});
-    std::push_heap(heap_.begin(), heap_.end(), less);
-    top_.store(heap_.front().pri, std::memory_order_relaxed);
-  }
-
-  /// Pop the shard's best node (owner pop and thief steal are the same
-  /// operation: the top is both the owner's preferred node and the
-  /// coarsest-grained work to hand a thief).
-  bool pop_top(T& out) {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (heap_.empty()) return false;
-    std::pop_heap(heap_.begin(), heap_.end(), less);
-    out = std::move(heap_.back().v);
-    heap_.pop_back();
-    top_.store(heap_.empty() ? kEmptyHint : heap_.front().pri,
-               std::memory_order_relaxed);
-    return true;
-  }
-
-  /// Lock-free view of the top priority; kEmptyHint when (probably)
-  /// empty. May be momentarily stale — callers treat it as a routing
-  /// hint, never as ground truth (pop_top re-checks under the lock).
-  double top_hint() const { return top_.load(std::memory_order_relaxed); }
-
-  static constexpr double kEmptyHint =
-      -std::numeric_limits<double>::infinity();
-
- private:
-  struct Entry {
-    double pri;
-    T v;
-  };
-  static bool less(const Entry& a, const Entry& b) { return a.pri < b.pri; }
-
-  mutable std::mutex mu_;
-  std::vector<Entry> heap_;
-  std::atomic<double> top_{kEmptyHint};
 };
 
 }  // namespace fixd::mc

@@ -54,8 +54,7 @@ struct ExploreStats {
   /// sequential searches; with workers > 1 it is the sum of per-worker
   /// meter peaks — an upper bound (worker peaks need not be simultaneous,
   /// buffers shared across workers are charged once per worker, and
-  /// stolen nodes — deque or priority-shard — stay charged on the worker
-  /// that pushed them).
+  /// stolen nodes stay charged on the worker that pushed them).
   std::uint64_t peak_frontier_bytes = 0;
   /// Parallel searches: the largest single-worker contribution to the
   /// peak_frontier_bytes sum (0 when workers == 1).
@@ -90,14 +89,9 @@ struct ExploreStats {
   /// digest_ms/snapshot_ms are CPU time summed across workers, so they can
   /// legitimately exceed wall_ms.
   std::uint64_t workers = 1;
-  /// Frontier nodes a worker took from another worker's shard (deque
-  /// steal, or a priority-shard pop routed to a better-looking victim;
-  /// parallel SystemExplorer only; load-balance observability).
+  /// Frontier nodes a worker stole from another worker's deque (parallel
+  /// SystemExplorer only; load-balance observability).
   std::uint64_t steals = 0;
-  /// Sleep+dedup soundness repairs: duplicate states re-expanded because
-  /// they were re-reached with a sleep set that was not a superset of the
-  /// stored one (SystemExplorer, sleep_sets && dedup only).
-  std::uint64_t sleep_reexpansions = 0;
   /// Dynamic POR: enabled actions deferred at expansion (not part of the
   /// chosen source set) and backtrack nodes pushed by race detection
   /// (SystemExplorer, por only).
@@ -133,7 +127,6 @@ struct ExploreStats {
     w.write_u64(replayed_actions);
     w.write_u64(workers);
     w.write_u64(steals);
-    w.write_u64(sleep_reexpansions);
     w.write_u64(por_deferred);
     w.write_u64(por_backtracks);
   }
@@ -159,7 +152,6 @@ struct ExploreStats {
     replayed_actions = r.read_u64();
     workers = r.read_u64();
     steals = r.read_u64();
-    sleep_reexpansions = r.read_u64();
     por_deferred = r.read_u64();
     por_backtracks = r.read_u64();
   }

@@ -214,7 +214,7 @@ class SystemExplorer::AnchorRegistry {
 /// private meter (Node::owner tags the pusher), so a one-worker search has
 /// one exact meter. With more workers, a worker charges at push
 /// and refunds only nodes it both pushed and popped, so the rare stolen
-/// node (deque or priority shard) stays charged on its victim's meter —
+/// node stays charged on its victim's meter —
 /// per-worker peaks are upper bounds with slack bounded by steal
 /// traffic, and the merged peak_frontier_bytes (sum of peaks) bounds the
 /// run's shared-aware peak from above with no cross-thread meter access.
@@ -222,7 +222,7 @@ class SystemExplorer::AnchorRegistry {
 /// anchor snapshots may be evicted/rebuilt concurrently by the
 /// AnchorRegistry, which tracks their residency itself, so the meter is
 /// told not to dereference them (charge_snapshots = false) and charges
-/// only node shells and sleep sets; peak_frontier_bytes then reports
+/// only node shells; peak_frontier_bytes then reports
 /// meter peak + registry peak. The Anchor struct itself rides in the
 /// not-metered bucket alongside shared_ptr control blocks (it is ~40
 /// bytes per anchor_interval-node cohort), keeping unbudgeted trail
@@ -278,10 +278,6 @@ class SystemExplorer::FrontierMeter {
   }
 
   std::uint64_t node_cost(const Node& n, int dir) {
-    std::uint64_t c = sizeof(Node);
-    if (n.sleep) {
-      c += sizeof(*n.sleep) + n.sleep->capacity() * sizeof(SleepEntry);
-    }
     std::uint64_t shared = 0;
     // Tracked anchors' snap may be swapped by the registry on another
     // thread, so the budgeted meter never dereferences it; untracked
@@ -299,7 +295,7 @@ class SystemExplorer::FrontierMeter {
       shared += charge(s, shell, dir);
       shared += snapshot_cost(*s, dir);
     }
-    return c + shared;
+    return sizeof(Node) + shared;
   }
 
   std::unordered_map<const void*, std::size_t> refs_;
@@ -337,13 +333,7 @@ struct SystemExplorer::Shared {
   Shared(const SysExploreOptions& o, std::size_t n_workers)
       : por(stripes_for(n_workers)) {
     if (!o.dedup) return;
-    if (o.sleep_sets) {
-      // Sleep+dedup needs the visited set to remember the sleep signature
-      // a state was expanded with (see StripedSleepVisited). That map is a
-      // weakening *map*, not an insert-only set, so it is not spillable
-      // and ignores visited_budget_bytes.
-      sleepvis = std::make_unique<StripedSleepVisited>(stripes_for(n_workers));
-    } else if (o.visited_budget_bytes > 0) {
+    if (o.visited_budget_bytes > 0) {
       spill_scratch = ScratchDir::create(o.spill_dir, "fixd-spill");
       tiered = std::make_unique<TieredVisitedSet>(o.visited_budget_bytes,
                                                   spill_scratch.path());
@@ -353,13 +343,9 @@ struct SystemExplorer::Shared {
   }
 
   /// Insert into whichever visited set this search uses (dedup on); true
-  /// iff `h` is new. The sleep-signature map takes it as an arrival with
-  /// an empty sleep set — the root's.
+  /// iff `h` is new.
   bool insert(std::uint64_t h) {
-    if (visited) return visited->insert(h);
-    if (tiered) return tiered->insert(h);
-    std::vector<std::uint64_t> none;
-    return sleepvis->visit(h, none) == StripedSleepVisited::Verdict::kNew;
+    return visited ? visited->insert(h) : tiered->insert(h);
   }
 
   /// The visited-set stats (and, when `collect`, the sorted contents).
@@ -376,22 +362,17 @@ struct SystemExplorer::Shared {
       s.visited_resident_bytes = visited->bytes();
       s.visited_peak_resident_bytes = s.visited_resident_bytes;
       if (collect) res.visited = visited->sorted_contents();
-    } else if (sleepvis) {
-      s.visited_resident_bytes = sleepvis->bytes();
-      s.visited_peak_resident_bytes = s.visited_resident_bytes;
-      if (collect) res.visited = sleepvis->sorted_contents();
     }
   }
 
-  /// The visited set, chosen once from the options: at most one of these
-  /// is non-null (none with dedup off). `tiered` is the Bloom-fronted
-  /// spill-to-disk set of budgeted dedup, with its per-run scratch
-  /// directory (RAII: spill files vanish on every exit path); it keeps
-  /// per-stripe linearizability, so exactly-one-winner holds for all three.
+  /// The visited set, chosen once from visited_budget_bytes: at most one
+  /// of these is non-null (none with dedup off). `tiered` is the
+  /// Bloom-fronted spill-to-disk set of budgeted dedup, with its per-run
+  /// scratch directory (RAII: spill files vanish on every exit path); it
+  /// keeps per-stripe linearizability, so exactly-one-winner holds for both.
   std::unique_ptr<StripedVisitedSet> visited;
   ScratchDir spill_scratch;
   std::unique_ptr<TieredVisitedSet> tiered;
-  std::unique_ptr<StripedSleepVisited> sleepvis;
   PorState por;
   std::atomic<std::uint64_t> states{0};
   std::atomic<std::uint64_t> violation_count{0};
@@ -412,9 +393,7 @@ struct SystemExplorer::Shared {
   std::vector<std::unique_ptr<Worker>> workers;
 };
 
-/// One worker: a scratch world, a stealable frontier shard (deque for
-/// kBfs/kDfs, priority shard for kPriority — a single mutex-guarded global
-/// heap would serialize every push and pop across workers), and private
+/// One worker: a scratch world, a stealable frontier deque, and private
 /// stats/violations merged after join.
 struct SystemExplorer::Worker {
   std::size_t id = 0;
@@ -423,7 +402,6 @@ struct SystemExplorer::Worker {
   rt::World* world = nullptr;
   std::unique_ptr<rt::World> own_world;
   StealableDeque<Node> deque;
-  PriorityShard<Node> pq;
   /// Private frontier meter (owner-paired charges; see FrontierMeter).
   FrontierMeter meter;
   /// This worker's reachability-graph edges. Only the owner appends
@@ -756,41 +734,6 @@ std::uint64_t SystemExplorer::action_key(const SysAction& a) {
   return h.digest();
 }
 
-bool SystemExplorer::is_slept(const Node& cur, std::uint64_t key) {
-  if (!cur.sleep) return false;
-  for (const SleepEntry& e : *cur.sleep) {
-    if (e.key == key) return true;
-  }
-  return false;
-}
-
-std::unique_ptr<std::vector<SystemExplorer::SleepEntry>>
-SystemExplorer::child_sleep(const Node& cur,
-                            const std::vector<SysAction>& actions,
-                            const std::vector<ActionFootprint>& fps,
-                            const std::vector<std::uint64_t>& keys,
-                            const std::vector<std::size_t>& run,
-                            std::size_t pos) {
-  (void)actions;
-  const ActionFootprint& afp = fps[run[pos]];
-  std::vector<SleepEntry> sleep;
-  // Inherit the parent's surviving entries: a slept action stays covered
-  // only while the branch taken commutes with it.
-  if (cur.sleep) {
-    for (const SleepEntry& e : *cur.sleep) {
-      if (independent(e.fp, afp)) sleep.push_back(e);
-    }
-  }
-  // Earlier branches of this expansion: their subtrees cover the child's
-  // reorderings of any action that commutes with the branch taken.
-  for (std::size_t p = 0; p < pos; ++p) {
-    const std::size_t j = run[p];
-    if (independent(fps[j], afp)) sleep.push_back({keys[j], fps[j]});
-  }
-  if (sleep.empty()) return nullptr;
-  return std::make_unique<std::vector<SleepEntry>>(std::move(sleep));
-}
-
 std::vector<std::size_t> SystemExplorer::source_closure(
     const std::vector<ActionFootprint>& fps,
     const std::vector<std::size_t>& seeds) {
@@ -826,10 +769,8 @@ std::vector<std::size_t> SystemExplorer::source_closure(
 
 std::vector<std::size_t> SystemExplorer::por_select(
     PorState& ps, std::uint64_t digest,
-    const std::vector<SysAction>& actions,
     const std::vector<ActionFootprint>& fps,
-    const std::vector<std::uint64_t>& keys, const Node& cur,
-    ExploreStats& stats) const {
+    const std::vector<std::uint64_t>& keys, ExploreStats& stats) {
   std::vector<std::uint64_t> sorted = keys;
   std::sort(sorted.begin(), sorted.end());
   std::vector<std::uint64_t> take;
@@ -845,27 +786,16 @@ std::vector<std::size_t> SystemExplorer::por_select(
       }
     }
   }
-  if (first) {
-    // Seed the first non-slept action; an all-slept state owes nothing
-    // (every branch is covered by an earlier sibling).
-    for (std::size_t i = 0; i < actions.size(); ++i) {
-      if (!is_slept(cur, keys[i])) {
-        seeds.push_back(i);
-        break;
-      }
-    }
-  }
+  if (first) seeds.push_back(0);
   if (seeds.empty()) return {};
   std::vector<std::size_t> sel = source_closure(fps, seeds);
-  stats.por_deferred += actions.size() - sel.size();
+  stats.por_deferred += keys.size() - sel.size();
   // Mark the selection done *before* executing it, so a race request
   // arriving concurrently sees these keys covered instead of pushing a
   // redundant backtrack node.
   std::vector<std::uint64_t> sel_keys;
   sel_keys.reserve(sel.size());
-  for (std::size_t i : sel) {
-    if (!is_slept(cur, keys[i])) sel_keys.push_back(keys[i]);
-  }
+  for (std::size_t i : sel) sel_keys.push_back(keys[i]);
   ps.recs.commit_done(digest, sel_keys);
   return sel;
 }
@@ -921,17 +851,17 @@ void SystemExplorer::check_pause_resume_options() const {
   if (opts_.order != SearchOrder::kBfs && opts_.order != SearchOrder::kDfs) {
     throw ConfigError(
         "pause/resume: only kBfs/kDfs graph searches are sliceable "
-        "(kPriority/kRandomWalk pop order is not checkpoint-stable)");
+        "(kRandomWalk pop order is not checkpoint-stable)");
   }
   if (!opts_.dedup) {
     throw ConfigError(
         "pause/resume requires dedup: visited-set identity "
         "(preseed ∪ reachable-from-frontier) is the resume contract");
   }
-  if (opts_.sleep_sets || opts_.por) {
+  if (opts_.por) {
     throw ConfigError(
-        "pause/resume: sleep_sets/por carry traversal-order-sensitive "
-        "state that a checkpoint does not capture");
+        "pause/resume: por carries traversal-order-sensitive state that a "
+        "checkpoint does not capture");
   }
   if (opts_.resume_from_checkpoint && opts_.resume_visited.empty()) {
     throw ConfigError(
@@ -963,6 +893,11 @@ std::vector<SystemExplorer::Node> SystemExplorer::resume_nodes(
 
 SysExploreResult SystemExplorer::explore() {
   auto t0 = SteadyClock::now();
+  if (opts_.order == SearchOrder::kPriority) {
+    throw ConfigError(
+        "SystemExplorer: kPriority is not supported (use kBfs, kDfs or "
+        "kRandomWalk; ModelD's Explorer keeps best-first search)");
+  }
   check_pause_resume_options();
   // Anchor eviction needs a replay recipe per node, which only trail-mode
   // graph searches have; snapshot mode ignores the frontier budget.
@@ -1005,23 +940,17 @@ std::shared_ptr<const rt::WorldSnapshot> SystemExplorer::capture(
 // Graph search: one engine for every worker count
 // ---------------------------------------------------------------------------
 
-void SystemExplorer::push(Shared& sh, Worker& me, Node&& nd,
-                          double pri) const {
+void SystemExplorer::push(Shared& sh, Worker& me, Node&& nd) {
   nd.owner = static_cast<std::uint32_t>(me.id);
   sh.active.fetch_add(1);
   me.meter.push(nd);
-  if (opts_.order == SearchOrder::kPriority) {
-    me.pq.push(pri, std::move(nd));
-  } else {
-    me.deque.push_back(std::move(nd));
-  }
+  me.deque.push_back(std::move(nd));
 }
 
-// The *reduction semantics* — footprints, is_slept, child_sleep
-// inherit/extend, POR selection and race detection — live in helpers of
-// their own; tests/test_mc_parallel.cpp checks this engine at every worker
-// count against an independent reference BFS written only against the
-// public rt::World API.
+// The *reduction semantics* — footprints, POR selection and race
+// detection — live in helpers of their own; tests/test_mc_parallel.cpp
+// checks this engine at every worker count against an independent
+// reference BFS written only against the public rt::World API.
 void SystemExplorer::expand(Shared& sh, Worker& me, Node cur) {
   rt::World& w = *me.world;
   ExploreStats& stats = me.stats;
@@ -1049,7 +978,7 @@ void SystemExplorer::expand(Shared& sh, Worker& me, Node cur) {
   std::vector<std::size_t> run;
   if (opts_.por && n_act > 0) {
     cur_digest = timed_mc_digest(w, stats, opts_.abstract_time);
-    run = por_select(sh.por, cur_digest, actions, fps, keys, cur, stats);
+    run = por_select(sh.por, cur_digest, fps, keys, stats);
   } else {
     run.resize(n_act);
     for (std::size_t i = 0; i < n_act; ++i) run[i] = i;
@@ -1081,23 +1010,16 @@ void SystemExplorer::expand(Shared& sh, Worker& me, Node cur) {
     }
     cur.state = std::move(anchor);
     cur.replay_len = 0;
-  } else if (cur.replay_len > 0) {
-    std::size_t to_run = 0;
-    for (std::size_t i : run) {
-      if (!(opts_.sleep_sets && is_slept(cur, keys[i]))) ++to_run;
-    }
-    if (to_run > 1) parent = capture(w, stats);
+  } else if (cur.replay_len > 0 && run.size() > 1) {
+    parent = capture(w, stats);
   }
   bool at_parent = true;
 
-  for (std::size_t pos = 0; pos < run.size(); ++pos) {
+  for (std::size_t i : run) {
     if (sh.stop.load(std::memory_order_acquire)) return;
-    const std::size_t i = run[pos];
     const SysAction& a = actions[i];
     const std::uint64_t akey = keys[i];
     const ActionFootprint& afp = fps[i];
-
-    if (opts_.sleep_sets && is_slept(cur, akey)) continue;
 
     if (!at_parent) {
       if (parent) {
@@ -1113,7 +1035,7 @@ void SystemExplorer::expand(Shared& sh, Worker& me, Node cur) {
 
     if (opts_.por) {
       por_race_detect(sh.por, cur, afp, akey, backtracks, stats);
-      for (Node& b : backtracks) push(sh, me, std::move(b), 0.0);
+      for (Node& b : backtracks) push(sh, me, std::move(b));
       backtracks.clear();
     }
 
@@ -1132,52 +1054,8 @@ void SystemExplorer::expand(Shared& sh, Worker& me, Node cur) {
       }
     }
 
-    auto sleep = opts_.sleep_sets
-                     ? child_sleep(cur, actions, fps, keys, run, pos)
-                     : nullptr;
-
-    bool reexpand_child = false;
     if (opts_.dedup) {
-      std::uint64_t h = timed_mc_digest(w, stats, opts_.abstract_time);
-      bool duplicate = false;
-      if (sh.sleepvis) {
-        std::vector<std::uint64_t> skeys;
-        if (sleep) {
-          skeys.reserve(sleep->size());
-          for (const SleepEntry& e : *sleep) skeys.push_back(e.key);
-          std::sort(skeys.begin(), skeys.end());
-        }
-        std::vector<std::uint64_t> released;
-        const auto verdict =
-            sh.sleepvis->visit(h, skeys, opts_.por ? &released : nullptr);
-        duplicate = verdict == StripedSleepVisited::Verdict::kPrune;
-        if (verdict == StripedSleepVisited::Verdict::kReexpand) {
-          // Duplicate state, but the stored expansion ran with a sleep set
-          // that is not a subset of this arrival's — its coverage claim
-          // does not hold for this path. Re-expand with the intersection;
-          // no fresh state is counted.
-          ++stats.duplicates;
-          ++stats.sleep_reexpansions;
-          reexpand_child = true;
-          if (sleep) {
-            sleep->erase(
-                std::remove_if(sleep->begin(), sleep->end(),
-                               [&](const SleepEntry& e) {
-                                 return !std::binary_search(
-                                     skeys.begin(), skeys.end(), e.key);
-                               }),
-                sleep->end());
-            if (sleep->empty()) sleep.reset();
-          }
-          // POR selection at the re-expanded node seeds from pending —
-          // force the released keys onto its work list, or the
-          // re-expansion would find nothing to run.
-          for (std::uint64_t k : released) sh.por.recs.seed_pending(h, k);
-        }
-      } else {
-        duplicate = !sh.insert(h);
-      }
-      if (duplicate) {
+      if (!sh.insert(timed_mc_digest(w, stats, opts_.abstract_time))) {
         ++stats.duplicates;
         // The edge (if allocated for the violation trail above) was never
         // published to a frontier node; the Trail copied its actions.
@@ -1185,15 +1063,13 @@ void SystemExplorer::expand(Shared& sh, Worker& me, Node cur) {
         continue;
       }
     }
-    if (!reexpand_child) {
-      stats.max_depth = std::max<std::uint64_t>(stats.max_depth, depth);
-      // The shared counter is the budget authority (per-worker counts
-      // would race past it); it already includes the root.
-      if (sh.states.fetch_add(1) + 1 >= opts_.max_states) {
-        stats.truncated = true;
-        sh.stop.store(true, std::memory_order_release);
-        return;
-      }
+    stats.max_depth = std::max<std::uint64_t>(stats.max_depth, depth);
+    // The shared counter is the budget authority (per-worker counts would
+    // race past it); it already includes the root.
+    if (sh.states.fetch_add(1) + 1 >= opts_.max_states) {
+      stats.truncated = true;
+      sh.stop.store(true, std::memory_order_release);
+      return;
     }
 
     Node child;
@@ -1214,14 +1090,7 @@ void SystemExplorer::expand(Shared& sh, Worker& me, Node cur) {
       child.state = cur.state;
       child.replay_len = cur.replay_len + 1;
     }
-    child.sleep = std::move(sleep);
-    double pri = 0.0;
-    if (opts_.order == SearchOrder::kPriority && opts_.priority) {
-      // Own shard; other workers route their pops here when this shard's
-      // top hint looks best.
-      pri = opts_.priority(w);
-    }
-    push(sh, me, std::move(child), pri);
+    push(sh, me, std::move(child));
   }
 }
 
@@ -1250,42 +1119,12 @@ void SystemExplorer::worker_loop(Shared& sh, Worker& me) {
       }
     }
     Node cur;
-    bool got = false;
-    if (opts_.order == SearchOrder::kPriority) {
-      // Best-effort global best-first over the per-worker shards: compare
-      // the own shard's top with every other shard's lock-free hint and
-      // pop from the best-looking one. Hints can be momentarily stale, so
-      // this may briefly pick a worse node than the true global best —
-      // which changes pop order only, never the visited set (differential
-      // tests) — and a failed routed pop falls back to the own shard,
-      // then to a full sweep (a hint can also be stale-empty).
-      double bestp = me.pq.top_hint();
-      std::size_t best = me.id;
-      for (std::size_t k = 1; k < n; ++k) {
-        const std::size_t vid = (me.id + k) % n;
-        const double hp = sh.workers[vid]->pq.top_hint();
-        if (hp > bestp) {
-          bestp = hp;
-          best = vid;
-        }
-      }
-      if (best != me.id && sh.workers[best]->pq.pop_top(cur)) {
-        got = true;
-        ++me.stats.steals;
-      }
-      if (!got) got = me.pq.pop_top(cur);
+    bool got = lifo ? me.deque.pop_back(cur) : me.deque.pop_front(cur);
+    if (!got) {
       for (std::size_t k = 1; k < n && !got; ++k) {
-        got = sh.workers[(me.id + k) % n]->pq.pop_top(cur);
-        if (got) ++me.stats.steals;
+        got = sh.workers[(me.id + k) % n]->deque.steal(cur, lifo);
       }
-    } else {
-      got = lifo ? me.deque.pop_back(cur) : me.deque.pop_front(cur);
-      if (!got) {
-        for (std::size_t k = 1; k < n && !got; ++k) {
-          got = sh.workers[(me.id + k) % n]->deque.steal(cur, lifo);
-        }
-        if (got) ++me.stats.steals;
-      }
+      if (got) ++me.stats.steals;
     }
     if (got && cur.owner == me.id) {
       // Refund only nodes this worker's meter charged; a stolen node
@@ -1373,19 +1212,15 @@ SysExploreResult SystemExplorer::graph_search() {
     // one worker every node lands on the one deque, whose BFS pop_front /
     // DFS pop_back then reproduces the uninterrupted run's pop sequence
     // exactly. Path chains go into worker 0's arena (before any thread
-    // starts, so single-writer holds). kPriority is rejected by
-    // check_pause_resume_options, so deques suffice.
+    // starts, so single-writer holds).
     std::vector<Node> nodes = resume_nodes(root_anchor, sh.workers[0]->arena);
     for (std::size_t i = 0; i < nodes.size(); ++i) {
-      push(sh, *sh.workers[i % n_workers], std::move(nodes[i]), 0.0);
+      push(sh, *sh.workers[i % n_workers], std::move(nodes[i]));
     }
   } else {
     Node root;
     root.state = root_anchor;
-    const double pri = opts_.order == SearchOrder::kPriority && opts_.priority
-                           ? opts_.priority(*scratch_)
-                           : 0.0;
-    push(sh, *sh.workers[0], std::move(root), pri);
+    push(sh, *sh.workers[0], std::move(root));
   }
 
   if (n_workers == 1) {
@@ -1414,7 +1249,6 @@ SysExploreResult SystemExplorer::graph_search() {
     res.stats.replayed_actions += wk->stats.replayed_actions;
     res.stats.anchor_recomputes += wk->stats.anchor_recomputes;
     res.stats.steals += wk->stats.steals;
-    res.stats.sleep_reexpansions += wk->stats.sleep_reexpansions;
     res.stats.por_deferred += wk->stats.por_deferred;
     res.stats.por_backtracks += wk->stats.por_backtracks;
     // Sum-of-peaks upper bound plus the largest single-worker share (one

@@ -124,22 +124,15 @@ struct SysExploreOptions {
   /// off = full tree — the ablation in bench/ablation_por).
   bool dedup = true;
 
-  /// Sleep-set partial-order reduction: prunes redundant orderings of
-  /// commuting events. Independence is exact disjointness of per-action
-  /// resource footprints (ActionFootprint): process set, directed
-  /// channel, message id, timer id, and the partition cut budget — valid
-  /// for delivery/timer/crash-restart/delay/partition/heal actions in
-  /// both abstract and timed mode. Composed with dedup, a re-reached
-  /// state whose new sleep set is not a superset of the stored one is
-  /// re-expanded with the intersection (stats.sleep_reexpansions), so
-  /// sleep+dedup reaches the same violation set as dedup alone (pinned
-  /// by tests/test_mc_por.cpp).
-  bool sleep_sets = false;
-
   /// Dynamic partial-order reduction (DPOR-style source sets + backtrack
-  /// points). At each first expansion the explorer runs only one
-  /// dependency-closed class of the enabled actions (the source set) and
-  /// defers the rest; every executed transition is then checked for races
+  /// points), the explorer's one reduction. Independence is exact
+  /// disjointness of per-action resource footprints (ActionFootprint):
+  /// process set, directed channel, message id, timer id, and the
+  /// partition cut budget — valid for delivery/timer/crash-restart/delay/
+  /// partition/heal actions in both abstract and timed mode. At each first
+  /// expansion the explorer runs only one dependency-closed class of the
+  /// enabled actions (the source set, seeded by the first enabled action)
+  /// and defers the rest; every executed transition is then checked for races
   /// against the footprints along its path, and a race re-expands the
   /// ancestor state with the deferred action (a root-anchored backtrack
   /// node — works in snapshot and trail frontier modes and at any worker
@@ -169,36 +162,31 @@ struct SysExploreOptions {
   /// the rest from a transient parent snapshot).
   std::size_t anchor_interval = 8;
 
-  /// Workers of the graph-search engine (kDfs/kBfs/kPriority). Every
-  /// worker count runs the same engine: each worker owns a scratch world
-  /// and a stealable frontier shard (a deque, or a best-effort-top
-  /// priority heap for kPriority), and all share one lock-striped visited
+  /// Workers of the graph-search engine (kDfs/kBfs; explore() rejects
+  /// kPriority, which only ModelD's Explorer implements). Every worker
+  /// count runs the same engine: each worker owns a scratch world and a
+  /// stealable frontier deque, and all share one lock-striped visited
   /// set. One worker runs on the calling thread over the explorer's own
   /// scratch world with single-stripe structures, pops in exact BFS
-  /// (front) / DFS (back) / heap order, and reports violations in
-  /// discovery order. kRandomWalk shards the walk budget instead: each
+  /// (front) / DFS (back) order, and reports violations in discovery
+  /// order. kRandomWalk shards the walk budget instead: each
   /// walk draws from an RNG derived from (seed, walk index), so any worker
   /// count runs the exact same trajectories — results match the one-worker
   /// walk modulo the early stop when max_violations fills mid-flight.
   ///
   /// Determinism contract (tested by tests/test_mc_parallel.cpp against an
   /// independent reference BFS over the public rt::World API): with dedup
-  /// on, no sleep sets, and budgets that don't truncate, every worker
-  /// count visits exactly the reference's canonical state set with its
+  /// on, por off, and budgets that don't truncate, every worker count
+  /// visits exactly the reference's canonical state set with its
   /// state/transition/duplicate counts (and, for kBfs, its max_depth).
   /// With workers > 1 violations are an unordered set (stably re-sorted by
-  /// depth), and every reported trail replays on a fresh world. Sleep-set
-  /// pruning, por, and truncated budgets are traversal-order-sensitive, so
-  /// for them the guarantee is soundness (a subset of the reachable graph)
-  /// plus the reduction property (same violation set as the unreduced
-  /// search, pinned differentially per worker count) — not visited-set
-  /// identity. With workers > 1, priority/install_invariants callbacks
-  /// must be thread-safe (stateless lambdas are; every in-tree installer
-  /// qualifies). kPriority's pop order is then best-effort global across
-  /// the per-worker heaps (stale top hints can momentarily pick a worse
-  /// node); the visited-set contract above holds regardless, because pop
-  /// order never changes *which* states a dedup'd exhaustive search
-  /// visits.
+  /// depth), and every reported trail replays on a fresh world. por and
+  /// truncated budgets are traversal-order-sensitive, so for them the
+  /// guarantee is soundness (a subset of the reachable graph) plus the
+  /// reduction property (same violation set as the unreduced search,
+  /// pinned differentially per worker count) — not visited-set identity.
+  /// With workers > 1 the install_invariants callback must be thread-safe
+  /// (stateless lambdas are; every in-tree installer qualifies).
   std::size_t workers = 1;
 
   /// Beyond-RAM budgets (0 = unbounded, the historical behavior; see
@@ -208,14 +196,12 @@ struct SysExploreOptions {
   /// Bloom front filter, half the hot exact shards; cold shards spill to
   /// sorted runs on disk and are probed back on Bloom "maybe"s. Dedup
   /// semantics stay exact — exactly one path wins each digest — so the
-  /// visited set is identical to the unbounded run's. Applies to graph
-  /// searches with dedup on; the sleep-signature visited map (sleep_sets
-  /// && dedup) is a weakening map, not an insert-only set, and stays
-  /// resident regardless.
+  /// visited set is identical to the unbounded run's. Applies to every
+  /// graph search with dedup on, por included.
   std::uint64_t visited_budget_bytes = 0;
   /// frontier_budget_bytes bounds resident trail-mode anchor snapshots: a
   /// clock evictor drops the WorldSnapshot of cold anchors (the node
-  /// shells, paths, and sleep sets stay), and materialize() rebuilds an
+  /// shells and paths stay), and materialize() rebuilds an
   /// evicted anchor by root-anchored deterministic replay — the same
   /// mechanism POR backtrack nodes always use, so eviction is safe by
   /// construction. Requires trail_frontier; ignored in snapshot mode
@@ -231,9 +217,6 @@ struct SysExploreOptions {
   /// counts, and the engine against the reference BFS, with this.
   bool collect_visited = false;
 
-  /// Heuristic for kPriority order (higher first).
-  std::function<double(const rt::World&)> priority;
-
   /// Registers invariants (and anything else detection needs) on a world.
   std::function<void(rt::World&)> install_invariants;
 
@@ -248,9 +231,9 @@ struct SysExploreOptions {
   // back byte-identical. src/svc/jobd.cpp builds durable, kill -9
   // survivable investigation jobs on exactly this contract.
   //
-  // Supported only for graph searches (kBfs/kDfs) with dedup on and
-  // sleep_sets/por off (those carry traversal-order-sensitive extra
-  // state); explore() throws ConfigError otherwise.
+  // Supported only for graph searches (kBfs/kDfs) with dedup on and por
+  // off (it carries traversal-order-sensitive extra state); explore()
+  // throws ConfigError otherwise.
 
   /// Polled by each worker before every frontier pop, idle polls included,
   /// but only while the search still has work queued or in flight (must be
@@ -328,13 +311,6 @@ class SystemExplorer {
   }
 
  private:
-  /// A slept action: identity key plus the commutation footprint needed
-  /// to decide whether it survives into a child's sleep set.
-  struct SleepEntry {
-    std::uint64_t key;
-    ActionFootprint fp;
-  };
-
   /// One reachability-graph edge, parent-linked toward the root (null at
   /// the root). Edges live in append-only arenas (a std::deque per
   /// worker), so addresses are stable,
@@ -367,23 +343,16 @@ class SystemExplorer {
   /// root-relative path and depth), and materialize() rebuilds it by
   /// deterministic replay from the pinned root anchor. One Anchor is
   /// shared by every node hanging off it, so the recipe is paid per
-  /// anchor, not per node, and sizeof(Node) stays 48.
+  /// anchor, not per node, and sizeof(Node) stays 40.
   struct Anchor;
 
-  /// A frontier node, variant-compressed to 48 bytes: one shared-anchor
-  /// field serves both frontier representations (snapshot mode: the
-  /// node's exact captured state, replay_len == 0 always; trail mode: the
-  /// nearest ancestor anchor plus `replay_len` actions read off the path
-  /// chain and re-executed on pop). The old shape carried an inline
-  /// WorldSnapshot shell *and* an anchor pointer (~136 bytes, the shell
-  /// empty in trail mode), a priority that only kPriority reads (now
-  /// stored in the heap entries), and an inline sleep vector that is
-  /// empty unless sleep sets are on (now one pointer, null when empty).
-  /// Unifying the two state fields also removes the meter's snap-vs-
-  /// anchor aliasing hazard structurally: there is exactly one route from
-  /// a node to its snapshot graph, and every buffer behind it is charged
-  /// once by pointer identity. Move-only: frontier containers and the
-  /// priority shards move nodes, never copy them.
+  /// A frontier node, 40 bytes on LP64: one shared-anchor field serves
+  /// both frontier representations (snapshot mode: the node's exact
+  /// captured state, replay_len == 0 always; trail mode: the nearest
+  /// ancestor anchor plus `replay_len` actions read off the path chain and
+  /// re-executed on pop). With exactly one route from a node to its
+  /// snapshot graph, the meter charges every buffer behind it once by
+  /// pointer identity. The frontier deques move nodes, never copy them.
   struct Node {
     /// Snapshot mode: this node's state. Trail mode: its anchor; a node
     /// with replay_len == 0 *is* its anchor.
@@ -391,9 +360,6 @@ class SystemExplorer {
     /// The action path from the investigated root to this node (arena
     /// storage owned by the search that created the node).
     const PathNode* path = nullptr;
-    /// Sleep set (sleep-set POR only; null == empty — the common case
-    /// costs one pointer, not an inline vector).
-    std::unique_ptr<std::vector<SleepEntry>> sleep;
     /// Trail mode: actions to re-execute from `state` (0 in snapshot mode).
     std::uint32_t replay_len = 0;
     std::uint32_t depth = 0;
@@ -418,21 +384,6 @@ class SystemExplorer {
   /// until consumed).
   static std::uint64_t action_key(const SysAction& a);
 
-  /// True when `key` is in cur's sleep set (the action's subtree is
-  /// covered by an earlier sibling branch).
-  static bool is_slept(const Node& cur, std::uint64_t key);
-
-  /// The sleep set a child created via run[pos] inherits: surviving
-  /// entries of the parent's sleep set plus every earlier branch of this
-  /// expansion (run[0..pos)), both filtered by independence with the
-  /// child's action. Kept apart from expand() so the independence rule
-  /// has exactly one definition. Returns null for an empty set.
-  static std::unique_ptr<std::vector<SleepEntry>> child_sleep(
-      const Node& cur, const std::vector<SysAction>& actions,
-      const std::vector<ActionFootprint>& fps,
-      const std::vector<std::uint64_t>& keys,
-      const std::vector<std::size_t>& run, std::size_t pos);
-
   /// Source-set selection (por): the dependency-closed class of enabled
   /// actions containing every seed index, computed over `fps`. Returns
   /// the selected indices (ascending); everything else is deferred.
@@ -446,14 +397,13 @@ class SystemExplorer {
   struct PorState;
 
   /// Pick the indices this expansion runs: drains the state's pending
-  /// backtrack requests, seeds the first non-slept action on a first
-  /// visit, closes over dependency classes, and marks the selection done.
-  std::vector<std::size_t> por_select(PorState& ps, std::uint64_t digest,
-                                      const std::vector<SysAction>& actions,
-                                      const std::vector<ActionFootprint>& fps,
-                                      const std::vector<std::uint64_t>& keys,
-                                      const Node& cur,
-                                      ExploreStats& stats) const;
+  /// backtrack requests, seeds the first enabled action on a first visit,
+  /// closes over dependency classes, and marks the selection done.
+  /// `fps` and `keys` are non-empty and index-aligned.
+  static std::vector<std::size_t> por_select(
+      PorState& ps, std::uint64_t digest,
+      const std::vector<ActionFootprint>& fps,
+      const std::vector<std::uint64_t>& keys, ExploreStats& stats);
 
   /// Race detection for one executed transition: walk cur's path nearest-
   /// first for a dependent ancestor where the action was enabled but not
@@ -481,14 +431,14 @@ class SystemExplorer {
   /// with workers > 1 it is marked shared, since any node may be stolen.
   std::shared_ptr<const rt::WorldSnapshot> capture(rt::World& w,
                                                    ExploreStats& stats) const;
-  /// The graph-search engine (kBfs/kDfs/kPriority) at any worker count.
+  /// The graph-search engine (kBfs/kDfs) at any worker count.
   SysExploreResult graph_search();
   void worker_loop(Shared& sh, Worker& me);
   void expand(Shared& sh, Worker& me, Node cur);
-  /// Make `nd` visible on `me`'s frontier shard (`pri` is read by
-  /// kPriority only); `active` rises first, so an idle worker can never
-  /// observe "no work anywhere" while a node is in flight.
-  void push(Shared& sh, Worker& me, Node&& nd, double pri) const;
+  /// Make `nd` visible on `me`'s frontier deque; `active` rises first, so
+  /// an idle worker can never observe "no work anywhere" while a node is
+  /// in flight.
+  static void push(Shared& sh, Worker& me, Node&& nd);
   SysExploreResult random_walk();
 
   rt::World& base_;

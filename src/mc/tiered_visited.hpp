@@ -30,10 +30,6 @@
 // exact tier, so false positives cost a disk probe, never correctness.
 // tests/test_mc_spill.cpp pins spill-on/off `sorted_contents()` set identity
 // under randomized churn at 1 and 4 threads.
-//
-// Not covered: the sleep-signature visited map (StripedSleepVisited) is a
-// digest->signature *map* with in-place weakening, not an insert-only set;
-// it stays in RAM even under a budget (documented in docs/PERF.md Layer 9).
 #pragma once
 
 #include <atomic>

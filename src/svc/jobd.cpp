@@ -128,7 +128,6 @@ void accumulate_stats(mc::ExploreStats& acc, const mc::ExploreStats& s) {
   acc.replayed_actions += s.replayed_actions;
   acc.workers = std::max(acc.workers, s.workers);
   acc.steals += s.steals;
-  acc.sleep_reexpansions += s.sleep_reexpansions;
   acc.por_deferred += s.por_deferred;
   acc.por_backtracks += s.por_backtracks;
 }

@@ -124,6 +124,7 @@ JobJournal::~JobJournal() {
 
 void JobJournal::append(const JournalRecord& rec) {
   BinaryWriter payload;
+  payload.write_u32(kWireVersion);
   rec.save(payload);
   BinaryWriter frame;
   write_crc_frame(frame, kJournalMagic, payload.bytes());
@@ -197,12 +198,21 @@ std::optional<RecoveredJob> recover_job(const std::filesystem::path& dir,
       break;  // payload torn mid-frame
     }
     JournalRecord rec;
+    std::uint32_t version = 0;
     try {
       check_crc_payload(payload, crc);
       BinaryReader r(payload);
-      rec.load(r);
+      version = r.read_u32();
+      if (version == kWireVersion) rec.load(r);
     } catch (const SerializationError&) {
       break;  // CRC mismatch or truncated encoding: torn tail
+    }
+    if (version != kWireVersion) {
+      std::fclose(f);
+      throw SerializationError(
+          "journal: job " + std::to_string(job_id) + " has a version " +
+          std::to_string(version) + " record; this build reads version " +
+          std::to_string(kWireVersion));
     }
 
     switch (rec.type) {

@@ -19,7 +19,10 @@
 // (torn tail from a mid-append crash reads as a clean end, never as
 // corruption — the job simply resumes from its last durable checkpoint).
 // A second kSubmitted with the same request_id throws: the journal is the
-// idempotency ledger, one execution per request-id.
+// idempotency ledger, one execution per request-id. Every record payload
+// starts with kWireVersion; an intact record of another version throws
+// too (a journal written by a build with a different layout is refused,
+// never misparsed).
 #pragma once
 
 #include <cstdint>

@@ -29,7 +29,11 @@ namespace fixd::svc {
 
 inline constexpr std::uint32_t kWireMagic = 0x50525846;    // "FXRP"
 inline constexpr std::uint32_t kJournalMagic = 0x4c4a5846;  // "FXJL"
-inline constexpr std::uint32_t kWireVersion = 1;
+/// Codec version prefixed to every RPC payload and journal record. Bumped
+/// whenever a serialized layout changes (2: ExploreStats lost
+/// sleep_reexpansions), so an older peer or journal is refused, never
+/// misparsed.
+inline constexpr std::uint32_t kWireVersion = 2;
 /// Upper bound on one frame's payload; a corrupt header cannot force a
 /// larger allocation.
 inline constexpr std::size_t kMaxFramePayload = 64u << 20;
@@ -68,8 +72,8 @@ const char* to_string(JobPhase p);
 /// What to investigate, scenario-addressed: the daemon rebuilds the world
 /// deterministically from the registered family + (n, version), so a job
 /// spec — not a serialized world — is the durable unit. Restricted to the
-/// sliceable explorer configuration (kBfs/kDfs, dedup on, no por/sleep
-/// sets); see SysExploreOptions' pause/resume contract.
+/// sliceable explorer configuration (kBfs/kDfs, dedup on, por off); see
+/// SysExploreOptions' pause/resume contract.
 struct JobSpec {
   std::string scenario = "two-pc";
   std::uint32_t n = 3;           ///< world size (processes/replicas)

@@ -4,7 +4,7 @@
 // exception propagation, and seeded stress over randomized option mixes.
 //
 // The determinism contract under test (see SysExploreOptions::workers):
-// with dedup on, no sleep sets, and budgets that don't truncate, a graph
+// with dedup on, por off, and budgets that don't truncate, a graph
 // search on any number of workers visits *exactly* the reference BFS's
 // canonical-state set, with identical state/transition/duplicate counts —
 // and every violation it reports carries a trail that re-executes to the
@@ -168,29 +168,15 @@ class ParallelDifferential
 TEST_P(ParallelDifferential, VisitedSetAndCountsMatchSequential) {
   auto [model_idx, order_idx, trail] = GetParam();
   const ModelCase mc = small_models()[model_idx];
-  const SearchOrder order = order_idx == 0   ? SearchOrder::kBfs
-                            : order_idx == 1 ? SearchOrder::kDfs
-                                             : SearchOrder::kPriority;
-
-  auto configure = [&](SysExploreOptions& o) {
-    o.install_invariants = mc.installer;
-    if (order == SearchOrder::kPriority) {
-      // A deterministic, thread-safe heuristic: the sharded best-effort
-      // heaps may pop in a different order than one worker's heap, but
-      // a dedup'd exhaustive search must visit the identical set anyway
-      // — exactly what this differential pins.
-      o.priority = [](const rt::World& world) {
-        return static_cast<double>(world.network().pending_count());
-      };
-    }
-  };
+  const SearchOrder order =
+      order_idx == 0 ? SearchOrder::kBfs : SearchOrder::kDfs;
 
   auto w = mc.make();
   const ReferenceResult oracle = reference_bfs(*w, mc.installer);
   ASSERT_GT(oracle.states, 1u);
 
   auto seq_opts = differential_opts(order, trail, 1);
-  configure(seq_opts);
+  seq_opts.install_invariants = mc.installer;
   SystemExplorer seq(*w, seq_opts);
   auto ref = seq.explore();
   ASSERT_FALSE(ref.stats.truncated) << mc.name << ": budget too small";
@@ -199,7 +185,7 @@ TEST_P(ParallelDifferential, VisitedSetAndCountsMatchSequential) {
 
   for (std::size_t workers : {1u, 2u, 4u, 8u}) {
     auto opts = differential_opts(order, trail, workers);
-    configure(opts);
+    opts.install_invariants = mc.installer;
     SystemExplorer ex(*w, opts);
     auto got = ex.explore();
     SCOPED_TRACE(std::string(mc.name) + " vs reference, workers=" +
@@ -217,7 +203,7 @@ TEST_P(ParallelDifferential, VisitedSetAndCountsMatchSequential) {
 
   for (std::size_t workers : {2u, 4u, 8u}) {
     auto par_opts = differential_opts(order, trail, workers);
-    configure(par_opts);
+    par_opts.install_invariants = mc.installer;
     SystemExplorer par(*w, par_opts);
     auto got = par.explore();
     SCOPED_TRACE(std::string(mc.name) + " workers=" +
@@ -236,7 +222,7 @@ TEST_P(ParallelDifferential, VisitedSetAndCountsMatchSequential) {
 
 INSTANTIATE_TEST_SUITE_P(
     Models, ParallelDifferential,
-    ::testing::Combine(::testing::Range(0, 5), ::testing::Values(0, 1, 2),
+    ::testing::Combine(::testing::Range(0, 5), ::testing::Values(0, 1),
                        ::testing::Bool()));
 
 // Randomized differential: seed-perturbed variants of the kv model (the
@@ -551,28 +537,19 @@ TEST(ParallelStress, HundredRandomConfigsNoCrash) {
     }
 
     SysExploreOptions o;
-    switch (rng.next_below(3)) {
-      case 0: o.order = SearchOrder::kBfs; break;
-      case 1: o.order = SearchOrder::kDfs; break;
-      default: o.order = SearchOrder::kPriority; break;
-    }
+    o.order = rng.next_bool(0.5) ? SearchOrder::kBfs : SearchOrder::kDfs;
     o.max_states = 50 + rng.next_below(150);
     o.max_depth = 4 + rng.next_below(20);
     o.max_violations = 1 + rng.next_below(3);
     o.model_message_loss = rng.next_bool(0.4);
     o.model_message_duplication = rng.next_bool(0.3);
     o.dedup = rng.next_bool(0.8);
-    o.sleep_sets = rng.next_bool(0.3);
+    o.por = rng.next_bool(0.3);
     o.trail_frontier = rng.next_bool(0.5);
     o.anchor_interval = 1 + rng.next_below(8);
     static const std::size_t kWorkers[] = {1, 2, 3, 4, 8};
     o.workers = kWorkers[rng.next_below(5)];
     o.install_invariants = installer;
-    if (o.order == SearchOrder::kPriority && rng.next_bool(0.7)) {
-      o.priority = [](const rt::World& world) {
-        return static_cast<double>(world.network().pending_count());
-      };
-    }
 
     SystemExplorer ex(*w, o);
     SysExploreResult res;

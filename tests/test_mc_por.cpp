@@ -1,5 +1,5 @@
 // Dynamic partial-order reduction: differential soundness against the
-// unreduced explorer, and the sleep+dedup composition fix.
+// unreduced explorer.
 //
 // The contract under test (see SysExploreOptions::por):
 //   - soundness: an exhaustive (non-truncated) reduced search reports the
@@ -12,12 +12,6 @@
 //     worker counts — the reduction machinery (footprints, source sets,
 //     race-driven backtracks) lives in one engine that every worker
 //     count runs.
-//
-// Also here: the sleep+dedup differential (the former soundness caveat):
-// sleep_sets && dedup must visit the *identical* canonical state set as
-// dedup alone — sleep sets prune redundant transitions, never states —
-// which only holds with the signature-aware visited set that re-expands
-// states re-reached with a smaller sleep set.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -141,31 +135,28 @@ TEST_P(PorDifferential, SameViolationSetFewerStates) {
   EXPECT_EQ(!violation_names(ref).empty(), pc.expect_violation) << pc.name;
 
   for (std::size_t workers : {1u, 4u}) {
-    for (bool sleep : {false, true}) {
-      auto opts = base_opts(pc, order, trail, workers);
-      opts.por = true;
-      opts.sleep_sets = sleep;
-      SystemExplorer ex(*w, opts);
-      auto got = ex.explore();
-      SCOPED_TRACE(std::string(pc.name) + " " + to_string(order) +
-                   (trail ? " trail" : " snap") + " workers=" +
-                   std::to_string(workers) + (sleep ? " sleep" : ""));
-      ASSERT_FALSE(got.stats.truncated);
-      EXPECT_EQ(violation_names(got), violation_names(ref));
-      EXPECT_LE(got.stats.states, ref.stats.states);
-      // Reduced-run trails replay to their violation on a fresh world.
-      for (std::size_t i = 0;
-           i < std::min<std::size_t>(got.violations.size(), 3); ++i) {
-        auto reproduced = SystemExplorer::replay_trail(*w, got.violations[i].trail,
-                                                       pc.installer);
-        bool same = false;
-        for (const auto& rv : reproduced) {
-          if (rv.invariant == got.violations[i].violation.invariant) {
-            same = true;
-          }
+    auto opts = base_opts(pc, order, trail, workers);
+    opts.por = true;
+    SystemExplorer ex(*w, opts);
+    auto got = ex.explore();
+    SCOPED_TRACE(std::string(pc.name) + " " + to_string(order) +
+                 (trail ? " trail" : " snap") + " workers=" +
+                 std::to_string(workers));
+    ASSERT_FALSE(got.stats.truncated);
+    EXPECT_EQ(violation_names(got), violation_names(ref));
+    EXPECT_LE(got.stats.states, ref.stats.states);
+    // Reduced-run trails replay to their violation on a fresh world.
+    for (std::size_t i = 0;
+         i < std::min<std::size_t>(got.violations.size(), 3); ++i) {
+      auto reproduced = SystemExplorer::replay_trail(
+          *w, got.violations[i].trail, pc.installer);
+      bool same = false;
+      for (const auto& rv : reproduced) {
+        if (rv.invariant == got.violations[i].violation.invariant) {
+          same = true;
         }
-        EXPECT_TRUE(same) << got.violations[i].trail.render();
       }
+      EXPECT_TRUE(same) << got.violations[i].trail.render();
     }
   }
 }
@@ -193,7 +184,6 @@ TEST(PorReduction, StrictlyFewerStatesOnTwoPcN4) {
 
     auto on = off;
     on.por = true;
-    on.sleep_sets = true;
     SystemExplorer ex_on(*w, on);
     auto got = ex_on.explore();
     ASSERT_FALSE(got.stats.truncated);
@@ -232,7 +222,6 @@ TEST(PorDifferential, TimedModeWithDelaysSameViolationSet) {
   for (std::size_t workers : {1u, 4u}) {
     auto on = base_opts(pc, SearchOrder::kBfs, false, workers);
     on.por = true;
-    on.sleep_sets = true;
     SystemExplorer ex_on(*w, on);
     auto got = ex_on.explore();
     SCOPED_TRACE("workers=" + std::to_string(workers));
@@ -241,49 +230,6 @@ TEST(PorDifferential, TimedModeWithDelaysSameViolationSet) {
     EXPECT_LE(got.stats.states, ref.stats.states);
   }
 }
-
-// ---------------------------------------------------------------------------
-// Differential: sleep+dedup == dedup-only (the former soundness caveat)
-// ---------------------------------------------------------------------------
-
-// Sleep sets prune redundant *transitions*; every reachable state must
-// still be visited. The old plain visited set broke this when a state was
-// re-reached along a path whose sleep set did not cover the stored
-// expansion's skips; the signature-aware set re-expands such states
-// (stats.sleep_reexpansions counts the repairs).
-class SleepDedupDifferential : public ::testing::TestWithParam<int> {};
-
-TEST_P(SleepDedupDifferential, VisitedSetIdenticalToDedupOnly) {
-  const PorCase pc = por_models()[GetParam()];
-  auto w = pc.make();
-
-  auto ref_opts = base_opts(pc, SearchOrder::kBfs, /*trail=*/false, 1);
-  ref_opts.collect_visited = true;
-  SystemExplorer ref_ex(*w, ref_opts);
-  auto ref = ref_ex.explore();
-  ASSERT_FALSE(ref.stats.truncated) << pc.name;
-
-  for (std::size_t workers : {1u, 4u}) {
-    auto opts = base_opts(pc, SearchOrder::kBfs, /*trail=*/false, workers);
-    opts.sleep_sets = true;
-    opts.collect_visited = true;
-    SystemExplorer ex(*w, opts);
-    auto got = ex.explore();
-    SCOPED_TRACE(std::string(pc.name) + " workers=" +
-                 std::to_string(workers));
-    ASSERT_FALSE(got.stats.truncated);
-    EXPECT_EQ(got.visited, ref.visited);
-    EXPECT_EQ(got.stats.states, ref.stats.states);
-    EXPECT_EQ(violation_names(got), violation_names(ref));
-    // No transitions bound: re-expansion repairs re-run work, and on
-    // models where many states are re-reached with shrinking sleep sets
-    // (elect's cut/heal cycles) that can exceed the pruning savings. The
-    // contract is soundness (identical state set), not a speedup.
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Models, SleepDedupDifferential,
-                         ::testing::Range(0, 4));
 
 }  // namespace
 }  // namespace fixd::mc

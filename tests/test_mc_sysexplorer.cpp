@@ -217,23 +217,16 @@ TEST(SystemExplorer, DedupReducesStates) {
   EXPECT_LT(r1.stats.states, r2.stats.states);
 }
 
-TEST(SystemExplorer, SleepSetsPruneTransitionsButFindSameBug) {
-  TokenRingConfig cfg;
-  cfg.target_rounds = 2;
-  auto w = make_token_ring_world(3, 1, cfg);
-  auto plain = bounded(SearchOrder::kBfs, 60000);
-  plain.install_invariants = apps::install_token_ring_invariants;
-  auto pruned = plain;
-  pruned.sleep_sets = true;
-
-  SystemExplorer e1(*w, plain);
-  auto r1 = e1.explore();
-  SystemExplorer e2(*w, pruned);
-  auto r2 = e2.explore();
-  ASSERT_TRUE(r1.found_violation());
-  ASSERT_TRUE(r2.found_violation());
-  EXPECT_EQ(r1.violations[0].violation.invariant,
-            r2.violations[0].violation.invariant);
+// Best-first search lives in ModelD's Explorer only; the SystemExplorer
+// refuses kPriority instead of silently running another order.
+TEST(SystemExplorer, RejectsPriorityOrder) {
+  TwoPcConfig cfg;
+  cfg.total_txns = 1;
+  auto w = make_two_pc_world(3, 1, cfg);
+  auto o = bounded(SearchOrder::kPriority, 1000);
+  o.install_invariants = apps::install_two_pc_invariants;
+  SystemExplorer ex(*w, o);
+  EXPECT_THROW(ex.explore(), ConfigError);
 }
 
 TEST(SystemExplorer, StateBudgetTruncates) {

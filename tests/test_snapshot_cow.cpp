@@ -331,7 +331,7 @@ TEST(TrailFrontier, FindsSameViolationAndTrailReplays) {
   EXPECT_FALSE(reproduced.empty());
 }
 
-TEST(TrailFrontier, WorksWithSleepSetsAndDfs) {
+TEST(TrailFrontier, WorksWithPorAndDfs) {
   apps::TwoPcConfig cfg;
   cfg.total_txns = 1;
   auto w = apps::make_two_pc_world(3, 1, cfg);
@@ -339,7 +339,7 @@ TEST(TrailFrontier, WorksWithSleepSetsAndDfs) {
   o.order = mc::SearchOrder::kDfs;
   o.max_states = 60000;
   o.max_depth = 64;
-  o.sleep_sets = true;
+  o.por = true;
   o.trail_frontier = true;
   o.install_invariants = apps::install_two_pc_invariants;
   mc::SystemExplorer ex(*w, o);
@@ -376,8 +376,8 @@ std::set<std::string> violation_names(const mc::SysExploreResult& r) {
   return s;
 }
 
-// Buggy 2pc with every violation reported, under one reduction: sleep
-// sets alone, or dynamic POR alone.
+// Buggy 2pc with every violation reported, unreduced or under dynamic
+// POR.
 mc::SysExploreResult explore_buggy_two_pc(bool por, bool trail,
                                           std::size_t anchor_interval,
                                           std::size_t workers,
@@ -390,7 +390,6 @@ mc::SysExploreResult explore_buggy_two_pc(bool por, bool trail,
   o.max_states = 100000;
   o.max_depth = 64;
   o.max_violations = ~std::size_t{0};
-  o.sleep_sets = !por;
   o.por = por;
   o.trail_frontier = trail;
   o.anchor_interval = anchor_interval;
@@ -403,12 +402,11 @@ mc::SysExploreResult explore_buggy_two_pc(bool por, bool trail,
 }
 
 // Trail mode must reach exactly what snapshot mode reaches, including
-// where an expansion's first action is slept (w stays at the parent for
-// the next one), where POR backtrack nodes replay from the root, at every
-// anchor interval, and while a tiny frontier budget evicts anchors.
+// where POR backtrack nodes replay from the root, at every anchor
+// interval, and while a tiny frontier budget evicts anchors.
 TEST(TrailFrontier, MatchesSnapshotUnderReductions) {
   for (bool por : {false, true}) {
-    SCOPED_TRACE(por ? "por" : "sleep sets");
+    SCOPED_TRACE(por ? "por" : "unreduced");
     auto ref = explore_buggy_two_pc(por, /*trail=*/false, 8, 1);
     ASSERT_FALSE(ref.stats.truncated);
     ASSERT_TRUE(ref.found_violation());

@@ -18,6 +18,7 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <fstream>
 #include <thread>
 
 #include "apps/two_phase_commit.hpp"
@@ -251,6 +252,32 @@ TEST(Journal, DuplicateSubmitRecordThrows) {
     sub.spec = small_spec();
     j.append(sub);
     j.append(sub);  // the invariant violation recovery must refuse
+  }
+  EXPECT_THROW(svc::recover_job(dir.path(), job_id), SerializationError);
+}
+
+// A journal written under another codec version (an older fixdd, whose
+// ExploreStats layout differs) is refused rather than misparsed, even
+// though every frame is intact.
+TEST(Journal, OtherVersionRecordThrows) {
+  ScratchDir dir = ScratchDir::create("", "fixd-version");
+  const std::uint64_t job_id = 4;
+  svc::JournalRecord sub;
+  sub.type = svc::JournalRecordType::kSubmitted;
+  sub.request_id = 7;
+  sub.job_id = job_id;
+  sub.spec = small_spec();
+  BinaryWriter payload;
+  payload.write_u32(svc::kWireVersion - 1);
+  sub.save(payload);
+  BinaryWriter frame;
+  write_crc_frame(frame, svc::kJournalMagic, payload.bytes());
+  {
+    std::ofstream out(dir.path() / ("job-" + std::to_string(job_id) + ".wal"),
+                      std::ios::binary);
+    const auto bytes = frame.bytes();
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
   }
   EXPECT_THROW(svc::recover_job(dir.path(), job_id), SerializationError);
 }

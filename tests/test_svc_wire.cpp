@@ -141,7 +141,6 @@ mc::ExploreStats sample_stats(std::uint64_t salt) {
   s.replayed_actions = 99;
   s.workers = 4;
   s.steals = 17;
-  s.sleep_reexpansions = 1;
   s.por_deferred = 5;
   s.por_backtracks = 2;
   return s;

@@ -8,7 +8,8 @@
 //      world with sparse per-event writes — the explore-loop shape.
 //   C. SystemExplorer throughput (states/sec) with the time spent hashing
 //      states broken out, on a real protocol state space.
-//   D. World snapshot + restore per explored node (COW vs deep).
+//   D. World snapshot + restore per explored node (COW vs deep), and the
+//      network half of the explorer's per-transition restore alone.
 //   E. World::enabled_events per executed event on worlds with deep
 //      message/timer backlogs — the incremental enabled-event index vs
 //      the from-scratch rescan oracle.
@@ -220,6 +221,86 @@ PairResult bench_world_snapshot(std::size_t procs, std::uint64_t heap_bytes,
   return res;
 }
 
+// The network half of the explorer's per-transition restore, alone, at the
+// 2pc n=6 BFS midpoint (the model the e2e verify workloads search): each
+// state on the frontier of a search paused at half its 66280 states is a
+// parent and each enabled event a child, and one live network restores
+// parent, child, parent, ... as a worker's expand loop does.
+struct NetRestoreResult {
+  double restore_us = 0;      ///< per SimNetwork::restore
+  double pending_mean = 0;    ///< pending messages per restored state
+  double channels_mean = 0;   ///< channel entries per restored state
+};
+
+NetRestoreResult bench_net_restore(int rounds) {
+  constexpr std::uint64_t kStates = 66280;
+  apps::TwoPcConfig cfg;
+  cfg.total_txns = 1;
+  mc::SysExploreOptions o;
+  o.order = mc::SearchOrder::kBfs;
+  o.max_depth = 80;
+  o.install_invariants = apps::install_two_pc_invariants;
+  o.pause_check = [](const mc::ExploreStats& st) {
+    return st.states >= kStates / 2;
+  };
+  o.capture_frontier = true;
+  mc::SysExploreResult paused = [&] {
+    auto searched = apps::make_two_pc_world(6, 2, cfg);
+    mc::SystemExplorer ex(*searched, o);
+    return ex.explore();
+  }();
+
+  auto w = apps::make_two_pc_world(6, 2, cfg);
+  apps::install_two_pc_invariants(*w);
+  w->set_abstract_time(true);
+  const rt::WorldSnapshot root = w->snapshot();
+  using NetSnap = std::shared_ptr<const net::NetSnapshot>;
+  std::vector<std::pair<NetSnap, NetSnap>> pairs;  // (parent, child)
+  NetRestoreResult res;
+  const std::size_t n = paused.frontier.size();
+  const std::size_t take = std::min<std::size_t>(n, 200);
+  for (std::size_t i = 0; i < take; ++i) {
+    w->restore(root);
+    for (const mc::SysAction& a : paused.frontier[i * n / take].steps)
+      w->execute_event(a.event);
+    const rt::WorldSnapshot parent = w->snapshot();
+    for (const rt::EventDesc& ev : w->enabled_events()) {
+      w->restore(parent);
+      w->execute_event(ev);
+      pairs.emplace_back(parent.net, w->network().snapshot());
+    }
+  }
+  if (pairs.empty()) {
+    std::fprintf(stderr, "FATAL: empty 2pc n=6 midpoint frontier\n");
+    std::abort();
+  }
+  for (const auto& [parent, child] : pairs) {
+    res.pending_mean += static_cast<double>(parent->messages.size() +
+                                            child->messages.size());
+    res.channels_mean += static_cast<double>(parent->channels.size() +
+                                             child->channels.size());
+  }
+  res.pending_mean /= 2.0 * static_cast<double>(pairs.size());
+  res.channels_mean /= 2.0 * static_cast<double>(pairs.size());
+
+  net::SimNetwork& live = w->network();
+  WallTimer t;
+  for (int r = 0; r < rounds; ++r) {
+    for (const auto& [parent, child] : pairs) {
+      live.restore(parent);
+      live.restore(child);
+    }
+  }
+  res.restore_us = t.ms() * 1000.0 /
+                   (2.0 * static_cast<double>(rounds) *
+                    static_cast<double>(pairs.size()));
+  if (live.digest() != live.digest_uncached()) {
+    std::fprintf(stderr, "FATAL: network restore diverged\n");
+    std::abort();
+  }
+  return res;
+}
+
 // --- F: replay-warmed vs cold trail re-anchoring -----------------------------
 // The trail-frontier shape at an anchor boundary: every expanded node
 // re-anchors after replaying its suffix, and (cold) captures fresh
@@ -402,6 +483,11 @@ int main() {
   PairResult snap16 = bench_world_snapshot(16, 1 << 20, 2000, 40);
   bench::row("%-10s %12.2f %14.2f %8.1fx", "16p x 1MiB", snap16.cached_us,
              snap16.uncached_us, snap16.speedup());
+  const NetRestoreResult netr = bench_net_restore(50);
+  bench::row("%-30s %12s %9s %9s", "network alone (2pc n=6 BFS mid)",
+             "restore us", "pending", "channels");
+  bench::row("%-30s %12.3f %9.1f %9.1f", "SimNetwork::restore",
+             netr.restore_us, netr.pending_mean, netr.channels_mean);
 
   bench::header(
       "E. World::enabled_events per executed event (deep message/timer "
@@ -474,6 +560,7 @@ int main() {
         "  \"world16_snap_shared_us\": %.3f,\n"
         "  \"world16_snap_deep_us\": %.3f,\n"
         "  \"world16_snap_speedup\": %.2f,\n"
+        "  \"net_restore_2pc6_mid_us\": %.3f,\n"
         "  \"explorer_states\": %llu,\n"
         "  \"explorer_wall_ms\": %.2f,\n"
         "  \"explorer_digest_ms\": %.2f,\n"
@@ -505,7 +592,7 @@ int main() {
         heap_big.cached_us, heap_big.uncached_us, heap_big.speedup(),
         world16.cached_us, world16.uncached_us, world16.speedup(),
         snap16.cached_us, snap16.uncached_us, snap16.speedup(),
-        (unsigned long long)ex.stats.states, ex.stats.wall_ms,
+        netr.restore_us, (unsigned long long)ex.stats.states, ex.stats.wall_ms,
         ex.stats.digest_ms, ex.stats.snapshot_ms,
         (unsigned long long)ex.stats.peak_frontier_bytes,
         ex.stats.states_per_sec(),

@@ -268,11 +268,7 @@ class SystemExplorer::FrontierMeter {
       for (const auto& [id, m] : s.net->messages) {
         n += charge(m.get(), m->retained_bytes(), dir);
       }
-      std::uint64_t table = sizeof(net::NetSnapshot);
-      for (const auto& [key, q] : s.net->channels) {
-        table += sizeof(key) + q.size() * sizeof(MsgId);
-      }
-      n += charge(s.net.get(), table, dir);
+      n += charge(s.net.get(), s.net->table_bytes(), dir);
     }
     return n;
   }

@@ -7,10 +7,16 @@
 
 namespace fixd::net {
 
+std::uint64_t NetSnapshot::table_bytes() const {
+  return sizeof(NetSnapshot) + messages.size() * sizeof(Pending) +
+         channels.size() * sizeof(Channel) + queued.size() * sizeof(MsgId) +
+         inflight.size() * sizeof(inflight.front()) +
+         blocked.size() * sizeof(ChannelKey);
+}
+
 std::uint64_t NetSnapshot::size_bytes() const {
-  std::uint64_t n = 0;
+  std::uint64_t n = table_bytes();
   for (const auto& [id, m] : messages) n += m->retained_bytes();
-  for (const auto& [key, q] : channels) n += q.size() * sizeof(MsgId);
   return n;
 }
 
@@ -29,19 +35,79 @@ std::uint64_t acc_term(std::uint64_t content_digest) {
   return mix64(content_digest);
 }
 
+/// First entry of a vector of (key, value) pairs, sorted by key, whose key
+/// is not below `k`.
+template <class Vec, class K>
+auto lower_bound_first(Vec& v, const K& k) {
+  return std::lower_bound(v.begin(), v.end(), k,
+                          [](const auto& e, const K& x) { return e.first < x; });
+}
+
+template <class Vec>
+auto lower_bound_channel(Vec& v, const NetState::ChannelKey& k) {
+  return std::lower_bound(
+      v.begin(), v.end(), k,
+      [](const NetState::Channel& c, const auto& x) { return c.key < x; });
+}
+
 }  // namespace
 
-SimNetwork::SimNetwork(NetworkOptions options)
-    : options_(options), rng_(options.seed) {}
+SimNetwork::SimNetwork(NetworkOptions options) {
+  st_.options = options;
+  st_.rng = Rng(options.seed);
+}
 
 void SimNetwork::touch() {
-  digest_memo_.reset();
+  st_.digest_memo.reset();
   snap_cache_.reset();
 }
 
-void SimNetwork::touch_channel(const ChannelKey& key) {
-  channel_digest_cache_.erase(key);
+void SimNetwork::touch_channel(const Channel& c) {
+  c.digest_valid = false;
   touch();
+}
+
+const Message& SimNetwork::pending_at(MsgId id) const {
+  const Message* m = peek(id);
+  FIXD_CHECK_MSG(m != nullptr,
+                 "queued message not pending: " + std::to_string(id));
+  return *m;
+}
+
+const NetState::Channel* SimNetwork::find_channel(const ChannelKey& key) const {
+  auto it = lower_bound_channel(st_.channels, key);
+  return it != st_.channels.end() && it->key == key ? &*it : nullptr;
+}
+
+NetState::Channel& SimNetwork::channel_for(const ChannelKey& key) {
+  auto it = lower_bound_channel(st_.channels, key);
+  if (it != st_.channels.end() && it->key == key) return *it;
+  // A new channel's queue starts where the next channel's begins.
+  const auto begin = static_cast<std::uint32_t>(
+      it == st_.channels.end() ? st_.queued.size() : it->begin);
+  return *st_.channels.insert(it, Channel{key, begin, 0});
+}
+
+void SimNetwork::queue_push(Channel& c, MsgId id) {
+  st_.queued.insert(st_.queued.begin() + c.begin + c.len, id);
+  ++c.len;
+  for (Channel* n = &c + 1; n != st_.channels.data() + st_.channels.size();
+       ++n) {
+    ++n->begin;
+  }
+}
+
+bool SimNetwork::queue_erase(Channel& c, MsgId id) {
+  const auto first = st_.queued.begin() + c.begin;
+  const auto it = std::find(first, first + c.len, id);
+  if (it == first + c.len) return false;
+  st_.queued.erase(it);
+  --c.len;
+  for (Channel* n = &c + 1; n != st_.channels.data() + st_.channels.size();
+       ++n) {
+    --n->begin;
+  }
+  return true;
 }
 
 void SimNetwork::idx_add(ProcessId dst, MsgId id, const DeliverableEntry& e) {
@@ -58,28 +124,41 @@ void SimNetwork::idx_remove(ProcessId dst, MsgId id) {
   if (listener_) listener_->on_deliverable_remove(dst, id);
 }
 
-void SimNetwork::idx_add_head(const std::deque<MsgId>& q) {
-  if (!deliv_valid_ || q.empty()) return;
-  const Message& m = *messages_.at(q.front());
+void SimNetwork::idx_add_head(const Channel& c) {
+  if (!deliv_valid_ || c.len == 0) return;
+  const Message& m = pending_at(st_.queue(c).front());
   if (link_blocked(m.src, m.dst)) return;  // deferred behind the partition
   idx_add(m.dst, m.id, {m.sent_at + m.latency, m.control});
 }
 
+// Drained destinations keep their (zero) slot: the set of destinations is
+// small and stable, so the vector stops changing shape early.
 void SimNetwork::inflight_add(const Message& m) {
-  if (!m.control) ++inflight_[m.dst];
+  if (m.control) return;
+  auto it = lower_bound_first(st_.inflight, m.dst);
+  if (it == st_.inflight.end() || it->first != m.dst) {
+    it = st_.inflight.insert(it, {m.dst, 0});
+  }
+  ++it->second;
 }
 
 void SimNetwork::inflight_sub(const Message& m) {
   if (m.control) return;
-  auto it = inflight_.find(m.dst);
-  FIXD_CHECK_MSG(it != inflight_.end() && it->second > 0,
+  auto it = lower_bound_first(st_.inflight, m.dst);
+  FIXD_CHECK_MSG(it != st_.inflight.end() && it->first == m.dst &&
+                     it->second > 0,
                  "inflight counter underflow");
-  if (--it->second == 0) inflight_.erase(it);
+  --it->second;
+}
+
+std::uint64_t SimNetwork::inflight_to(ProcessId dst) const {
+  auto it = lower_bound_first(st_.inflight, dst);
+  return it != st_.inflight.end() && it->first == dst ? it->second : 0;
 }
 
 std::uint64_t SimNetwork::inflight_to_uncached(ProcessId dst) const {
   std::uint64_t n = 0;
-  for (const auto& [id, m] : messages_) {
+  for (const auto& [id, m] : st_.messages) {
     if (m->dst == dst && !m->control) ++n;
   }
   return n;
@@ -99,14 +178,14 @@ void SimNetwork::ensure_deliv_index() const {
   // per expansion over near-identical destination sets, so steady-state
   // rebuilds allocate nothing.
   for (auto& [dst, b] : deliv_index_) b.clear();
-  if (options_.fifo) {
-    for (const auto& [key, q] : channels_) {
-      if (q.empty() || blocked_.count(key)) continue;
-      const Message& m = *messages_.at(q.front());
+  if (st_.options.fifo) {
+    for (const Channel& c : st_.channels) {
+      if (c.len == 0 || link_blocked(c.key.first, c.key.second)) continue;
+      const Message& m = pending_at(st_.queue(c).front());
       deliv_index_[m.dst].add(m.id, {m.sent_at + m.latency, m.control});
     }
   } else {
-    for (const auto& [id, m] : messages_) {
+    for (const auto& [id, m] : st_.messages) {
       if (link_blocked(m->src, m->dst)) continue;
       deliv_index_[m->dst].add(id, {m->sent_at + m->latency, m->control});
     }
@@ -160,47 +239,50 @@ void SimNetwork::enqueue(Message msg) {
   // Every pending message carries warm digest memos, so state hashing over
   // the in-flight traffic never re-hashes payloads.
   msg.warm_digest_memo();
-  content_acc_ += acc_term(msg.content_digest());
+  st_.content_acc += acc_term(msg.content_digest());
   inflight_add(msg);
-  ChannelKey key{msg.src, msg.dst};
-  auto& q = channels_[key];
-  q.push_back(id);
-  touch_channel(key);
+  Channel& c = channel_for({msg.src, msg.dst});
+  queue_push(c, id);
+  touch_channel(c);
   // FIFO: the message is deliverable only when it heads its channel;
   // reordering: every pending message is deliverable. A blocked link
   // defers either way.
-  if ((!options_.fifo || q.size() == 1) && !blocked_.count(key)) {
+  if ((!st_.options.fifo || c.len == 1) && !link_blocked(msg.src, msg.dst)) {
     idx_add(msg.dst, id, {msg.sent_at + msg.latency, msg.control});
   }
-  messages_.emplace(id, warm_or_make(std::move(msg)));
+  // Ids only grow, so this appends — except under a policy duplicate,
+  // which takes the next id but is enqueued before its original.
+  st_.messages.emplace(lower_bound_first(st_.messages, id), id,
+                       warm_or_make(std::move(msg)));
 }
 
 std::optional<MsgId> SimNetwork::submit(Message&& msg) {
-  ++stats_.submitted;
-  stats_.bytes_submitted += msg.payload.size();
+  NetStats& stats = st_.stats;
+  ++stats.submitted;
+  stats.bytes_submitted += msg.payload.size();
 
   // Control-plane traffic bypasses the loss policy: the fault-response
   // protocol must be reliable for FixD itself to function.
   const bool lossy_eligible = !msg.control;
 
-  if (lossy_eligible && options_.drop_prob > 0.0 &&
-      rng_.next_bool(options_.drop_prob)) {
-    ++stats_.dropped_policy;
+  if (lossy_eligible && st_.options.drop_prob > 0.0 &&
+      st_.rng.next_bool(st_.options.drop_prob)) {
+    ++stats.dropped_policy;
     touch();  // stats and RNG advanced even though nothing was enqueued
     return std::nullopt;
   }
 
-  msg.id = next_id_++;
+  msg.id = st_.next_id++;
   msg.latency = draw_latency();
   MsgId id = msg.id;
 
-  bool dup = lossy_eligible && options_.dup_prob > 0.0 &&
-             rng_.next_bool(options_.dup_prob);
+  bool dup = lossy_eligible && st_.options.dup_prob > 0.0 &&
+             st_.rng.next_bool(st_.options.dup_prob);
   if (dup) {
     Message copy = msg;
-    copy.id = next_id_++;
+    copy.id = st_.next_id++;
     copy.latency = draw_latency();
-    ++stats_.duplicated;
+    ++stats.duplicated;
     enqueue(std::move(copy));
   }
   enqueue(std::move(msg));
@@ -208,31 +290,33 @@ std::optional<MsgId> SimNetwork::submit(Message&& msg) {
 }
 
 VirtualTime SimNetwork::draw_latency() {
-  if (options_.latency_max <= options_.latency_min)
-    return options_.latency_min;
-  return options_.latency_min +
-         rng_.next_below(options_.latency_max - options_.latency_min + 1);
+  const NetworkOptions& o = st_.options;
+  if (o.latency_max <= o.latency_min) return o.latency_min;
+  return o.latency_min +
+         st_.rng.next_below(o.latency_max - o.latency_min + 1);
 }
 
 bool SimNetwork::is_deliverable(MsgId id) const {
-  auto it = messages_.find(id);
-  if (it == messages_.end()) return false;
-  if (link_blocked(it->second->src, it->second->dst)) return false;
-  if (!options_.fifo) return true;
-  const auto& q = channels_.at({it->second->src, it->second->dst});
-  return !q.empty() && q.front() == id;
+  const Message* m = peek(id);
+  if (!m || link_blocked(m->src, m->dst)) return false;
+  if (!st_.options.fifo) return true;
+  const Channel* c = find_channel({m->src, m->dst});
+  FIXD_CHECK_MSG(c != nullptr, "pending message without a channel");
+  return c->len != 0 && st_.queue(*c).front() == id;
 }
 
 std::vector<MsgId> SimNetwork::deliverable() const {
   std::vector<MsgId> out;
-  if (options_.fifo) {
-    for (const auto& [key, q] : channels_) {
-      if (!q.empty() && !blocked_.count(key)) out.push_back(q.front());
+  if (st_.options.fifo) {
+    for (const Channel& c : st_.channels) {
+      if (c.len != 0 && !link_blocked(c.key.first, c.key.second)) {
+        out.push_back(st_.queue(c).front());
+      }
     }
     std::sort(out.begin(), out.end());
   } else {
-    out.reserve(messages_.size());
-    for (const auto& [id, m] : messages_) {
+    out.reserve(st_.messages.size());
+    for (const auto& [id, m] : st_.messages) {
       if (!link_blocked(m->src, m->dst)) out.push_back(id);
     }
   }
@@ -241,34 +325,32 @@ std::vector<MsgId> SimNetwork::deliverable() const {
 
 std::vector<const Message*> SimNetwork::pending() const {
   std::vector<const Message*> out;
-  out.reserve(messages_.size());
-  for (const auto& [id, m] : messages_) out.push_back(m.get());
+  out.reserve(st_.messages.size());
+  for (const auto& [id, m] : st_.messages) out.push_back(m.get());
   return out;
 }
 
 const Message* SimNetwork::peek(MsgId id) const {
-  auto it = messages_.find(id);
-  return it == messages_.end() ? nullptr : it->second.get();
+  auto it = lower_bound_first(st_.messages, id);
+  return it != st_.messages.end() && it->first == id ? it->second.get()
+                                                     : nullptr;
 }
 
 Message SimNetwork::take(MsgId id) {
   FIXD_CHECK_MSG(is_deliverable(id),
                  "take: message not deliverable: " + std::to_string(id));
-  auto it = messages_.find(id);
+  auto it = lower_bound_first(st_.messages, id);
   std::shared_ptr<const Message> sp = std::move(it->second);
-  messages_.erase(it);
-  ChannelKey key{sp->src, sp->dst};
-  auto& q = channels_[key];
-  auto qit = std::find(q.begin(), q.end(), id);
-  FIXD_CHECK(qit != q.end());
-  q.erase(qit);
-  touch_channel(key);
+  st_.messages.erase(it);
+  Channel& c = channel_for({sp->src, sp->dst});
+  FIXD_CHECK(queue_erase(c, id));
+  touch_channel(c);
   idx_remove(sp->dst, id);
-  if (options_.fifo) idx_add_head(q);  // the next message becomes the head
-  content_acc_ -= acc_term(sp->content_digest());
+  if (st_.options.fifo) idx_add_head(c);  // the next message becomes the head
+  st_.content_acc -= acc_term(sp->content_digest());
   inflight_sub(*sp);
-  ++stats_.delivered;
-  stats_.bytes_delivered += sp->payload.size();
+  ++st_.stats.delivered;
+  st_.stats.bytes_delivered += sp->payload.size();
   if (sp.use_count() == 1 && !sp->cross_thread()) {
     // Sole owner (no live snapshot shares the buffer, and the buffer never
     // crossed a thread boundary): move the payload out. The object was
@@ -280,36 +362,35 @@ Message SimNetwork::take(MsgId id) {
 }
 
 bool SimNetwork::drop(MsgId id, bool forced) {
-  auto it = messages_.find(id);
-  if (it == messages_.end()) return false;
-  ChannelKey key{it->second->src, it->second->dst};
-  content_acc_ -= acc_term(it->second->content_digest());
-  inflight_sub(*it->second);
-  const ProcessId dst = it->second->dst;
-  auto& q = channels_[key];
-  const bool was_head = !q.empty() && q.front() == id;
-  auto qit = std::find(q.begin(), q.end(), id);
-  if (qit != q.end()) q.erase(qit);
-  messages_.erase(it);
-  touch_channel(key);
-  if (!options_.fifo || was_head) {
+  auto it = lower_bound_first(st_.messages, id);
+  if (it == st_.messages.end() || it->first != id) return false;
+  const Message& m = *it->second;
+  const ProcessId dst = m.dst;
+  st_.content_acc -= acc_term(m.content_digest());
+  inflight_sub(m);
+  Channel& c = channel_for({m.src, m.dst});
+  const bool was_head = c.len != 0 && st_.queue(c).front() == id;
+  queue_erase(c, id);
+  st_.messages.erase(it);
+  touch_channel(c);
+  if (!st_.options.fifo || was_head) {
     idx_remove(dst, id);
-    if (options_.fifo) idx_add_head(q);
+    if (st_.options.fifo) idx_add_head(c);
   }
   if (forced) {
-    ++stats_.dropped_forced;
+    ++st_.stats.dropped_forced;
   } else {
-    ++stats_.dropped_policy;
+    ++st_.stats.dropped_policy;
   }
   return true;
 }
 
 std::optional<MsgId> SimNetwork::duplicate(MsgId id) {
-  auto it = messages_.find(id);
-  if (it == messages_.end()) return std::nullopt;
-  Message copy = *it->second;
-  copy.id = next_id_++;
-  ++stats_.duplicated;
+  const Message* orig = peek(id);
+  if (!orig) return std::nullopt;
+  Message copy = *orig;
+  copy.id = st_.next_id++;
+  ++st_.stats.duplicated;
   MsgId nid = copy.id;
   enqueue(std::move(copy));
   return nid;
@@ -317,7 +398,7 @@ std::optional<MsgId> SimNetwork::duplicate(MsgId id) {
 
 std::size_t SimNetwork::drop_tainted(SpecId spec) {
   std::vector<MsgId> victims;
-  for (const auto& [id, m] : messages_) {
+  for (const auto& [id, m] : st_.messages) {
     if (std::find(m->spec_taints.begin(), m->spec_taints.end(), spec) !=
         m->spec_taints.end()) {
       victims.push_back(id);
@@ -329,17 +410,17 @@ std::size_t SimNetwork::drop_tainted(SpecId spec) {
 
 std::size_t SimNetwork::scrub_taint(SpecId spec) {
   std::size_t n = 0;
-  for (auto& [id, sp] : messages_) {
+  for (auto& [id, sp] : st_.messages) {
     auto it = std::find(sp->spec_taints.begin(), sp->spec_taints.end(), spec);
     if (it == sp->spec_taints.end()) continue;
     // Copy-on-write: snapshots sharing the old buffer keep the taint.
-    content_acc_ -= acc_term(sp->content_digest());
+    st_.content_acc -= acc_term(sp->content_digest());
     Message m = *sp;
     m.spec_taints.erase(m.spec_taints.begin() +
                         (it - sp->spec_taints.begin()));
     m.warm_digest_memo();
-    content_acc_ += acc_term(m.content_digest());
-    touch_channel({m.src, m.dst});
+    st_.content_acc += acc_term(m.content_digest());
+    touch_channel(channel_for({m.src, m.dst}));
     sp = std::make_shared<Message>(std::move(m));
     ++n;
   }
@@ -347,21 +428,21 @@ std::size_t SimNetwork::scrub_taint(SpecId spec) {
 }
 
 bool SimNetwork::mutate(MsgId id, const std::function<void(Message&)>& fn) {
-  auto it = messages_.find(id);
-  if (it == messages_.end()) return false;
+  auto it = lower_bound_first(st_.messages, id);
+  if (it == st_.messages.end() || it->first != id) return false;
   Message m = *it->second;  // copy-on-write; snapshots keep the original
   fn(m);
   FIXD_CHECK_MSG(m.id == id && m.src == it->second->src &&
                      m.dst == it->second->dst,
                  "mutate must not change routing identity (drop + submit)");
-  content_acc_ -= acc_term(it->second->content_digest());
+  st_.content_acc -= acc_term(it->second->content_digest());
   m.warm_digest_memo();  // re-pin after the mutation
-  content_acc_ += acc_term(m.content_digest());
+  st_.content_acc += acc_term(m.content_digest());
   if (it->second->control != m.control) {
     inflight_sub(*it->second);
     inflight_add(m);
   }
-  touch_channel({m.src, m.dst});
+  touch_channel(channel_for({m.src, m.dst}));
   // Refresh the deliverable entry: the mutation may have changed the
   // ready time (sent_at/latency) or the control flag.
   if (deliv_valid_) {
@@ -383,16 +464,19 @@ bool SimNetwork::delay(MsgId id, VirtualTime extra) {
 }
 
 bool SimNetwork::cut_link(ProcessId src, ProcessId dst) {
-  if (!blocked_.insert({src, dst}).second) return false;
+  const LinkKey key{src, dst};
+  auto bit = std::lower_bound(st_.blocked.begin(), st_.blocked.end(), key);
+  if (bit != st_.blocked.end() && *bit == key) return false;
+  st_.blocked.insert(bit, key);
   // Retract the link's deliverable entries: FIFO exposes only the channel
   // head, reordering exposes the whole queue. The messages themselves stay
   // pending (deferred, not lost) and keep their in-flight counts.
-  auto cit = channels_.find({src, dst});
-  if (cit != channels_.end() && !cit->second.empty()) {
-    if (options_.fifo) {
-      idx_remove(dst, cit->second.front());
+  const Channel* c = find_channel(key);
+  if (c && c->len != 0) {
+    if (st_.options.fifo) {
+      idx_remove(dst, st_.queue(*c).front());
     } else {
-      for (MsgId id : cit->second) idx_remove(dst, id);
+      for (MsgId id : st_.queue(*c)) idx_remove(dst, id);
     }
   }
   touch();
@@ -400,14 +484,17 @@ bool SimNetwork::cut_link(ProcessId src, ProcessId dst) {
 }
 
 bool SimNetwork::heal_link(ProcessId src, ProcessId dst) {
-  if (blocked_.erase({src, dst}) == 0) return false;
-  auto cit = channels_.find({src, dst});
-  if (cit != channels_.end() && !cit->second.empty()) {
-    if (options_.fifo) {
-      idx_add_head(cit->second);
+  const LinkKey key{src, dst};
+  auto bit = std::lower_bound(st_.blocked.begin(), st_.blocked.end(), key);
+  if (bit == st_.blocked.end() || *bit != key) return false;
+  st_.blocked.erase(bit);
+  const Channel* c = find_channel(key);
+  if (c && c->len != 0) {
+    if (st_.options.fifo) {
+      idx_add_head(*c);
     } else if (deliv_valid_) {
-      for (MsgId id : cit->second) {
-        const Message& m = *messages_.at(id);
+      for (MsgId id : st_.queue(*c)) {
+        const Message& m = pending_at(id);
         idx_add(dst, id, {m.sent_at + m.latency, m.control});
       }
     }
@@ -417,16 +504,16 @@ bool SimNetwork::heal_link(ProcessId src, ProcessId dst) {
 }
 
 std::size_t SimNetwork::heal_all_links() {
-  std::vector<LinkKey> keys(blocked_.begin(), blocked_.end());
+  const std::vector<LinkKey> keys = st_.blocked;
   for (const LinkKey& k : keys) heal_link(k.first, k.second);
   return keys.size();
 }
 
 std::uint64_t SimNetwork::links_digest() const {
-  if (blocked_.empty()) return 0;
+  if (st_.blocked.empty()) return 0;
   Hasher h;
-  h.update_u64(blocked_.size());
-  for (const auto& [s, d] : blocked_) {
+  h.update_u64(st_.blocked.size());
+  for (const auto& [s, d] : st_.blocked) {
     h.update_u64(s);
     h.update_u64(d);
   }
@@ -434,158 +521,111 @@ std::uint64_t SimNetwork::links_digest() const {
 }
 
 MsgId SimNetwork::reinject(Message msg) {
-  msg.id = next_id_++;
+  msg.id = st_.next_id++;
   MsgId id = msg.id;
-  ++stats_.submitted;
-  stats_.bytes_submitted += msg.payload.size();
+  ++st_.stats.submitted;
+  st_.stats.bytes_submitted += msg.payload.size();
   enqueue(std::move(msg));
   return id;
 }
 
 void SimNetwork::save(BinaryWriter& w) const {
-  w.write_bool(options_.fifo);
-  w.write_f64(options_.drop_prob);
-  w.write_f64(options_.dup_prob);
-  w.write_u64(options_.latency_min);
-  w.write_u64(options_.latency_max);
-  w.write_u64(options_.seed);
-  rng_.save(w);
-  w.write_u64(next_id_);
-  w.write_varint(messages_.size());
-  for (const auto& [id, m] : messages_) m->save(w);
-  w.write_varint(channels_.size());
-  for (const auto& [key, q] : channels_) {
-    w.write_u32(key.first);
-    w.write_u32(key.second);
-    w.write_varint(q.size());
-    for (MsgId id : q) w.write_u64(id);
+  const NetworkOptions& o = st_.options;
+  w.write_bool(o.fifo);
+  w.write_f64(o.drop_prob);
+  w.write_f64(o.dup_prob);
+  w.write_u64(o.latency_min);
+  w.write_u64(o.latency_max);
+  w.write_u64(o.seed);
+  st_.rng.save(w);
+  w.write_u64(st_.next_id);
+  w.write_varint(st_.messages.size());
+  for (const auto& [id, m] : st_.messages) m->save(w);
+  w.write_varint(st_.channels.size());
+  for (const Channel& c : st_.channels) {
+    w.write_u32(c.key.first);
+    w.write_u32(c.key.second);
+    w.write_varint(c.len);
+    for (MsgId id : st_.queue(c)) w.write_u64(id);
   }
   // Stats are part of the observable run and must restore with the state
   // so that rolled-back executions do not double-count.
-  w.write_u64(stats_.submitted);
-  w.write_u64(stats_.delivered);
-  w.write_u64(stats_.dropped_policy);
-  w.write_u64(stats_.dropped_forced);
-  w.write_u64(stats_.duplicated);
-  w.write_u64(stats_.bytes_submitted);
-  w.write_u64(stats_.bytes_delivered);
-  w.write_varint(blocked_.size());
-  for (const auto& [s, d] : blocked_) {
-    w.write_u32(s);
-    w.write_u32(d);
+  const NetStats& s = st_.stats;
+  w.write_u64(s.submitted);
+  w.write_u64(s.delivered);
+  w.write_u64(s.dropped_policy);
+  w.write_u64(s.dropped_forced);
+  w.write_u64(s.duplicated);
+  w.write_u64(s.bytes_submitted);
+  w.write_u64(s.bytes_delivered);
+  w.write_varint(st_.blocked.size());
+  for (const auto& [src, dst] : st_.blocked) {
+    w.write_u32(src);
+    w.write_u32(dst);
   }
 }
 
 void SimNetwork::load(BinaryReader& r) {
-  options_.fifo = r.read_bool();
-  options_.drop_prob = r.read_f64();
-  options_.dup_prob = r.read_f64();
-  options_.latency_min = r.read_u64();
-  options_.latency_max = r.read_u64();
-  options_.seed = r.read_u64();
-  rng_.load(r);
-  next_id_ = r.read_u64();
-  messages_.clear();
-  content_acc_ = 0;
-  inflight_.clear();
+  st_ = NetState{};  // rebuilt below through the ordinary helpers
+  NetworkOptions& o = st_.options;
+  o.fifo = r.read_bool();
+  o.drop_prob = r.read_f64();
+  o.dup_prob = r.read_f64();
+  o.latency_min = r.read_u64();
+  o.latency_max = r.read_u64();
+  o.seed = r.read_u64();
+  st_.rng.load(r);
+  st_.next_id = r.read_u64();
   std::size_t n = static_cast<std::size_t>(r.read_varint());
   for (std::size_t i = 0; i < n; ++i) {
     Message m;
     m.load(r);
     m.warm_digest_memo();  // restore the pending-message memo invariant
-    content_acc_ += acc_term(m.content_digest());
+    if (peek(m.id)) continue;  // a repeated id keeps its first record
+    st_.content_acc += acc_term(m.content_digest());
     inflight_add(m);
-    MsgId id = m.id;
-    messages_.emplace(id, std::make_shared<Message>(std::move(m)));
+    const MsgId id = m.id;
+    st_.messages.emplace(lower_bound_first(st_.messages, id), id,
+                         std::make_shared<Message>(std::move(m)));
   }
-  channels_.clear();
   std::size_t nc = static_cast<std::size_t>(r.read_varint());
   for (std::size_t i = 0; i < nc; ++i) {
     ProcessId a = r.read_u32();
     ProcessId b = r.read_u32();
     std::size_t qn = static_cast<std::size_t>(r.read_varint());
-    auto& q = channels_[{a, b}];
-    for (std::size_t j = 0; j < qn; ++j) q.push_back(r.read_u64());
+    Channel& c = channel_for({a, b});
+    for (std::size_t j = 0; j < qn; ++j) queue_push(c, r.read_u64());
   }
-  stats_.submitted = r.read_u64();
-  stats_.delivered = r.read_u64();
-  stats_.dropped_policy = r.read_u64();
-  stats_.dropped_forced = r.read_u64();
-  stats_.duplicated = r.read_u64();
-  stats_.bytes_submitted = r.read_u64();
-  stats_.bytes_delivered = r.read_u64();
-  blocked_.clear();
+  NetStats& s = st_.stats;
+  s.submitted = r.read_u64();
+  s.delivered = r.read_u64();
+  s.dropped_policy = r.read_u64();
+  s.dropped_forced = r.read_u64();
+  s.duplicated = r.read_u64();
+  s.bytes_submitted = r.read_u64();
+  s.bytes_delivered = r.read_u64();
   std::size_t nb = static_cast<std::size_t>(r.read_varint());
   for (std::size_t i = 0; i < nb; ++i) {
-    ProcessId s = r.read_u32();
-    ProcessId d = r.read_u32();
-    blocked_.insert(blocked_.end(), {s, d});
+    const LinkKey key{r.read_u32(), r.read_u32()};
+    auto bit = std::lower_bound(st_.blocked.begin(), st_.blocked.end(), key);
+    if (bit == st_.blocked.end() || *bit != key) st_.blocked.insert(bit, key);
   }
-  channel_digest_cache_.clear();
   touch();
   idx_invalidate();
 }
 
 std::shared_ptr<const NetSnapshot> SimNetwork::snapshot() const {
-  if (!snap_cache_) {
-    auto s = std::make_shared<NetSnapshot>();
-    s->options = options_;
-    s->rng = rng_;
-    s->next_id = next_id_;
-    // The live maps iterate in key order, so the flat vectors come out
-    // sorted in one pass (restore relies on that for its end-hint
-    // rebuild).
-    s->messages.reserve(messages_.size());
-    for (const auto& [id, m] : messages_) s->messages.emplace_back(id, m);
-    s->channels.reserve(channels_.size());
-    for (const auto& [key, q] : channels_) {
-      s->channels.emplace_back(
-          key, std::vector<MsgId>(q.begin(), q.end()));
-    }
-    s->stats = stats_;
-    s->blocked_links.assign(blocked_.begin(), blocked_.end());
-    s->channel_digests.reserve(channel_digest_cache_.size());
-    for (const auto& [key, d] : channel_digest_cache_) {
-      s->channel_digests.emplace_back(key, d);
-    }
-    s->digest_memo = digest_memo_;
-    s->content_acc = content_acc_;
-    snap_cache_ = std::move(s);
-  }
+  if (!snap_cache_) snap_cache_ = std::make_shared<const NetSnapshot>(st_);
   return snap_cache_;
 }
 
 void SimNetwork::restore(const std::shared_ptr<const NetSnapshot>& snap) {
   FIXD_CHECK_MSG(snap != nullptr, "restore: null network snapshot");
   if (snap_cache_ == snap) return;  // current state already matches
-  options_ = snap->options;
-  rng_ = snap->rng;
-  next_id_ = snap->next_id;
-  // The snapshot's vectors are key-sorted, so inserting with an end hint
-  // rebuilds each map in O(entries) — the same cost the old wholesale
-  // map-to-map copy paid.
-  messages_.clear();
-  inflight_.clear();
-  for (const auto& [id, m] : snap->messages) {
-    inflight_add(*m);
-    messages_.emplace_hint(messages_.end(), id, m);
-  }
-  channels_.clear();
-  for (const auto& [key, q] : snap->channels) {
-    channels_.emplace_hint(channels_.end(), key,
-                           std::deque<MsgId>(q.begin(), q.end()));
-  }
-  stats_ = snap->stats;
-  blocked_.clear();
-  for (const auto& k : snap->blocked_links)
-    blocked_.insert(blocked_.end(), k);
-  // Adopt whatever was warm at capture (cold stays cold — conservative).
-  channel_digest_cache_.clear();
-  for (const auto& [key, d] : snap->channel_digests) {
-    channel_digest_cache_.emplace_hint(channel_digest_cache_.end(), key, d);
-  }
-  digest_memo_ = snap->digest_memo;
-  content_acc_ = snap->content_acc;
+  // One representation on both sides: copy-assignment reuses the live
+  // vectors' storage, and the snapshot's channel digest memos and content
+  // accumulator come along (whatever was warm at capture stays warm).
+  st_ = *snap;
   // The deliverable index is rebuilt lazily at the next enabled-set
   // query, not copied per restore: the explorer restores once per
   // transition but asks "what can fire next?" once per expansion.
@@ -593,13 +633,12 @@ void SimNetwork::restore(const std::shared_ptr<const NetSnapshot>& snap) {
   snap_cache_ = snap;
 }
 
-std::uint64_t SimNetwork::channel_digest(const std::deque<MsgId>& q,
-                                         bool cached) const {
+std::uint64_t SimNetwork::channel_digest(const Channel& c, bool cached) const {
   Hasher h;
-  h.update_u64(q.size());
-  for (MsgId id : q) {
-    const auto& m = messages_.at(id);
-    h.update_u64(cached ? m->state_digest() : m->state_digest_uncached());
+  h.update_u64(c.len);
+  for (MsgId id : st_.queue(c)) {
+    const Message& m = pending_at(id);
+    h.update_u64(cached ? m.state_digest() : m.state_digest_uncached());
   }
   return h.digest();
 }
@@ -609,53 +648,52 @@ std::uint64_t SimNetwork::channel_digest(const std::deque<MsgId>& q,
 // wire state and its queue position), then stats. Empty channel entries
 // are skipped so the digest is a function of logical state alone.
 std::uint64_t SimNetwork::digest_impl(bool cached) const {
+  const NetworkOptions& o = st_.options;
   Hasher h;
-  h.update_u64(options_.fifo ? 1 : 0);
-  h.update_u64(std::bit_cast<std::uint64_t>(options_.drop_prob));
-  h.update_u64(std::bit_cast<std::uint64_t>(options_.dup_prob));
-  h.update_u64(options_.latency_min);
-  h.update_u64(options_.latency_max);
-  h.update_u64(options_.seed);
-  h.update_u64(blocked_.size());
-  for (const auto& [bs, bd] : blocked_) {
+  h.update_u64(o.fifo ? 1 : 0);
+  h.update_u64(std::bit_cast<std::uint64_t>(o.drop_prob));
+  h.update_u64(std::bit_cast<std::uint64_t>(o.dup_prob));
+  h.update_u64(o.latency_min);
+  h.update_u64(o.latency_max);
+  h.update_u64(o.seed);
+  h.update_u64(st_.blocked.size());
+  for (const auto& [bs, bd] : st_.blocked) {
     h.update_u64(bs);
     h.update_u64(bd);
   }
   BinaryWriter rw;
-  rng_.save(rw);
+  st_.rng.save(rw);
   h.update(rw.bytes());
-  h.update_u64(next_id_);
-  for (const auto& [key, q] : channels_) {
-    if (q.empty()) continue;
-    h.update_u64(key.first);
-    h.update_u64(key.second);
+  h.update_u64(st_.next_id);
+  for (const Channel& c : st_.channels) {
+    if (c.len == 0) continue;
+    h.update_u64(c.key.first);
+    h.update_u64(c.key.second);
     std::uint64_t cd;
-    if (cached) {
-      auto it = channel_digest_cache_.find(key);
-      if (it == channel_digest_cache_.end()) {
-        cd = channel_digest(q, /*cached=*/true);
-        channel_digest_cache_.emplace(key, cd);
-      } else {
-        cd = it->second;
-      }
+    if (!cached) {
+      cd = channel_digest(c, /*cached=*/false);
+    } else if (c.digest_valid) {
+      cd = c.digest;
     } else {
-      cd = channel_digest(q, /*cached=*/false);
+      cd = c.digest = channel_digest(c, /*cached=*/true);
+      c.digest_valid = true;
     }
     h.update_u64(cd);
   }
-  h.update_u64(stats_.submitted);
-  h.update_u64(stats_.delivered);
-  h.update_u64(stats_.dropped_policy);
-  h.update_u64(stats_.dropped_forced);
-  h.update_u64(stats_.duplicated);
-  h.update_u64(stats_.bytes_submitted);
-  h.update_u64(stats_.bytes_delivered);
+  const NetStats& s = st_.stats;
+  h.update_u64(s.submitted);
+  h.update_u64(s.delivered);
+  h.update_u64(s.dropped_policy);
+  h.update_u64(s.dropped_forced);
+  h.update_u64(s.duplicated);
+  h.update_u64(s.bytes_submitted);
+  h.update_u64(s.bytes_delivered);
   return h.digest();
 }
 
 std::uint64_t SimNetwork::digest() const {
-  if (!digest_memo_) digest_memo_ = digest_impl(/*cached=*/true);
-  return *digest_memo_;
+  if (!st_.digest_memo) st_.digest_memo = digest_impl(/*cached=*/true);
+  return *st_.digest_memo;
 }
 
 std::uint64_t SimNetwork::digest_uncached() const {
@@ -664,7 +702,7 @@ std::uint64_t SimNetwork::digest_uncached() const {
 
 std::uint64_t SimNetwork::content_digest_acc_uncached() const {
   std::uint64_t acc = 0;
-  for (const auto& [id, m] : messages_) {
+  for (const auto& [id, m] : st_.messages) {
     acc += acc_term(m->content_digest_uncached());
   }
   return acc;

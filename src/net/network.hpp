@@ -20,12 +20,11 @@
 #pragma once
 
 #include <algorithm>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -88,9 +87,8 @@ struct DeliverableEntry {
 
 /// Per-destination bucket of currently deliverable messages. Stored flat:
 /// `by_id` is a vector sorted by ascending id (the canonical
-/// materialization order), so copying a bucket into/out of a snapshot is
-/// one allocation plus a memcpy — this sits on the explorer's
-/// restore-per-transition hot path. The ready-time ordering that
+/// materialization order), so an in-place rebuild after a restore reuses
+/// its storage. The ready-time ordering that
 /// timed-mode time-warp selection iterates is derived lazily (`at_view`),
 /// so abstract-time exploration never pays for maintaining it.
 struct DeliverableBucket {
@@ -192,43 +190,71 @@ class DeliverableListener {
   virtual void on_deliverable_remove(ProcessId dst, MsgId id) = 0;
 };
 
-/// An immutable capture of in-flight network state. Per-message buffers
-/// are *shared* with the live network (pending messages are immutable:
-/// SimNetwork::mutate replaces a message, it never edits one in place), so
-/// taking a snapshot is O(pending) pointer copies — no re-serialization.
-/// Carries the channel digest caches warm at capture time, so restoring a
-/// snapshot re-warms the network's digest pipeline instead of chilling it.
-struct NetSnapshot {
+/// The in-flight network state in its one representation: the live
+/// SimNetwork holds one, and every NetSnapshot is one. Every table is a
+/// flat vector, so capture is a copy of this struct and restore is a
+/// copy-assignment into storage the live network already owns — once its
+/// capacity is warm, a restore allocates nothing and converts nothing.
+/// Pending messages are immutable and shared with snapshots
+/// (SimNetwork::mutate replaces a message, it never edits one in place),
+/// so a copy is one pointer per message, never a re-serialization.
+struct NetState {
   using ChannelKey = std::pair<ProcessId, ProcessId>;
+  /// (id, message); the id sits beside the pointer so lookups binary-search
+  /// one array without dereferencing.
+  using Pending = std::pair<MsgId, std::shared_ptr<const Message>>;
+
+  /// One (src,dst) channel: its FIFO queue is queued[begin, begin + len).
+  /// A drained channel keeps its entry (save() writes it; digests skip
+  /// it). The digest memo is filled by the live network's const digest()
+  /// and travels with captures, so a restore re-warms the digest pipeline
+  /// instead of chilling it.
+  struct Channel {
+    ChannelKey key;
+    std::uint32_t begin = 0;
+    std::uint32_t len = 0;
+    mutable std::uint64_t digest = 0;
+    mutable bool digest_valid = false;
+  };
 
   NetworkOptions options;
   Rng rng;
   MsgId next_id = 1;
-  /// Blocked (src,dst) links (the partition mask), ascending key.
-  std::vector<ChannelKey> blocked_links;
-  /// Pending messages, ascending id. Flat sorted vectors instead of maps:
-  /// a trail-frontier explorer retains one NetSnapshot per live anchor,
-  /// and the map/deque representation cost ~48 B of node overhead per
-  /// entry (plus ~600 B of deque blocks per channel) that a flat copy of
-  /// the same data doesn't — capture iterates the live maps in order, so
-  /// building the vectors is one pass, and restore rebuilds the maps with
-  /// an end hint at the same O(entries) cost as the old wholesale map
-  /// copy.
-  std::vector<std::pair<MsgId, std::shared_ptr<const Message>>> messages;
-  /// Channel queues in FIFO order, ascending channel key.
-  std::vector<std::pair<ChannelKey, std::vector<MsgId>>> channels;
+  /// Ascending id; ids only grow, so enqueue appends in the common case.
+  std::vector<Pending> messages;
+  /// Ascending key.
+  std::vector<Channel> channels;
+  /// Every channel's queue, concatenated in channel order.
+  std::vector<MsgId> queued;
+  /// dst -> in-flight non-control message count, ascending dst.
+  std::vector<std::pair<ProcessId, std::uint64_t>> inflight;
+  /// Blocked (src,dst) links (the partition mask), ascending.
+  std::vector<ChannelKey> blocked;
   NetStats stats;
-  /// Digest caches valid for this snapshot's content (adopted on
-  /// restore), ascending channel key.
-  std::vector<std::pair<ChannelKey, std::uint64_t>> channel_digests;
-  std::optional<std::uint64_t> digest_memo;
+  mutable std::optional<std::uint64_t> digest_memo;
   /// Order-independent accumulator over pending message content digests
-  /// (see SimNetwork::content_digest_acc), adopted on restore.
+  /// (see SimNetwork::content_digest_acc).
   std::uint64_t content_acc = 0;
 
-  /// Approximate retained size (payload bytes plus per-message overhead);
-  /// shared buffers are charged in full — callers that track sharing
-  /// dedupe by message pointer instead.
+  std::span<const MsgId> queue(const Channel& c) const {
+    return {queued.data() + c.begin, c.len};
+  }
+};
+
+/// An immutable capture of in-flight network state: a copy of the live
+/// network's NetState, sharing its message buffers.
+struct NetSnapshot : NetState {
+  explicit NetSnapshot(const NetState& s) : NetState(s) {}
+
+  /// Bytes of the snapshot's own tables: the struct plus its flat
+  /// vectors, message pointers included, message contents excluded. The
+  /// one formula for a capture's cost beyond its (shareable) messages —
+  /// size_bytes() and the explorer's frontier meter both use it.
+  std::uint64_t table_bytes() const;
+
+  /// Approximate retained size: table_bytes() plus every message's
+  /// retained bytes. Shared buffers are charged in full — callers that
+  /// track sharing dedupe by message pointer instead.
   std::uint64_t size_bytes() const;
 
   /// Publish this snapshot across threads (parallel explorer): marks every
@@ -247,7 +273,7 @@ class SimNetwork {
 
   explicit SimNetwork(NetworkOptions options = {});
 
-  const NetworkOptions& options() const { return options_; }
+  const NetworkOptions& options() const { return st_.options; }
 
   /// Submit a message; assigns Message::id. Loss policy may drop or
   /// duplicate it (duplicates get fresh ids). Returns the assigned id, or
@@ -311,7 +337,7 @@ class SimNetwork {
   /// All in-flight messages (deliverable or queued behind channel heads).
   std::vector<const Message*> pending() const;
 
-  std::size_t pending_count() const { return messages_.size(); }
+  std::size_t pending_count() const { return st_.messages.size(); }
 
   /// Apply an extra delivery delay to a pending message (timeout-fault
   /// injection / the kDelayMessage model action): clones the immutable
@@ -332,10 +358,13 @@ class SimNetwork {
   /// Heal every blocked link; returns how many were blocked.
   std::size_t heal_all_links();
   bool link_blocked(ProcessId src, ProcessId dst) const {
-    return blocked_.count({src, dst}) != 0;
+    return !st_.blocked.empty() &&
+           std::binary_search(st_.blocked.begin(), st_.blocked.end(),
+                              LinkKey{src, dst});
   }
-  std::size_t blocked_link_count() const { return blocked_.size(); }
-  const std::set<LinkKey>& blocked_links() const { return blocked_; }
+  std::size_t blocked_link_count() const { return st_.blocked.size(); }
+  /// Ascending.
+  const std::vector<LinkKey>& blocked_links() const { return st_.blocked; }
   /// Order-sensitive digest of the mask (folded into the world's canonical
   /// digest so partitioned states never dedup against unpartitioned ones).
   std::uint64_t links_digest() const;
@@ -345,12 +374,9 @@ class SimNetwork {
   /// queued behind FIFO channel heads — which is exactly the quiescence
   /// question the Healer's update-point check asks. Bit-identical to
   /// inflight_to_uncached() by contract.
-  std::uint64_t inflight_to(ProcessId dst) const {
-    auto it = inflight_.find(dst);
-    return it == inflight_.end() ? 0 : it->second;
-  }
+  std::uint64_t inflight_to(ProcessId dst) const;
 
-  /// From-scratch recount over the pending map; verification oracle for
+  /// From-scratch recount over the pending messages; verification oracle for
   /// tests, mirroring the digest/digest_uncached split.
   std::uint64_t inflight_to_uncached(ProcessId dst) const;
 
@@ -382,7 +408,7 @@ class SimNetwork {
   /// false if the message is gone.
   bool mutate(MsgId id, const std::function<void(Message&)>& fn);
 
-  const NetStats& stats() const { return stats_; }
+  const NetStats& stats() const { return st_.stats; }
 
   void save(BinaryWriter& w) const;
   void load(BinaryReader& r);
@@ -391,10 +417,11 @@ class SimNetwork {
   /// calls with no intervening mutation return the same shared snapshot.
   std::shared_ptr<const NetSnapshot> snapshot() const;
 
-  /// Restore to a snapshot's exact state. A restore to the snapshot that
-  /// already describes the current state is a no-op (pointer equality via
-  /// the snapshot cache), which is what makes the explorer's
-  /// restore-then-apply loop O(changed state).
+  /// Restore to a snapshot's exact state: copy-assigns its NetState into
+  /// the live storage, O(pending + channels) flat copies that allocate
+  /// nothing once capacity is warm. A restore to the snapshot that already
+  /// describes the current state (pointer equality via the snapshot cache)
+  /// is a no-op.
   void restore(const std::shared_ptr<const NetSnapshot>& snap);
 
   /// Digest of in-flight state (part of the world digest). Incremental:
@@ -414,7 +441,7 @@ class SimNetwork {
   /// what World::mc_digest folds for the network share of the canonical
   /// state — O(1) per call instead of re-sorting per-message digests.
   /// Bit-identical to content_digest_acc_uncached() by contract.
-  std::uint64_t content_digest_acc() const { return content_acc_; }
+  std::uint64_t content_digest_acc() const { return st_.content_acc; }
 
   /// From-scratch recompute bypassing the accumulator and the per-message
   /// memos. Verification oracle for tests.
@@ -442,7 +469,8 @@ class SimNetwork {
   std::uint64_t warm_hits() const { return warm_hits_; }
 
  private:
-  using ChannelKey = std::pair<ProcessId, ProcessId>;
+  using ChannelKey = NetState::ChannelKey;
+  using Channel = NetState::Channel;
 
   bool is_deliverable(MsgId id) const;
   void enqueue(Message msg);
@@ -452,12 +480,23 @@ class SimNetwork {
   /// begin_warm_step.
   std::shared_ptr<const Message> warm_or_make(Message&& msg);
 
+  // --- flat-storage helpers (binary searches over the sorted vectors) ----
+  /// The pending message `id`; it must exist.
+  const Message& pending_at(MsgId id) const;
+  const Channel* find_channel(const ChannelKey& key) const;
+  /// The channel for `key`, inserted empty at its sorted position if new.
+  Channel& channel_for(const ChannelKey& key);
+  /// Append `id` to / remove `id` from `c`'s queue, shifting the queues of
+  /// later channels. queue_erase returns whether `id` was queued.
+  void queue_push(Channel& c, MsgId id);
+  bool queue_erase(Channel& c, MsgId id);
+
   /// Deliverable-index deltas (publish to the listener); no-ops while the
   /// index is invalidated. idx_add_head re-adds the new head of a FIFO
   /// channel after its old head left.
   void idx_add(ProcessId dst, MsgId id, const DeliverableEntry& e);
   void idx_remove(ProcessId dst, MsgId id);
-  void idx_add_head(const std::deque<MsgId>& q);
+  void idx_add_head(const Channel& c);
   /// Drop the index (wholesale state replacement; rebuilt lazily).
   void idx_invalidate();
 
@@ -469,35 +508,20 @@ class SimNetwork {
   /// and the snapshot cache.
   void touch();
   /// A channel's queue or a message in it changed: additionally drop that
-  /// channel's cached digest.
-  void touch_channel(const ChannelKey& key);
+  /// channel's digest memo.
+  void touch_channel(const Channel& c);
 
   std::uint64_t digest_impl(bool cached) const;
-  std::uint64_t channel_digest(const std::deque<MsgId>& q, bool cached) const;
+  std::uint64_t channel_digest(const Channel& c, bool cached) const;
 
-  NetworkOptions options_;
-  Rng rng_;
-  MsgId next_id_ = 1;
-  /// Pending messages, immutable and shareable with snapshots.
-  std::map<MsgId, std::shared_ptr<const Message>> messages_;
-  std::map<ChannelKey, std::deque<MsgId>> channels_;  // fifo order per channel
-  /// Blocked links (the partition mask); see cut_link.
-  std::set<LinkKey> blocked_;
-  NetStats stats_;
-  /// Incremental content-multiset accumulator (see content_digest_acc).
-  std::uint64_t content_acc_ = 0;
-  /// dst -> in-flight non-control message count (see inflight_to).
-  /// Rebuilt from the message map on load/restore; zero entries erased.
-  std::map<ProcessId, std::uint64_t> inflight_;
+  /// Everything a snapshot captures, in the one flat representation.
+  NetState st_;
   /// Incremental deliverable index (see deliv_index()); mutable for the
   /// lazy rebuild under const accessors, like the digest memos.
   mutable DeliverableIndex deliv_index_;
   mutable bool deliv_valid_ = true;
   mutable std::uint64_t deliv_epoch_ = 0;
   DeliverableListener* listener_ = nullptr;
-  /// Per-channel digest cache; presence of a key == valid.
-  mutable std::map<ChannelKey, std::uint64_t> channel_digest_cache_;
-  mutable std::optional<std::uint64_t> digest_memo_;
   /// The snapshot describing the current state, if one is warm.
   mutable std::shared_ptr<const NetSnapshot> snap_cache_;
 

@@ -355,6 +355,58 @@ net::Message mk_msg(ProcessId src, ProcessId dst, net::Tag tag,
   return m;
 }
 
+std::vector<std::byte> saved(const net::SimNetwork& net) {
+  BinaryWriter w;
+  net.save(w);
+  return w.bytes();
+}
+
+/// A network holding more channels and messages than any fuzzer snapshot
+/// (processes 0..5, every channel loaded), so restoring into it shrinks
+/// every table.
+net::SimNetwork crowded_network() {
+  net::SimNetwork net;
+  for (ProcessId s = 0; s < 6; ++s) {
+    for (ProcessId d = 0; d < 6; ++d) {
+      for (int k = 0; k < 3; ++k) {
+        (void)net.submit(mk_msg(s, d, 1, static_cast<std::uint8_t>(s + d), 16));
+      }
+    }
+  }
+  (void)net.cut_link(4, 5);
+  (void)net.digest();
+  return net;
+}
+
+/// What a snapshot must restore to, byte for byte: the save() image and
+/// the in-flight count of every destination at capture.
+struct NetCapture {
+  std::shared_ptr<const net::NetSnapshot> snap;
+  std::vector<std::byte> bytes;
+  std::vector<std::uint64_t> inflight;
+  std::uint64_t digest = 0;
+};
+
+NetCapture capture(const net::SimNetwork& net, ProcessId procs) {
+  NetCapture c{net.snapshot(), saved(net), {}, net.digest_uncached()};
+  for (ProcessId d = 0; d < procs; ++d) c.inflight.push_back(net.inflight_to(d));
+  return c;
+}
+
+void expect_restored(const net::SimNetwork& net, const NetCapture& c,
+                     const std::string& where) {
+  ASSERT_EQ(saved(net), c.bytes) << where;
+  for (ProcessId d = 0; d < c.inflight.size(); ++d) {
+    ASSERT_EQ(net.inflight_to(d), c.inflight[d]) << where << " dst " << d;
+    ASSERT_EQ(net.inflight_to(d), net.inflight_to_uncached(d))
+        << where << " dst " << d;
+  }
+  ASSERT_EQ(net.digest(), c.digest) << where;
+  ASSERT_EQ(net.digest_uncached(), c.digest) << where;
+  ASSERT_EQ(net.content_digest_acc(), net.content_digest_acc_uncached())
+      << where;
+}
+
 }  // namespace
 
 TEST(NetworkDigestCache, RepeatedDigestIsStableAndMatchesUncached) {
@@ -418,7 +470,9 @@ class NetworkDigestCacheParam
 
 // Property: across random submit / deliver / drop / duplicate / mutate /
 // scrub / save-load / snapshot-restore sequences, the cached digest always
-// equals the from-scratch recompute, and live snapshots never drift.
+// equals the from-scratch recompute, and live snapshots never drift: a
+// restore — into the live network, a fresh one, or a crowded one it must
+// shrink — reproduces the capture's save() bytes and in-flight counts.
 TEST_P(NetworkDigestCacheParam, RandomOpsMatchUncached) {
   Rng rng(GetParam());
   net::NetworkOptions nopts;
@@ -427,10 +481,10 @@ TEST_P(NetworkDigestCacheParam, RandomOpsMatchUncached) {
   nopts.dup_prob = 0.1;
   nopts.seed = GetParam() * 31 + 7;
   net::SimNetwork net(nopts);
-  std::vector<std::pair<std::shared_ptr<const net::NetSnapshot>,
-                        std::uint64_t>>
-      snaps;
+  constexpr ProcessId kProcs = 3;
+  std::vector<NetCapture> snaps;
   for (int i = 0; i < 250; ++i) {
+    const std::string where = "op " + std::to_string(i);
     switch (rng.next_below(10)) {
       case 0:
       case 1:
@@ -491,22 +545,30 @@ TEST_P(NetworkDigestCacheParam, RandomOpsMatchUncached) {
       }
       case 9:
         if (snaps.size() < 4 && rng.next_bool(0.5)) {
-          snaps.emplace_back(net.snapshot(), net.digest_uncached());
+          snaps.push_back(capture(net, kProcs));
         } else if (!snaps.empty()) {
-          net.restore(snaps[rng.next_below(snaps.size())].first);
+          const NetCapture& c = snaps[rng.next_below(snaps.size())];
+          net.restore(c.snap);
+          expect_restored(net, c, where + " restore");
         }
         break;
+    }
+    for (ProcessId d = 0; d < kProcs; ++d) {
+      ASSERT_EQ(net.inflight_to(d), net.inflight_to_uncached(d))
+          << where << " dst " << d;
     }
     ASSERT_EQ(net.digest(), net.digest_uncached()) << "op " << i;
     // The incremental content-multiset accumulator (mc_digest's network
     // share) must track every mutation path exactly like the digest does.
     ASSERT_EQ(net.content_digest_acc(), net.content_digest_acc_uncached())
         << "op " << i;
-    for (const auto& [s, at_capture] : snaps) {
-      net::SimNetwork probe;
-      probe.restore(s);
-      ASSERT_EQ(probe.digest_uncached(), at_capture)
-          << "snapshot drift at op " << i;
+    for (const NetCapture& c : snaps) {
+      net::SimNetwork fresh;
+      fresh.restore(c.snap);
+      expect_restored(fresh, c, where + " fresh");
+      net::SimNetwork crowded = crowded_network();
+      crowded.restore(c.snap);
+      expect_restored(crowded, c, where + " crowded");
     }
   }
 }

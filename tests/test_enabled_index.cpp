@@ -425,6 +425,30 @@ void expect_net_index_matches(const SimNetwork& net, const std::string& l) {
   }
 }
 
+std::vector<std::byte> saved(const SimNetwork& net) {
+  BinaryWriter w;
+  net.save(w);
+  return w.bytes();
+}
+
+/// A snapshot plus what restoring it must reproduce byte for byte: the
+/// save() image and every destination's in-flight count at capture.
+struct NetCapture {
+  std::shared_ptr<const NetSnapshot> snap;
+  std::vector<std::byte> bytes;
+  std::vector<std::uint64_t> inflight;
+};
+
+void expect_restored(const SimNetwork& net, const NetCapture& c,
+                     const std::string& l) {
+  ASSERT_EQ(saved(net), c.bytes) << l;
+  for (ProcessId d = 0; d < c.inflight.size(); ++d) {
+    ASSERT_EQ(net.inflight_to(d), c.inflight[d]) << l << " dst " << d;
+  }
+  expect_net_index_matches(net, l);
+  ASSERT_EQ(net.digest(), net.digest_uncached()) << l;
+}
+
 class NetDeliverableIndex : public ::testing::TestWithParam<bool> {};
 
 TEST_P(NetDeliverableIndex, RandomNetOpsMatchOracle) {
@@ -447,7 +471,23 @@ TEST_P(NetDeliverableIndex, RandomNetOpsMatchOracle) {
     return m;
   };
 
-  std::vector<std::shared_ptr<const NetSnapshot>> snaps;
+  // Restoring into this network shrinks every table: it holds more
+  // processes, channels, messages and blocked links than any snapshot.
+  auto crowded = [&] {
+    SimNetwork big(opts);
+    for (std::uint64_t r = 0; r < 36 * 3; ++r) {
+      Message m = some_msg(r);
+      m.src = static_cast<ProcessId>(r % 6);
+      m.dst = static_cast<ProcessId>((r / 6) % 6);
+      big.submit(std::move(m));
+    }
+    big.cut_link(5, 4);
+    big.ensure_deliv_index();
+    return big;
+  };
+
+  constexpr ProcessId kProcs = 4;
+  std::vector<NetCapture> snaps;
   for (int i = 0; i < 400; ++i) {
     const std::string label = std::string(fifo ? "fifo" : "reorder") +
                               " op " + std::to_string(i);
@@ -508,15 +548,31 @@ TEST_P(NetDeliverableIndex, RandomNetOpsMatchOracle) {
       }
       default: {  // snapshot now, maybe restore a past snapshot
         if (snaps.size() < 3 && (r & 1)) {
-          snaps.push_back(net.snapshot());
+          NetCapture c{net.snapshot(), saved(net), {}};
+          for (ProcessId d = 0; d < kProcs; ++d) {
+            c.inflight.push_back(net.inflight_to(d));
+          }
+          snaps.push_back(std::move(c));
         } else if (!snaps.empty()) {
-          net.restore(snaps[r % snaps.size()]);
+          const NetCapture& c = snaps[r % snaps.size()];
+          net.restore(c.snap);
+          expect_restored(net, c, label + " restore");
+          SimNetwork fresh;
+          fresh.restore(c.snap);
+          expect_restored(fresh, c, label + " fresh");
+          SimNetwork big = crowded();
+          big.restore(c.snap);
+          expect_restored(big, c, label + " crowded");
         }
         break;
       }
     }
     expect_net_index_matches(net, label);
     ASSERT_EQ(net.digest(), net.digest_uncached()) << label;
+    for (ProcessId d = 0; d < kProcs; ++d) {
+      ASSERT_EQ(net.inflight_to(d), net.inflight_to_uncached(d))
+          << label << " dst " << d;
+    }
   }
 }
 

@@ -22,6 +22,7 @@ struct RunCost {
   std::uint64_t events = 0;
   std::uint64_t records = 0;
   std::uint64_t bytes = 0;
+  std::uint64_t resident = 0;  ///< Scroll::resident_bytes() after the run
   double run_ms = 0;
   bool replay_ok = false;
 };
@@ -39,6 +40,7 @@ RunCost measure(MakeWorld make, scroll::LoggingPreset preset,
   cost.events = res.steps;
   cost.records = log.stats().records;
   cost.bytes = log.stats().bytes;
+  cost.resident = log.resident_bytes();
   w->remove_observer(&log);
   if (check_replay) {
     auto fresh = make();
@@ -48,8 +50,9 @@ RunCost measure(MakeWorld make, scroll::LoggingPreset preset,
   return cost;
 }
 
+/// Prints one table; returns false when a replay diverged.
 template <typename MakeWorld>
-void bench_workload(const char* name, MakeWorld make) {
+bool bench_workload(const char* name, MakeWorld make) {
   struct Preset {
     const char* name;
     scroll::LoggingPreset preset;
@@ -66,18 +69,22 @@ void bench_workload(const char* name, MakeWorld make) {
   };
 
   bench::header(std::string("Fig.1 / workload: ") + name);
-  bench::row("%-22s %10s %10s %12s %10s %8s", "logging", "events",
-             "records", "bytes", "B/event", "replay");
+  bench::row("%-22s %10s %10s %12s %10s %8s %14s", "logging", "events",
+             "records", "bytes", "B/event", "replay", "resident B/rec");
   bench::rule();
+  bool ok = true;
   for (const auto& p : presets) {
     bool can_replay = p.preset.schedule;
     RunCost c = measure(make, p.preset, can_replay);
-    bench::row("%-22s %10llu %10llu %12llu %10.1f %8s", p.name,
+    if (can_replay && !c.replay_ok) ok = false;
+    bench::row("%-22s %10llu %10llu %12llu %10.1f %8s %14.1f", p.name,
                (unsigned long long)c.events, (unsigned long long)c.records,
                (unsigned long long)c.bytes,
                c.events ? static_cast<double>(c.bytes) / c.events : 0.0,
-               can_replay ? (c.replay_ok ? "exact" : "FAIL") : "n/a");
+               can_replay ? (c.replay_ok ? "exact" : "FAIL") : "n/a",
+               c.records ? static_cast<double>(c.resident) / c.records : 0.0);
   }
+  return ok;
 }
 
 }  // namespace
@@ -86,17 +93,18 @@ int main() {
   std::printf("FixD reproduction — Figure 1: the Scroll (logging cost and "
               "replay fidelity)\n");
 
-  bench_workload("rep-counter 4p x 16 incs", [] {
+  bool ok = true;
+  ok &= bench_workload("rep-counter 4p x 16 incs", [] {
     return apps::make_counter_world(4, 2, apps::CounterConfig{16});
   });
 
-  bench_workload("token-ring 5p x 40 rounds", [] {
+  ok &= bench_workload("token-ring 5p x 40 rounds", [] {
     apps::TokenRingConfig cfg;
     cfg.target_rounds = 40;
     return apps::make_token_ring_world(5, 2, cfg);
   });
 
-  bench_workload("kv-store 3p x 400 ops (64B values)", [] {
+  ok &= bench_workload("kv-store 3p x 400 ops (64B values)", [] {
     apps::KvConfig cfg;
     cfg.total_ops = 400;
     cfg.key_space = 64;
@@ -106,5 +114,9 @@ int main() {
   std::printf(
       "\nShape check (paper): nondet-only logging is a small fraction of\n"
       "full interaction logging yet still replays the run exactly.\n");
+  if (!ok) {
+    std::printf("FAIL: a recorded run did not replay exactly\n");
+    return 1;
+  }
   return 0;
 }

@@ -6,26 +6,19 @@ BlackBoxTranscript BlackBoxTranscript::extract(const Scroll& scroll,
                                                ProcessId remote) {
   BlackBoxTranscript t;
   t.remote_ = remote;
-  for (const auto& r : scroll.records()) {
-    // The remote's sends appear as kSend records with pid == remote; the
-    // remote's receives appear as kDeliver records with pid == remote.
-    if (r.kind == RecordKind::kSend && r.pid == remote) {
-      Interaction i;
-      i.outbound = true;
-      i.peer = r.peer;
-      i.tag = r.tag;
-      i.payload = r.payload;
-      i.digest = r.digest;
-      t.log_.push_back(std::move(i));
-    } else if (r.kind == RecordKind::kDeliver && r.pid == remote) {
-      Interaction i;
-      i.outbound = false;
-      i.peer = r.peer;
-      i.tag = r.tag;
-      i.payload = r.payload;
-      i.digest = r.digest;
-      t.log_.push_back(std::move(i));
+  // The remote's sends appear as kSend records with pid == remote; the
+  // remote's receives appear as kDeliver records with pid == remote.
+  for (ScrollRecord& r : scroll.for_process(remote)) {
+    if (r.kind != RecordKind::kSend && r.kind != RecordKind::kDeliver) {
+      continue;
     }
+    Interaction i;
+    i.outbound = r.kind == RecordKind::kSend;
+    i.peer = r.peer;
+    i.tag = r.tag;
+    i.payload = std::move(r.payload);
+    i.digest = r.digest;
+    t.log_.push_back(std::move(i));
   }
   return t;
 }

@@ -69,10 +69,18 @@ struct ScrollRecord {
   /// Byte count save() writes, computed without serializing (the Scroll
   /// sizes every record it keeps). Must track save() field for field.
   std::size_t encoded_size() const {
+    return encoded_size(seq, lamport, msg, text.size(), payload.size());
+  }
+
+  /// The same count from the only fields whose values change it; the
+  /// Scroll sizes its compact entries with this.
+  static std::size_t encoded_size(std::uint64_t seq, LamportTime lamport,
+                                  MsgId msg, std::size_t text_len,
+                                  std::size_t payload_len) {
     return 1 + varint_size(seq) + 4 + varint_size(lamport) +
            rt::EventDesc::kEncodedSize + varint_size(msg) + 4 + 4 + 8 + 8 +
-           varint_size(text.size()) + text.size() +
-           varint_size(payload.size()) + payload.size() + 8 + 1;
+           varint_size(text_len) + text_len + varint_size(payload_len) +
+           payload_len + 8 + 1;
   }
 
   void load(BinaryReader& r) {
@@ -91,6 +99,8 @@ struct ScrollRecord {
     spec = r.read_u64();
     spec_op = r.read_u8();
   }
+
+  bool operator==(const ScrollRecord& o) const = default;
 
   /// Identity comparison used by the divergence detector: two runs agree at
   /// a record if kind, pid and outcome match (seq/lamport are derived).

@@ -5,9 +5,9 @@
 namespace fixd::scroll {
 
 RecordedEnvSource::RecordedEnvSource(const Scroll& recorded) {
-  for (const auto& r : recorded.records()) {
+  for (ScrollRecord r : recorded.records()) {
     if (r.kind == RecordKind::kEnvRead) {
-      reads_.push_back({r.pid, r.text, r.value});
+      reads_.push_back({r.pid, std::move(r.text), r.value});
     }
   }
 }
@@ -37,10 +37,11 @@ std::optional<std::pair<std::size_t, std::string>> ReplayEngine::compare(
     const Scroll& a, const Scroll& b) {
   std::size_t n = std::min(a.size(), b.size());
   for (std::size_t i = 0; i < n; ++i) {
-    if (!a.records()[i].matches(b.records()[i])) {
-      return std::make_pair(
-          i, "recorded: " + a.records()[i].to_string() +
-                 " | replayed: " + b.records()[i].to_string());
+    const ScrollRecord ra = a.record(i);
+    const ScrollRecord rb = b.record(i);
+    if (!ra.matches(rb)) {
+      return std::make_pair(i, "recorded: " + ra.to_string() +
+                                   " | replayed: " + rb.to_string());
     }
   }
   if (a.size() != b.size()) {

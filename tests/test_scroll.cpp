@@ -89,18 +89,51 @@ TEST(Scroll, DivergenceDetectedOnMutatedScroll) {
   w1->run();
   w1->remove_observer(&rec);
 
-  // Corrupt one recorded digest: compare() must pinpoint it.
-  Scroll tampered = rec;
-  auto records = tampered.records();
-  Scroll fresh(rec.preset());
-  // Rebuild via serialization to mutate a record.
+  // The first send or deliver record past the middle of the run.
+  std::size_t victim = rec.size() / 2;
+  while (victim < rec.size() && rec.record(victim).kind != RecordKind::kSend &&
+         rec.record(victim).kind != RecordKind::kDeliver) {
+    ++victim;
+  }
+  ASSERT_LT(victim, rec.size());
+
+  // Flip one bit of its digest in the saved bytes. Records follow the
+  // stream header back to back; inside a record the digest comes after
+  // kind, seq, pid, lamport, event, msg, peer and tag.
   BinaryWriter bw;
   rec.save(bw);
-  Scroll loaded(rec.preset());
-  BinaryReader br(bw.bytes());
-  loaded.load(br);
-  auto diff0 = ReplayEngine::compare(rec, loaded);
-  EXPECT_FALSE(diff0.has_value());
+  std::vector<std::byte> bytes = bw.bytes();
+  std::size_t off = bytes.size() - rec.stats().bytes;
+  for (std::size_t i = 0; i < victim; ++i) {
+    off += rec.record(i).encoded_size();
+  }
+  const ScrollRecord target = rec.record(victim);
+  off += 1 + varint_size(target.seq) + 4 + varint_size(target.lamport) +
+         rt::EventDesc::kEncodedSize + varint_size(target.msg) + 4 + 4;
+  bytes[off] ^= std::byte{0x01};
+
+  Scroll tampered;
+  BinaryReader br(bytes);
+  tampered.load(br);
+  ASSERT_EQ(tampered.size(), rec.size());
+  EXPECT_EQ(tampered.record(victim).digest, target.digest ^ 1);
+
+  auto diff = ReplayEngine::compare(rec, tampered);
+  ASSERT_TRUE(diff.has_value());
+  EXPECT_EQ(diff->first, victim) << diff->second;
+}
+
+TEST(Scroll, LoadRejectsCountTheStreamCannotHold) {
+  for (std::uint64_t count :
+       {std::uint64_t{1} << 40, std::uint64_t{1} << 58}) {
+    BinaryWriter bw;
+    for (int i = 0; i < 9; ++i) bw.write_bool(true);
+    bw.write_varint(0);      // next seq
+    bw.write_varint(count);  // records that never follow
+    Scroll s;
+    BinaryReader br(bw.bytes());
+    EXPECT_THROW(s.load(br), SerializationError) << count;
+  }
 }
 
 TEST(Scroll, SaveLoadRoundTrip) {
@@ -143,15 +176,48 @@ std::vector<std::uint64_t> varint_edges() {
 }
 
 // Every RecordKind with seq, lamport and msg at the varint width edges, and
-// with empty, short and long (two-byte length prefix) text and payload.
+// with empty, short and long (two-byte length prefix) text and payload. Each
+// combination comes twice: once setting only the fields the record's kind
+// carries, at the same edge values, and once setting every field.
 std::vector<ScrollRecord> edge_records() {
   std::vector<ScrollRecord> out;
   for (std::uint8_t k = 0; k < 8; ++k) {
+    const auto kind = static_cast<RecordKind>(k);
     for (std::uint64_t v : varint_edges()) {
       for (std::size_t len : {std::size_t{0}, std::size_t{3},
                               std::size_t{300}}) {
+        const auto v32 = static_cast<std::uint32_t>(v);
+        ScrollRecord own;
+        own.kind = kind;
+        own.seq = v;
+        own.lamport = v;
+        own.pid = v32;
+        own.spec_op = static_cast<std::uint8_t>(v);
+        switch (kind) {
+          case RecordKind::kEvent:
+            own.event = {rt::EventKind::kTimer, v32, v, v, v};
+            break;
+          case RecordKind::kSend:
+          case RecordKind::kDeliver:
+            own.msg = v;
+            own.peer = v32;
+            own.tag = v32;
+            own.digest = v;
+            own.payload.assign(len, std::byte{0x5a});
+            break;
+          case RecordKind::kSpec:
+            own.spec = v;
+            own.text = std::string(len, 's');
+            break;
+          default:
+            own.value = v;
+            own.text = std::string(len, 't');
+            break;
+        }
+        out.push_back(own);
+
         ScrollRecord r;
-        r.kind = static_cast<RecordKind>(k);
+        r.kind = kind;
         r.seq = v;
         r.lamport = v;
         r.msg = v;
@@ -167,28 +233,46 @@ std::vector<ScrollRecord> edge_records() {
   return out;
 }
 
+// A stream in Scroll::save's layout (preset flags, next seq, count,
+// records) carrying `recs`.
+std::vector<std::byte> scroll_stream(const LoggingPreset& preset,
+                                     std::uint64_t next_seq,
+                                     std::span<const ScrollRecord> recs) {
+  BinaryWriter bw;
+  for (bool b : {preset.schedule, preset.rng, preset.time_reads,
+                 preset.env_reads, preset.sends, preset.delivers,
+                 preset.payloads, preset.annotations, preset.spec_events}) {
+    bw.write_bool(b);
+  }
+  bw.write_varint(next_seq);
+  bw.write_varint(recs.size());
+  for (const auto& r : recs) r.save(bw);
+  return bw.take();
+}
+
+Scroll load_stream(const std::vector<std::byte>& bytes) {
+  Scroll s;
+  BinaryReader br(bytes);
+  s.load(br);
+  return s;
+}
+
+void expect_same_stats(const ScrollStats& a, const ScrollStats& b) {
+  EXPECT_EQ(a.records, b.records);
+  EXPECT_EQ(a.bytes, b.bytes);
+  EXPECT_EQ(a.by_kind, b.by_kind);
+}
+
 TEST(Scroll, StatsBytesEqualSerializedSize) {
   for (const LoggingPreset& preset :
        {LoggingPreset::nondet_only(), LoggingPreset::digests(),
         LoggingPreset::full()}) {
-    // Loaded records: a stream in Scroll::save's layout (preset flags,
-    // next seq, count, records) carrying the hand-built edge records.
+    // Loaded records: a stream carrying the hand-built edge records.
     const std::vector<ScrollRecord> recs = edge_records();
-    BinaryWriter bw;
-    for (bool b : {preset.schedule, preset.rng, preset.time_reads,
-                   preset.env_reads, preset.sends, preset.delivers,
-                   preset.payloads, preset.annotations, preset.spec_events}) {
-      bw.write_bool(b);
-    }
-    bw.write_varint(recs.size());
-    bw.write_varint(recs.size());
     for (const auto& r : recs) {
       EXPECT_EQ(r.encoded_size(), to_bytes(r).size()) << r.to_string();
-      r.save(bw);
     }
-    Scroll loaded;
-    BinaryReader br(bw.bytes());
-    loaded.load(br);
+    Scroll loaded = load_stream(scroll_stream(preset, recs.size(), recs));
     ASSERT_EQ(loaded.size(), recs.size());
     EXPECT_EQ(loaded.stats().bytes, saved_bytes(loaded));
 
@@ -244,14 +328,128 @@ TEST(Scroll, StatsBytesEqualSerializedSize) {
   }
 }
 
+// Property: the record store keeps every field of every record it loads.
+// For every cut, truncate() is the same scroll as loading only the records
+// before the cut, a truncated copy leaves its source alone, and appending
+// after a truncate records as after a load.
+TEST(Scroll, StoreRoundTripsAndTruncatesLikeALoad) {
+  const LoggingPreset preset = LoggingPreset::full();
+  const std::vector<ScrollRecord> edges = edge_records();
+  // Twenty copies of the edge set: more than 20k records, spanning the
+  // growing chunks of 64 .. 8192 records and the first capped one.
+  std::vector<ScrollRecord> many;
+  for (int rep = 0; rep < 20; ++rep) {
+    many.insert(many.end(), edges.begin(), edges.end());
+  }
+  ASSERT_GT(many.size(), 16320u + 64);
+
+  auto w = make_counter_world(2, 2, CounterConfig{1});
+  auto append = [&w](Scroll& s) {
+    net::Message m;
+    m.id = 9;
+    m.src = 0;
+    m.dst = 1;
+    m.tag = 3;
+    m.payload.assign(5, std::byte{7});
+    s.on_send(*w, m);
+    s.on_annotation(*w, 1, "after the cut");
+    s.on_rng(*w, 0, 42);
+  };
+
+  const std::vector<ScrollRecord>* sets[] = {&edges, &many};
+  for (const auto* recs : sets) {
+    const std::uint64_t next_seq = 1000;
+    const std::vector<std::byte> stream =
+        scroll_stream(preset, next_seq, *recs);
+    const Scroll loaded = load_stream(stream);
+    ASSERT_EQ(loaded.size(), recs->size());
+    EXPECT_EQ(to_bytes(loaded), stream);
+    for (std::size_t i = 0; i < recs->size(); ++i) {
+      ASSERT_EQ(loaded.record(i), (*recs)[i]) << i;
+    }
+
+    // Every cut of the edge set; around each chunk boundary of the large
+    // set.
+    std::vector<std::size_t> cuts;
+    if (recs == &edges) {
+      for (std::size_t k = 0; k <= recs->size(); ++k) cuts.push_back(k);
+    } else {
+      for (std::size_t b = 64; b < recs->size(); b = 2 * b + 64) {
+        cuts.insert(cuts.end(), {b - 1, b, b + 1});
+      }
+      cuts.push_back(recs->size());
+    }
+    for (std::size_t k : cuts) {
+      const Scroll want = load_stream(scroll_stream(
+          preset, next_seq, std::span(recs->data(), k)));
+      Scroll cut = loaded;
+      cut.truncate(k);
+      ASSERT_EQ(cut.size(), k);
+      expect_same_stats(cut.stats(), want.stats());
+      ASSERT_EQ(to_bytes(cut), to_bytes(want)) << "cut " << k;
+
+      Scroll want_more = want;
+      append(cut);
+      append(want_more);
+      ASSERT_EQ(to_bytes(cut), to_bytes(want_more)) << "cut " << k;
+    }
+    EXPECT_EQ(loaded.size(), recs->size());
+    EXPECT_EQ(to_bytes(loaded), stream);
+  }
+}
+
+TEST(Scroll, CopyAndAssignAreIndependent) {
+  auto w = make_counter_world(3, 2, CounterConfig{3});
+  Scroll s(LoggingPreset::full());
+  w->add_observer(&s);
+  w->run();
+  w->remove_observer(&s);
+  const std::vector<std::byte> before = to_bytes(s);
+
+  Scroll copy = s;
+  EXPECT_EQ(to_bytes(copy), before);
+  copy.truncate(copy.size() / 3);
+  copy.on_annotation(*w, 0, "copy only");
+  Scroll assigned;
+  assigned = copy;
+  EXPECT_EQ(to_bytes(assigned), to_bytes(copy));
+  expect_same_stats(assigned.stats(), copy.stats());
+  EXPECT_EQ(to_bytes(s), before);
+}
+
+// The store's resident bytes: 64 per record, the arena, and at most one
+// partly filled chunk. The run spans several capped chunks and still
+// replays exactly.
+TEST(Scroll, ResidentBytesStayNearOneEntryPerRecord) {
+  apps::KvConfig cfg;
+  cfg.total_ops = 9000;
+  cfg.key_space = 64;
+  auto w = apps::make_kv_world(4, 2, cfg);
+  Scroll s(LoggingPreset::digests());
+  w->add_observer(&s);
+  w->run();
+  w->remove_observer(&s);
+  ASSERT_GE(s.size(), 100000u);
+  std::size_t arena = 0;
+  for (const auto& r : s.records()) arena += r.text.size() + r.payload.size();
+  EXPECT_LE(s.resident_bytes(),
+            64 * s.size() + arena + 64 * Scroll::kMaxChunkRecords);
+
+  auto fresh = apps::make_kv_world(4, 2, cfg);
+  ReplayReport rep = ReplayEngine::replay(*fresh, s);
+  EXPECT_TRUE(rep.ok) << rep.to_string();
+  EXPECT_EQ(rep.final_digest, w->digest());
+}
+
 TEST(Scroll, TotalOrderIsLamportMonotone) {
   auto w = make_counter_world(4, 2, CounterConfig{3});
   Scroll s(LoggingPreset::digests());
   w->add_observer(&s);
   w->run();
   auto order = s.total_order();
+  ASSERT_EQ(order.size(), s.size());
   for (std::size_t i = 1; i < order.size(); ++i) {
-    EXPECT_LE(order[i - 1]->lamport, order[i]->lamport);
+    EXPECT_LE(order[i - 1].lamport, order[i].lamport);
   }
 }
 
@@ -261,7 +459,7 @@ TEST(Scroll, PerProcessViewAndTruncate) {
   w->add_observer(&s);
   w->run();
   auto p1 = s.for_process(1);
-  for (const auto* r : p1) EXPECT_EQ(r->pid, 1u);
+  for (const auto& r : p1) EXPECT_EQ(r.pid, 1u);
   EXPECT_GT(p1.size(), 0u);
 
   std::size_t cut = s.size() / 2;

@@ -3,7 +3,8 @@
 // transition. This bench measures the digest pipeline end to end:
 //
 //   A. PagedHeap::digest after one sparse write per "event", cached
-//      (per-page digests + whole-heap memo) vs from-scratch recompute.
+//      (per-page digests + whole-heap memo) vs from-scratch recompute,
+//      and the raw hash_bytes throughput every digest layer rests on.
 //   B. World::mc_digest per executed event on a 16-process heap-backed
 //      world with sparse per-event writes — the explore-loop shape.
 //   C. SystemExplorer throughput (states/sec) with the time spent hashing
@@ -20,11 +21,14 @@
 //
 // Emits BENCH_digest.json next to the binary so the perf trajectory of the
 // digest pipeline is tracked from this PR onward.
+#include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <vector>
 
 #include "apps/two_phase_commit.hpp"
 #include "bench_util.hpp"
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "mc/sysmodel.hpp"
 #include "mem/paged_heap.hpp"
@@ -120,6 +124,33 @@ PairResult bench_heap_digest(std::uint64_t heap_bytes, int iters) {
   (void)sink;
   (void)keep;
   return res;
+}
+
+// --- A: raw hash throughput ------------------------------------------------
+struct HashRate {
+  double ns_per_call = 0;
+  double gb_per_s = 0;
+};
+
+// hash_bytes over one `len`-byte buffer, back to back. Each call's input
+// depends on the previous digest, so this is the latency one digest
+// caller sees, not a pipelined batch.
+HashRate bench_hash_bytes(std::size_t len, std::uint64_t total_bytes) {
+  std::vector<std::byte> buf(len);
+  Rng rng(9);
+  for (auto& b : buf) b = static_cast<std::byte>(rng.next_u64());
+  const std::uint64_t iters = std::max<std::uint64_t>(1, total_bytes / len);
+  std::uint64_t sink = 0;
+  WallTimer t;
+  for (std::uint64_t i = 0; i < iters; ++i) {
+    buf[0] ^= static_cast<std::byte>(sink);
+    sink += hash_bytes(buf);
+  }
+  const double ns = t.ms() * 1e6 / static_cast<double>(iters);
+  // A volatile store keeps the loop from being optimized away.
+  [[maybe_unused]] static volatile std::uint64_t keep = 0;
+  keep = sink;
+  return {ns, ns > 0 ? static_cast<double>(len) / ns : 0};
 }
 
 // --- B: world mc_digest per event ------------------------------------------
@@ -442,6 +473,16 @@ int main() {
              heap_small.uncached_us, heap_small.speedup());
   bench::row("%-10s %12.2f %14.2f %8.1fx", "4 MiB", heap_big.cached_us,
              heap_big.uncached_us, heap_big.speedup());
+  // Informational, no gate: what one page or message digest costs.
+  const HashRate hash16 = bench_hash_bytes(16, 32u << 20);
+  const HashRate hash70 = bench_hash_bytes(70, 32u << 20);
+  const HashRate hash4k = bench_hash_bytes(4096, 256u << 20);
+  bench::row("%-10s %12s %14s", "hash_bytes", "ns/call", "GB/s");
+  for (const auto& [name, r] : {std::pair{"16 B", hash16},
+                                std::pair{"70 B", hash70},
+                                std::pair{"4 KiB", hash4k}}) {
+    bench::row("%-10s %12.1f %14.2f", name, r.ns_per_call, r.gb_per_s);
+  }
 
   bench::header(
       "B. World::mc_digest per executed event (heap-backed processes)");
@@ -554,6 +595,12 @@ int main() {
         "  \"heap_4mib_cached_us\": %.3f,\n"
         "  \"heap_4mib_uncached_us\": %.3f,\n"
         "  \"heap_4mib_speedup\": %.2f,\n"
+        "  \"hash_16b_ns\": %.2f,\n"
+        "  \"hash_16b_gb_per_s\": %.3f,\n"
+        "  \"hash_70b_ns\": %.2f,\n"
+        "  \"hash_70b_gb_per_s\": %.3f,\n"
+        "  \"hash_4kib_ns\": %.2f,\n"
+        "  \"hash_4kib_gb_per_s\": %.3f,\n"
         "  \"world16_cached_us\": %.3f,\n"
         "  \"world16_uncached_us\": %.3f,\n"
         "  \"world16_speedup\": %.2f,\n"
@@ -590,6 +637,8 @@ int main() {
         "}\n",
         heap_small.cached_us, heap_small.uncached_us, heap_small.speedup(),
         heap_big.cached_us, heap_big.uncached_us, heap_big.speedup(),
+        hash16.ns_per_call, hash16.gb_per_s, hash70.ns_per_call,
+        hash70.gb_per_s, hash4k.ns_per_call, hash4k.gb_per_s,
         world16.cached_us, world16.uncached_us, world16.speedup(),
         snap16.cached_us, snap16.uncached_us, snap16.speedup(),
         netr.restore_us, (unsigned long long)ex.stats.states, ex.stats.wall_ms,

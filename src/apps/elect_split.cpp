@@ -146,7 +146,7 @@ void install_elect_split_invariants(rt::World& w) {
       [](const rt::World& world) -> std::optional<std::string> {
         std::size_t leaders = 0;
         for (ProcessId p = 0; p < world.size(); ++p) {
-          const auto* e = dynamic_cast<const IElectSplit*>(&world.process(p));
+          const auto* e = world.facet<IElectSplit>(p);
           if (e && e->leading()) ++leaders;
         }
         if (leaders > 1) {

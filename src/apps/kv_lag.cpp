@@ -163,8 +163,7 @@ void install_kv_lag_invariants(rt::World& w) {
       "kv-lag/exactly-once",
       [](const rt::World& world) -> std::optional<std::string> {
         // Only decidable at quiescence of the replication stream.
-        const auto* primary =
-            dynamic_cast<const ILagReplica*>(&world.process(0));
+        const auto* primary = world.facet<ILagReplica>(0);
         if (!primary || !primary->finished()) return std::nullopt;
         for (const net::Message* m : world.network().pending()) {
           if (m->tag == kLagOpTag || m->tag == kLagAckTag ||
@@ -174,8 +173,7 @@ void install_kv_lag_invariants(rt::World& w) {
         }
         std::uint64_t want = primary->content_digest();
         for (ProcessId p = 1; p < world.size(); ++p) {
-          const auto* rep =
-              dynamic_cast<const ILagReplica*>(&world.process(p));
+          const auto* rep = world.facet<ILagReplica>(p);
           if (!rep) continue;
           if (rep->content_digest() != want) {
             return "replica p" + std::to_string(p) +

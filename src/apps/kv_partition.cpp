@@ -165,8 +165,7 @@ void install_kv_partition_invariants(rt::World& w) {
       "kv-part/monotonic-reads",
       [](const rt::World& world) -> std::optional<std::string> {
         for (ProcessId p = 0; p < world.size(); ++p) {
-          const auto* c =
-              dynamic_cast<const IKvPartClient*>(&world.process(p));
+          const auto* c = world.facet<IKvPartClient>(p);
           if (c && !c->monotonic_ok()) {
             return "client p" + std::to_string(p) +
                    " observed a read below its floor (" +

@@ -202,8 +202,7 @@ void install_kv_invariants(rt::World& w) {
       "kv/replica-consistency",
       [](const rt::World& world) -> std::optional<std::string> {
         // Only decidable at quiescence of the replication stream.
-        const auto* primary =
-            dynamic_cast<const IKvReplica*>(&world.process(0));
+        const auto* primary = world.facet<IKvReplica>(0);
         if (!primary || !primary->finished()) return std::nullopt;
         for (const net::Message* m : world.network().pending()) {
           if (m->tag == kReplicateTag || m->tag == kKvStopTag)
@@ -211,8 +210,7 @@ void install_kv_invariants(rt::World& w) {
         }
         std::uint64_t want = primary->content_digest();
         for (ProcessId p = 1; p < world.size(); ++p) {
-          const auto* rep =
-              dynamic_cast<const IKvReplica*>(&world.process(p));
+          const auto* rep = world.facet<IKvReplica>(p);
           if (!rep) continue;
           if (rep->content_digest() != want) {
             return "replica p" + std::to_string(p) +

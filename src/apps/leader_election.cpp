@@ -133,7 +133,7 @@ void install_election_invariants(rt::World& w) {
       [](const rt::World& world) -> std::optional<std::string> {
         std::size_t leaders = 0;
         for (ProcessId p = 0; p < world.size(); ++p) {
-          const auto* e = dynamic_cast<const IElector*>(&world.process(p));
+          const auto* e = world.facet<IElector>(p);
           if (e && e->declared_leader()) ++leaders;
         }
         if (leaders > 1) {

@@ -115,7 +115,7 @@ void install_counter_invariants(rt::World& w) {
         std::uint64_t seen = 0;
         bool have = false;
         for (ProcessId p = 0; p < n; ++p) {
-          const auto* c = dynamic_cast<const ICounter*>(&world.process(p));
+          const auto* c = world.facet<ICounter>(p);
           if (!c || !c->done()) continue;
           if (!have) {
             seen = c->total();

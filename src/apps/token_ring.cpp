@@ -197,8 +197,7 @@ void install_token_ring_invariants(rt::World& w) {
       [](const rt::World& world) -> std::optional<std::string> {
         std::size_t tokens = 0;
         for (ProcessId p = 0; p < world.size(); ++p) {
-          const auto* holder =
-              dynamic_cast<const ITokenHolder*>(&world.process(p));
+          const auto* holder = world.facet<ITokenHolder>(p);
           if (holder && holder->holds_token()) ++tokens;
         }
         for (const net::Message* m : world.network().pending()) {
@@ -228,7 +227,7 @@ heal::UpdatePatch token_ring_fix_patch(TokenRingConfig cfg) {
 std::uint64_t token_ring_total_work(const rt::World& w) {
   std::uint64_t total = 0;
   for (ProcessId p = 0; p < w.size(); ++p) {
-    const auto* holder = dynamic_cast<const ITokenHolder*>(&w.process(p));
+    const auto* holder = w.facet<ITokenHolder>(p);
     if (holder) total += holder->work_done();
   }
   return total;

@@ -173,14 +173,14 @@ void install_two_pc_invariants(rt::World& w) {
   w.invariants().add_global(
       "2pc/atomicity",
       [](const rt::World& world) -> std::optional<std::string> {
-        const auto* first =
-            dynamic_cast<const ITwoPcParty*>(&world.process(0));
+        // facet() caches each process's view, so the per-transaction
+        // loop below reads a slot instead of re-running a cross-cast.
+        const auto* first = world.facet<ITwoPcParty>(0);
         if (!first) return std::nullopt;
         for (std::uint64_t txn = 0; txn < first->txn_count(); ++txn) {
           bool commit = false, abort = false;
           for (ProcessId p = 0; p < world.size(); ++p) {
-            const auto* party =
-                dynamic_cast<const ITwoPcParty*>(&world.process(p));
+            const auto* party = world.facet<ITwoPcParty>(p);
             if (!party) continue;
             switch (party->decision_of(txn)) {
               case TxnDecision::kCommit: commit = true; break;

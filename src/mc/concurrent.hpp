@@ -29,9 +29,13 @@
 //
 //  - StripedPorRecords: the dynamic-POR expansion records every worker
 //    shares (one stripe lock per record transition).
+//
+//  - PtrRefCounts: not shared; each worker's frontier meter counts the
+//    references its frontier holds to every buffer it charges.
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -81,6 +85,90 @@ class StripeArray {
  private:
   std::vector<std::unique_ptr<Stripe>> stripes_;
   std::size_t mask_ = 0;
+};
+
+/// Pointer -> reference count, the frontier meter's sharing ledger (see
+/// SystemExplorer::FrontierMeter): open addressing with linear probing
+/// over a power-of-two table kept at most three quarters full (half full
+/// cost more memory than the node map it replaced), backward-shift
+/// deletion (no tombstones), no allocation per entry. A null key marks an
+/// empty slot, so null is never counted. Not synchronized: each worker
+/// owns its meter.
+class PtrRefCounts {
+ public:
+  /// Add a reference to `p` (non-null); true iff it is the first.
+  bool acquire(const void* p) {
+    if (4 * (used_ + 1) > 3 * slots_.size()) grow();
+    std::size_t i = home(p);
+    for (; slots_[i].key != nullptr; i = next(i)) {
+      if (slots_[i].key == p) {
+        ++slots_[i].refs;
+        return false;
+      }
+    }
+    slots_[i] = {p, 1};
+    ++used_;
+    return true;
+  }
+
+  /// Drop a reference to `p`; true iff it was the last. Unknown pointers
+  /// are ignored.
+  bool release(const void* p) {
+    if (slots_.empty()) return false;
+    std::size_t i = home(p);
+    for (; slots_[i].key != p; i = next(i)) {
+      if (slots_[i].key == nullptr) return false;
+    }
+    if (--slots_[i].refs > 0) return false;
+    // Pull later entries of the probe run back into the hole whenever the
+    // hole lies between their home slot and where they sit, so every
+    // remaining key stays reachable from its home.
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t hole = i;
+    for (std::size_t j = next(i); slots_[j].key != nullptr; j = next(j)) {
+      if (((j - home(slots_[j].key)) & mask) >= ((j - hole) & mask)) {
+        slots_[hole] = slots_[j];
+        hole = j;
+      }
+    }
+    slots_[hole] = {};
+    --used_;
+    return true;
+  }
+
+  /// Distinct pointers currently counted.
+  std::size_t size() const { return used_; }
+
+ private:
+  struct Slot {
+    const void* key = nullptr;
+    std::size_t refs = 0;
+  };
+
+  std::size_t home(const void* p) const {
+    // Fibonacci hashing: the product's top bits index the table.
+    return static_cast<std::size_t>(
+        (reinterpret_cast<std::uintptr_t>(p) * 0x9e3779b97f4a7c15ull) >>
+        shift_);
+  }
+  std::size_t next(std::size_t i) const {
+    return (i + 1) & (slots_.size() - 1);
+  }
+  void grow() {
+    std::vector<Slot> old(slots_.empty() ? 64 : 2 * slots_.size());
+    old.swap(slots_);
+    shift_ = 64 - static_cast<unsigned>(std::countr_zero(slots_.size()));
+    for (const Slot& s : old) {
+      if (s.key == nullptr) continue;
+      std::size_t i = home(s.key);
+      while (slots_[i].key != nullptr) i = next(i);
+      slots_[i] = s;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t used_ = 0;
+  unsigned shift_ = 64;
 };
 
 /// Open-addressing set of 64-bit state digests: a flat power-of-two slot

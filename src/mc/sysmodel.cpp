@@ -7,7 +7,6 @@
 #include <exception>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 
 #include "common/hash.hpp"
 #include "common/io.hpp"
@@ -242,12 +241,8 @@ class SystemExplorer::FrontierMeter {
   /// last reference leaves. Returns the delta actually applied.
   std::uint64_t charge(const void* p, std::uint64_t bytes, int dir) {
     if (!p) return 0;
-    if (dir > 0) return refs_[p]++ == 0 ? bytes : 0;
-    auto it = refs_.find(p);
-    if (it == refs_.end()) return 0;
-    if (--it->second > 0) return 0;
-    refs_.erase(it);
-    return bytes;
+    if (dir > 0) return refs_.acquire(p) ? bytes : 0;
+    return refs_.release(p) ? bytes : 0;
   }
 
   std::uint64_t snapshot_cost(const rt::WorldSnapshot& s, int dir) {
@@ -294,7 +289,7 @@ class SystemExplorer::FrontierMeter {
     return sizeof(Node) + shared;
   }
 
-  std::unordered_map<const void*, std::size_t> refs_;
+  PtrRefCounts refs_;
   std::uint64_t cur_ = 0;
   std::uint64_t peak_ = 0;
   bool charge_snapshots_ = true;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <vector>
 
 #include "common/hash.hpp"
 
@@ -57,18 +58,15 @@ std::uint64_t content_digest_impl(std::size_t page_size,
 }  // namespace
 
 std::uint64_t zeros_digest(std::size_t len) {
-  // Chunked feed of a static zero buffer. The chunk size is a multiple of
-  // the Hasher's 8-byte lane, so chunked updates equal one contiguous one.
-  static constexpr std::size_t kChunk = 4096;
-  static const std::array<std::byte, kChunk> kZeros{};
-  Hasher h;
-  std::size_t left = len;
-  while (left > 0) {
-    std::size_t n = std::min(left, kChunk);
-    h.update({kZeros.data(), n});
-    left -= n;
-  }
-  return h.digest();
+  // One update over `len` zero bytes, exactly as hash_bytes would see a
+  // zero page: the block hasher folds per call, so a chunked feed would
+  // digest differently. Page-sized runs come from a static buffer; longer
+  // ones (pages above 4 KiB) from a transient one.
+  static constexpr std::size_t kStatic = 4096;
+  static const std::array<std::byte, kStatic> kZeros{};
+  if (len <= kStatic) return hash_bytes({kZeros.data(), len});
+  const std::vector<std::byte> zeros(len);
+  return hash_bytes(zeros);
 }
 
 std::size_t HeapSnapshot::resident_pages() const {

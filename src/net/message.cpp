@@ -42,9 +42,10 @@ std::uint64_t Message::content_digest_uncached() const {
   return h.digest();
 }
 
-std::uint64_t Message::state_digest_uncached() const {
-  // One scratch writer per thread, reused: every enqueue hashes a message,
-  // and the bytes hashed are the same as a fresh writer's.
+std::uint64_t Message::state_digest() const {
+  // One scratch writer per thread, reused: a cold channel digest hashes
+  // each of its messages, and the bytes hashed are the same as a fresh
+  // writer's.
   thread_local BinaryWriter w;
   w.clear();
   save(w);

@@ -118,43 +118,32 @@ struct Message {
 
   /// Full-state digest: hash of the complete wire encoding (id, routing,
   /// payload, timing, clocks, taints, control flag). Feeds SimNetwork's
-  /// incremental per-channel digests, which need the *entire* message
-  /// state, not the id-stable content subset. Same memo discipline as
-  /// content_digest: warm for every pending message, copy-cold.
-  std::uint64_t state_digest() const {
-    return state_memo_.valid ? state_memo_.value : state_digest_uncached();
-  }
+  /// per-channel digests, which need the *entire* message state, not the
+  /// id-stable content subset. Not memoized: the channel digest memo is
+  /// the cache, so only a cold channel re-hashes its messages.
+  std::uint64_t state_digest() const;
 
-  /// From-scratch recompute bypassing the memo (verification/bench hook).
-  std::uint64_t state_digest_uncached() const;
-
-  /// Precompute and pin both digests (SimNetwork, at enqueue).
+  /// Precompute and pin the content digest (SimNetwork, at enqueue).
   void warm_digest_memo() const {
     memo_.value = content_digest_uncached();
     memo_.valid = true;
-    state_memo_.value = state_digest_uncached();
-    state_memo_.valid = true;
   }
 
-  /// Drop both memos (deserialization, before an in-place mutation).
-  void invalidate_digest_memo() {
-    memo_.valid = false;
-    state_memo_.valid = false;
-  }
+  /// Drop the content memo (deserialization, before an in-place mutation).
+  void invalidate_digest_memo() { memo_.valid = false; }
 
   /// Published across threads (a NetSnapshot containing this message
   /// crossed a thread boundary — see common/sync.hpp): SimNetwork::take
   /// then delivers a copy instead of moving the payload out, because the
   /// use_count()==1 fast path cannot order a remote reader's last read
-  /// before the local move. Copy-cold like the digest memos.
+  /// before the local move. Copy-cold like the digest memo.
   void mark_cross_thread() const { xt_.mark(); }
   bool cross_thread() const { return xt_.marked(); }
 
   std::string brief() const;
 
-  // Memos; public so Message stays an aggregate. Not serialized.
+  // Memo; public so Message stays an aggregate. Not serialized.
   DigestMemo memo_;
-  DigestMemo state_memo_;
   SharedMark xt_;
 };
 

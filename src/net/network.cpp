@@ -236,8 +236,9 @@ void SimNetwork::set_replay_warm(bool on) {
 
 void SimNetwork::enqueue(Message msg) {
   MsgId id = msg.id;
-  // Every pending message carries warm digest memos, so state hashing over
-  // the in-flight traffic never re-hashes payloads.
+  // Every pending message carries a warm content memo, so the in-flight
+  // accumulator and mc digests never re-hash payloads. The full-state
+  // digest is computed only when a cold channel digest is read.
   msg.warm_digest_memo();
   st_.content_acc += acc_term(msg.content_digest());
   inflight_add(msg);
@@ -633,13 +634,10 @@ void SimNetwork::restore(const std::shared_ptr<const NetSnapshot>& snap) {
   snap_cache_ = snap;
 }
 
-std::uint64_t SimNetwork::channel_digest(const Channel& c, bool cached) const {
+std::uint64_t SimNetwork::channel_digest(const Channel& c) const {
   Hasher h;
   h.update_u64(c.len);
-  for (MsgId id : st_.queue(c)) {
-    const Message& m = pending_at(id);
-    h.update_u64(cached ? m.state_digest() : m.state_digest_uncached());
-  }
+  for (MsgId id : st_.queue(c)) h.update_u64(pending_at(id).state_digest());
   return h.digest();
 }
 
@@ -671,11 +669,11 @@ std::uint64_t SimNetwork::digest_impl(bool cached) const {
     h.update_u64(c.key.second);
     std::uint64_t cd;
     if (!cached) {
-      cd = channel_digest(c, /*cached=*/false);
+      cd = channel_digest(c);
     } else if (c.digest_valid) {
       cd = c.digest;
     } else {
-      cd = c.digest = channel_digest(c, /*cached=*/true);
+      cd = c.digest = channel_digest(c);
       c.digest_valid = true;
     }
     h.update_u64(cd);

@@ -426,13 +426,14 @@ class SimNetwork {
 
   /// Digest of in-flight state (part of the world digest). Incremental:
   /// folds per-channel digests cached until a channel is touched
-  /// (enqueue / deliver / drop / mutate / scrub / load), each of which
-  /// folds the per-message state-digest memos that are warm for every
-  /// pending message. Bit-identical to digest_uncached() by contract.
+  /// (enqueue / deliver / drop / mutate / scrub / load). A cold channel
+  /// hashes each of its messages' full wire state (Message::state_digest);
+  /// the channel memo is the only cache, so the send path never hashes
+  /// it. Bit-identical to digest_uncached() by contract.
   std::uint64_t digest() const;
 
-  /// From-scratch recompute bypassing the channel caches and the message
-  /// memos. Verification oracle for tests and bench/fig9_digest.
+  /// From-scratch recompute bypassing the channel caches. Verification
+  /// oracle for tests and bench/fig9_digest.
   std::uint64_t digest_uncached() const;
 
   /// Order-independent digest of the in-flight *content* multiset: the
@@ -512,7 +513,7 @@ class SimNetwork {
   void touch_channel(const Channel& c);
 
   std::uint64_t digest_impl(bool cached) const;
-  std::uint64_t channel_digest(const Channel& c, bool cached) const;
+  std::uint64_t channel_digest(const Channel& c) const;
 
   /// Everything a snapshot captures, in the one flat representation.
   NetState st_;

@@ -268,6 +268,7 @@ ProcessId World::add_process(std::unique_ptr<Process> p) {
   ProcessId pid = static_cast<ProcessId>(procs_.size());
   p->id_ = pid;
   procs_.push_back(std::move(p));
+  facets_.push_back({});
   ProcInfo pi;
   pi.rng = Rng(hash_combine(opts_.seed, pid));
   infos_.push_back(std::move(pi));
@@ -312,6 +313,7 @@ std::unique_ptr<Process> World::swap_process(ProcessId pid,
   FIXD_CHECK_MSG(!in_handler_, "swap_process during a handler");
   fresh->id_ = pid;
   std::swap(procs_[pid], fresh);
+  facets_[pid] = {};
   mark_state_dirty(pid);
   replay_break();
   return fresh;  // now holds the old process

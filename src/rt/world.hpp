@@ -25,6 +25,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <typeinfo>
 #include <vector>
 
 #include "common/clock.hpp"
@@ -208,6 +209,24 @@ class World : private net::DeliverableListener {
     if (!p) throw ConfigError("process_as: type mismatch for p" +
                               std::to_string(pid));
     return *p;
+  }
+
+  /// Read-only view of process `pid` as interface `I`, or nullptr when the
+  /// process does not implement it: what global invariants use to reach
+  /// application state after every event. The first query fills a per-pid
+  /// slot with the dynamic_cast result; later queries for the same `I`
+  /// compare one type_info pointer and return the cached view. A query
+  /// for another interface re-casts and refills the slot, so alternating
+  /// interfaces stay correct, only slower. Never marks the process dirty.
+  template <class I>
+  const I* facet(ProcessId pid) const {
+    FIXD_CHECK_MSG(pid < facets_.size(), "bad process id");
+    FacetSlot& s = facets_[pid];
+    if (s.type != &typeid(I)) {
+      s.view = dynamic_cast<const I*>(procs_[pid].get());
+      s.type = &typeid(I);
+    }
+    return static_cast<const I*>(s.view);
   }
 
   /// Replace a process object in place (the Healer's dynamic update).
@@ -598,9 +617,21 @@ class World : private net::DeliverableListener {
   std::uint64_t default_env_value(ProcessId pid, std::string_view key,
                                   std::uint64_t count) const;
 
+  /// One cached facet() result: the interface last asked for and the
+  /// process viewed as it (stored as const void*, cast back to that type).
+  struct FacetSlot {
+    const std::type_info* type = nullptr;
+    const void* view = nullptr;
+  };
+
   WorldOptions opts_;
   bool sealed_ = false;
   std::vector<std::unique_ptr<Process>> procs_;
+  /// facet() slots, one per pid, reset by add_process and swap_process
+  /// (the only places that replace procs_[pid]). Filled under const
+  /// without a lock: a World is used by one thread at a time (each
+  /// explorer worker owns its scratch world).
+  mutable std::vector<FacetSlot> facets_;
   std::vector<ProcInfo> infos_;
   net::SimNetwork net_;
   std::unique_ptr<Scheduler> scheduler_;

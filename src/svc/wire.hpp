@@ -30,10 +30,12 @@ namespace fixd::svc {
 inline constexpr std::uint32_t kWireMagic = 0x50525846;    // "FXRP"
 inline constexpr std::uint32_t kJournalMagic = 0x4c4a5846;  // "FXJL"
 /// Codec version prefixed to every RPC payload and journal record. Bumped
-/// whenever a serialized layout changes (2: ExploreStats lost
-/// sleep_reexpansions), so an older peer or journal is refused, never
-/// misparsed.
-inline constexpr std::uint32_t kWireVersion = 2;
+/// whenever a serialized layout or the meaning of a serialized value
+/// changes, so an older peer or journal is refused, never misparsed or
+/// resumed against a visited set hashed another way.
+///   2: ExploreStats lost sleep_reexpansions.
+///   3: state digests use the block hasher.
+inline constexpr std::uint32_t kWireVersion = 3;
 /// Upper bound on one frame's payload; a corrupt header cannot force a
 /// larger allocation.
 inline constexpr std::size_t kMaxFramePayload = 64u << 20;

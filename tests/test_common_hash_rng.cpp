@@ -48,6 +48,74 @@ TEST(Hash, StreamingMatchesOneShot) {
   EXPECT_EQ(h.digest(), h2.digest());
 }
 
+// Bytes that are neither all-zero nor periodic, so a lane or block that
+// ignored its input would show.
+std::vector<std::byte> patterned(std::size_t n) {
+  std::vector<std::byte> v(n);
+  std::uint64_t x = 0x243f6a8885a308d3ull;
+  for (auto& b : v) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    b = static_cast<std::byte>(x >> 56);
+  }
+  return v;
+}
+
+// Lengths 0..130 cross the word (8), block (32) and tail boundaries of the
+// block hasher several times; 4096 is a page.
+std::vector<std::size_t> boundary_lengths() {
+  std::vector<std::size_t> lens;
+  for (std::size_t n = 0; n <= 130; ++n) lens.push_back(n);
+  lens.push_back(4096);
+  return lens;
+}
+
+TEST(Hash, EverySingleBitFlipChangesTheHash) {
+  for (std::size_t n : boundary_lengths()) {
+    std::vector<std::byte> data = patterned(n);
+    const std::uint64_t base = hash_bytes(data);
+    for (std::size_t bit = 0; bit < 8 * n; ++bit) {
+      data[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
+      ASSERT_NE(hash_bytes(data), base) << "len " << n << " bit " << bit;
+      data[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
+    }
+  }
+}
+
+TEST(Hash, AppendingAZeroByteChangesTheHash) {
+  for (std::size_t n : boundary_lengths()) {
+    for (std::vector<std::byte> data :
+         {patterned(n), std::vector<std::byte>(n)}) {
+      const std::uint64_t base = hash_bytes(data);
+      data.push_back(std::byte{0});
+      EXPECT_NE(hash_bytes(data), base) << "len " << n;
+    }
+  }
+}
+
+TEST(Hash, TailLengthIsTagged) {
+  // Same total length and same tail bytes-xor-length values, split
+  // differently: an xor length tag would make both chains identical
+  // (1^1 == 2^2, 3^2 == 0^1). The top-byte tag keeps them apart.
+  const std::byte t1[] = {std::byte{1}};
+  const std::byte t30[] = {std::byte{3}, std::byte{0}};
+  const std::byte t20[] = {std::byte{2}, std::byte{0}};
+  const std::byte t0[] = {std::byte{0}};
+  Hasher a, b;
+  a.update(t1).update(t30);
+  b.update(t20).update(t0);
+  EXPECT_NE(a.digest(), b.digest());
+}
+
+TEST(Hash, WordsAreLittleEndian) {
+  // An 8-byte input is one whole word: the digest equals hashing the
+  // little-endian value through update_u64, on every platform.
+  const std::byte bytes[] = {std::byte{0x01}, std::byte{0x02}, std::byte{0x03},
+                             std::byte{0x04}, std::byte{0x05}, std::byte{0x06},
+                             std::byte{0x07}, std::byte{0x08}};
+  EXPECT_EQ(hash_bytes(bytes),
+            Hasher().update_u64(0x0807060504030201ull).digest());
+}
+
 TEST(Hash, CombineOrderSensitive) {
   EXPECT_NE(hash_combine(hash_combine(1, 2), 3),
             hash_combine(hash_combine(1, 3), 2));

@@ -7,6 +7,7 @@
 
 #include "apps/kv_store.hpp"
 #include "apps/rep_counter.hpp"
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "mem/paged_heap.hpp"
 #include "rt/scheduler.hpp"
@@ -36,14 +37,55 @@ TEST(HeapDigestCache, RepeatedDigestIsStable) {
 }
 
 TEST(HeapDigestCache, MaterializedZeroPageEqualsImplicit) {
-  PagedHeap implicit(128), materialized(128);
-  implicit.resize(512);
-  materialized.resize(512);
-  // Writing zeros materializes a page whose content equals the implicit
-  // zero page; the digest must not distinguish them.
-  materialized.store<std::uint64_t>(128, 0);
-  EXPECT_EQ(materialized.digest(), implicit.digest());
-  EXPECT_EQ(materialized.digest(), materialized.digest_uncached());
+  for (std::size_t ps : {64, 128, 4096, 8192}) {
+    // Four full pages plus a partial last one.
+    const std::uint64_t size = 4 * ps + ps / 2 + 3;
+    PagedHeap implicit(ps), materialized(ps);
+    implicit.resize(size);
+    materialized.resize(size);
+    // Writing zeros materializes a page whose content equals the implicit
+    // zero page; the digest must not distinguish them.
+    materialized.store<std::uint64_t>(ps, 0);
+    EXPECT_EQ(materialized.digest(), implicit.digest()) << ps;
+    EXPECT_EQ(materialized.digest(), materialized.digest_uncached()) << ps;
+    materialized.store<std::uint64_t>(4 * ps, 0);  // the partial page
+    EXPECT_EQ(materialized.digest(), implicit.digest()) << ps;
+    EXPECT_EQ(implicit.digest(), implicit.digest_uncached()) << ps;
+  }
+}
+
+TEST(HeapDigestCache, ZerosDigestEqualsHashingZeroBytes) {
+  std::vector<std::size_t> lens;
+  for (std::size_t base : {8u, 32u, 64u, 4096u, 8192u, 12288u}) {
+    for (std::size_t n : {base - 1, base, base + 1}) lens.push_back(n);
+  }
+  lens.push_back(0);
+  lens.push_back(4096 + 32 + 8 + 5);
+  for (std::size_t n : lens) {
+    const std::vector<std::byte> zeros(n);
+    EXPECT_EQ(mem::zeros_digest(n), hash_bytes(zeros)) << "len " << n;
+  }
+}
+
+TEST(HeapDigestCache, SwappingTwoPagesChangesTheDigest) {
+  for (std::size_t ps : {64, 4096}) {
+    PagedHeap h(ps);
+    h.resize(4 * ps);
+    for (std::size_t pg = 0; pg < 4; ++pg) {
+      for (std::size_t off = 0; off < ps; off += 8) {
+        h.store<std::uint64_t>(pg * ps + off, pg * 1000003 + off);
+      }
+    }
+    const std::uint64_t before = h.digest();
+    for (std::size_t off = 0; off < ps; off += 8) {
+      const auto a = h.load<std::uint64_t>(1 * ps + off);
+      const auto b = h.load<std::uint64_t>(2 * ps + off);
+      h.store<std::uint64_t>(1 * ps + off, b);
+      h.store<std::uint64_t>(2 * ps + off, a);
+    }
+    EXPECT_NE(h.digest(), before) << ps;
+    EXPECT_EQ(h.digest(), h.digest_uncached()) << ps;
+  }
 }
 
 TEST(HeapDigestCache, InPlaceWriteInvalidates) {
@@ -326,17 +368,39 @@ TEST(MessageDigestMemo, FreeStandingMessageNeverStale) {
   EXPECT_EQ(m.content_digest(), m.content_digest_uncached());
 }
 
+TEST(MessageDigestMemo, EveryPayloadBitFlipChangesBothDigests) {
+  net::Message m;
+  m.src = 1;
+  m.dst = 2;
+  m.tag = 3;
+  m.vclock = VectorClock(3);
+  for (std::size_t i = 0; i < 70; ++i) {
+    m.payload.push_back(static_cast<std::byte>(i * 37 + 11));
+  }
+  const std::uint64_t c0 = m.content_digest_uncached();
+  const std::uint64_t s0 = m.state_digest();
+  for (std::size_t bit = 0; bit < 8 * m.payload.size(); ++bit) {
+    m.payload[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
+    EXPECT_NE(m.content_digest_uncached(), c0) << bit;
+    EXPECT_NE(m.state_digest(), s0) << bit;
+    m.payload[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
+  }
+}
+
 TEST(MessageDigestMemo, StateDigestCoversNonContentFields) {
   net::Message m;
   m.src = 0;
   m.dst = 1;
   m.tag = 2;
   m.payload = {std::byte{7}};
-  std::uint64_t s0 = m.state_digest();
-  EXPECT_EQ(s0, m.state_digest_uncached());
+  const std::uint64_t s0 = m.state_digest();
+  const std::uint64_t c0 = m.content_digest();
   m.latency = 9;  // invisible to content_digest, visible to state_digest
   EXPECT_NE(m.state_digest(), s0);
-  EXPECT_EQ(m.state_digest(), m.state_digest_uncached());
+  EXPECT_EQ(m.content_digest(), c0);
+  BinaryWriter w;
+  m.save(w);
+  EXPECT_EQ(m.state_digest(), hash_bytes(w.bytes()));
 }
 
 // ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "apps/kv_store.hpp"
@@ -25,6 +26,7 @@
 #include "apps/two_phase_commit.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "mc/concurrent.hpp"
 #include "mc/sysmodel.hpp"
 
 namespace fixd::mc {
@@ -423,6 +425,36 @@ TEST(ParallelFrontierMeter, SumOfPeaksReportedAtEveryWorkerCount) {
     EXPECT_GT(got.stats.peak_frontier_bytes_max_worker, 0u);
     EXPECT_LE(got.stats.peak_frontier_bytes_max_worker,
               got.stats.peak_frontier_bytes);
+  }
+}
+
+// The meter's pointer -> refcount table against a node map doing the same
+// bookkeeping. Keys are 16-byte-strided addresses (how allocations sit),
+// the pool is large enough to force several grows, and churn empties and
+// refills long probe runs, so every backward-shift case is exercised.
+TEST(ParallelFrontierMeter, RefCountsMatchNodeMapUnderChurn) {
+  PtrRefCounts table;
+  std::unordered_map<const void*, std::size_t> ref;
+  alignas(16) static std::byte pool[16 * 4096];
+  Rng rng(2024);
+  for (int op = 0; op < 400000; ++op) {
+    // Phases bias toward acquire then release, so the population swings
+    // between near-empty and several thousand keys.
+    const bool filling = (op / 50000) % 2 == 0;
+    const void* p = pool + 16 * rng.next_below(4096);
+    if (rng.next_below(10) < (filling ? 7u : 3u)) {
+      const bool first = ref[p]++ == 0;
+      ASSERT_EQ(table.acquire(p), first) << "op " << op;
+    } else {
+      auto it = ref.find(p);
+      bool last = false;
+      if (it != ref.end() && --it->second == 0) {
+        ref.erase(it);
+        last = true;
+      }
+      ASSERT_EQ(table.release(p), last) << "op " << op;
+    }
+    ASSERT_EQ(table.size(), ref.size()) << "op " << op;
   }
 }
 

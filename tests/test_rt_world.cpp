@@ -1,6 +1,8 @@
 // World: determinism, event semantics, snapshots, invariants, timers.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "apps/rep_counter.hpp"
 #include "apps/token_ring.hpp"
 #include "rt/world.hpp"
@@ -339,6 +341,159 @@ TEST(World, SendObserversSeeEachSubmittedMessageOnce) {
       EXPECT_GT(w.network().stats().duplicated, 0u);
     }
   }
+}
+
+// Two read-only interfaces a global invariant can view processes through.
+class IFlag {
+ public:
+  virtual ~IFlag() = default;
+  virtual bool flag() const = 0;
+};
+class ICount {
+ public:
+  virtual ~ICount() = default;
+  virtual std::uint64_t count() const = 0;
+};
+
+// Implements both interfaces; state is its root.
+class FlagCountProc final : public ProcessBase<FlagCountProc>,
+                            public IFlag,
+                            public ICount {
+ public:
+  FlagCountProc(bool flag, std::uint64_t count) : flag_(flag), count_(count) {}
+  bool flag() const override { return flag_; }
+  std::uint64_t count() const override { return count_; }
+  void on_message(Context&, const net::Message&) override {}
+  void save_root(BinaryWriter& w) const override {
+    w.write_bool(flag_);
+    w.write_u64(count_);
+  }
+  void load_root(BinaryReader& r) override {
+    flag_ = r.read_bool();
+    count_ = r.read_u64();
+  }
+  std::string type_name() const override { return "flag-count"; }
+
+ private:
+  bool flag_;
+  std::uint64_t count_;
+};
+
+// Another party type: implements IFlag only, and always raises it.
+class RaisedFlagProc final : public ProcessBase<RaisedFlagProc>,
+                             public IFlag {
+ public:
+  bool flag() const override { return true; }
+  void on_message(Context&, const net::Message&) override {}
+  void save_root(BinaryWriter&) const override {}
+  void load_root(BinaryReader&) override {}
+  std::string type_name() const override { return "raised-flag"; }
+};
+
+// Implements neither interface.
+class PlainProc final : public ProcessBase<PlainProc> {
+ public:
+  void on_message(Context&, const net::Message&) override {}
+  void save_root(BinaryWriter&) const override {}
+  void load_root(BinaryReader&) override {}
+  std::string type_name() const override { return "plain"; }
+};
+
+std::unique_ptr<World> make_flag_world() {
+  auto w = std::make_unique<World>();
+  for (std::uint64_t p = 0; p < 3; ++p) {
+    w->add_process(std::make_unique<FlagCountProc>(false, 10 + p));
+  }
+  w->seal();
+  w->invariants().add_global(
+      "no-flag", [](const World& world) -> std::optional<std::string> {
+        for (ProcessId p = 0; p < world.size(); ++p) {
+          const IFlag* f = world.facet<IFlag>(p);
+          if (f && f->flag()) return "p" + std::to_string(p) + " flagged";
+        }
+        return std::nullopt;
+      });
+  return w;
+}
+
+TEST(WorldFacet, MatchesDynamicCast) {
+  auto w = make_flag_world();
+  const World& cw = *w;
+  for (ProcessId p = 0; p < cw.size(); ++p) {
+    EXPECT_EQ(cw.facet<IFlag>(p),
+              dynamic_cast<const IFlag*>(&cw.process(p)));
+    EXPECT_EQ(cw.facet<IFlag>(p),
+              dynamic_cast<const IFlag*>(&cw.process(p)));  // cached
+  }
+  EXPECT_THROW(cw.facet<IFlag>(3), FixdError);
+}
+
+TEST(WorldFacet, SwapToAnotherPartyTypeIsSeenByTheInvariant) {
+  auto w = make_flag_world();
+  w->recheck_invariants();
+  EXPECT_FALSE(w->has_violation());  // fills every slot
+  const IFlag* before = w->facet<IFlag>(1);
+  ASSERT_NE(before, nullptr);
+  EXPECT_FALSE(before->flag());
+
+  w->swap_process(1, std::make_unique<RaisedFlagProc>());
+  const IFlag* after = w->facet<IFlag>(1);
+  ASSERT_NE(after, nullptr);
+  EXPECT_EQ(after, dynamic_cast<const IFlag*>(&std::as_const(*w).process(1)));
+  EXPECT_TRUE(after->flag());
+  w->recheck_invariants();
+  ASSERT_EQ(w->violations().size(), 1u);
+  EXPECT_EQ(w->violations().front().detail, "p1 flagged");
+}
+
+TEST(WorldFacet, SwapToNonPartyYieldsNull) {
+  auto w = make_flag_world();
+  ASSERT_NE(w->facet<IFlag>(2), nullptr);
+  ASSERT_NE(w->facet<ICount>(2), nullptr);
+  w->swap_process(2, std::make_unique<PlainProc>());
+  EXPECT_EQ(w->facet<IFlag>(2), nullptr);
+  EXPECT_EQ(w->facet<ICount>(2), nullptr);
+  w->recheck_invariants();
+  EXPECT_FALSE(w->has_violation());
+  // And back to a party: the slot refills.
+  w->swap_process(2, std::make_unique<FlagCountProc>(true, 7));
+  ASSERT_NE(w->facet<ICount>(2), nullptr);
+  EXPECT_EQ(w->facet<ICount>(2)->count(), 7u);
+  EXPECT_TRUE(w->facet<IFlag>(2)->flag());
+}
+
+TEST(WorldFacet, AlternatingInterfacesStayCorrect) {
+  auto w = make_flag_world();
+  const World& cw = *w;
+  const auto* proc = &cw.process(0);
+  for (int round = 0; round < 4; ++round) {
+    const IFlag* f = cw.facet<IFlag>(0);
+    const ICount* c = cw.facet<ICount>(0);
+    EXPECT_EQ(f, dynamic_cast<const IFlag*>(proc)) << round;
+    EXPECT_EQ(c, dynamic_cast<const ICount*>(proc)) << round;
+    ASSERT_NE(c, nullptr);
+    EXPECT_FALSE(f->flag());
+    EXPECT_EQ(c->count(), 10u);
+  }
+}
+
+TEST(WorldFacet, CloneFromSnapshotHasItsOwnViews) {
+  auto w = make_flag_world();
+  w->recheck_invariants();  // warm the original's slots
+  w->swap_process(0, std::make_unique<FlagCountProc>(false, 99));
+  WorldSnapshot snap = w->snapshot();
+  std::unique_ptr<World> c = w->clone_from_snapshot(snap);
+  for (ProcessId p = 0; p < c->size(); ++p) {
+    const ICount* view = c->facet<ICount>(p);
+    ASSERT_NE(view, nullptr);
+    EXPECT_EQ(view, dynamic_cast<const ICount*>(&std::as_const(*c).process(p)));
+    EXPECT_NE(view, w->facet<ICount>(p));
+    EXPECT_EQ(view->count(), w->facet<ICount>(p)->count());
+  }
+  EXPECT_EQ(c->facet<ICount>(0)->count(), 99u);
+  c->swap_process(2, std::make_unique<RaisedFlagProc>());
+  EXPECT_TRUE(c->facet<IFlag>(2)->flag());
+  EXPECT_FALSE(w->facet<IFlag>(2)->flag());
 }
 
 TEST(EventDesc, StringAndIdentity) {

@@ -265,7 +265,7 @@ TEST(CowSnapshot, CaptureScratchReuseDoesNotBleed) {
   for (const net::Message* m : {&big, &small, &big}) {
     BinaryWriter fw;
     m->save(fw);
-    EXPECT_EQ(m->state_digest_uncached(), hash_bytes(fw.bytes()));
+    EXPECT_EQ(m->state_digest(), hash_bytes(fw.bytes()));
   }
 }
 

@@ -147,6 +147,12 @@ class BinaryReader {
     return static_cast<std::uint8_t>(data_[pos_++]);
   }
 
+  /// The next byte, without consuming it.
+  std::uint8_t peek_u8() const {
+    need(1);
+    return static_cast<std::uint8_t>(data_[pos_]);
+  }
+
   std::uint16_t read_u16() { return read_le<std::uint16_t>(); }
   std::uint32_t read_u32() { return read_le<std::uint32_t>(); }
   std::uint64_t read_u64() { return read_le<std::uint64_t>(); }

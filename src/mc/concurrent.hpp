@@ -285,18 +285,6 @@ class StripedVisitedSet {
     return n;
   }
 
-  /// Sorted copy of the whole set (test/differential hook; call after the
-  /// workers have joined).
-  std::vector<std::uint64_t> sorted_contents() const {
-    std::vector<std::uint64_t> out;
-    stripes_.for_each([&out](const Stripe& s) {
-      std::lock_guard<std::mutex> lk(s.mu);
-      s.set.for_each([&out](std::uint64_t v) { out.push_back(v); });
-    });
-    std::sort(out.begin(), out.end());
-    return out;
-  }
-
  private:
   struct Stripe {
     mutable std::mutex mu;
@@ -440,6 +428,13 @@ class StealableDeque {
       q_.pop_back();
     }
     return true;
+  }
+
+  /// Visit every queued element front to back without removing any.
+  template <class Fn>
+  void for_each(Fn&& fn) const {
+    std::lock_guard<std::mutex> lk(mu_);
+    for (const T& v : q_) fn(v);
   }
 
  private:

@@ -339,20 +339,17 @@ struct SystemExplorer::Shared {
     return visited ? visited->insert(h) : tiered->insert(h);
   }
 
-  /// The visited-set stats (and, when `collect`, the sorted contents).
-  void report_visited(SysExploreResult& res, bool collect) const {
-    ExploreStats& s = res.stats;
+  /// The visited-set stats.
+  void report_visited(ExploreStats& s) const {
     if (tiered) {
       s.visited_resident_bytes = tiered->resident_bytes();
       s.visited_peak_resident_bytes = tiered->peak_resident_bytes();
       s.visited_spilled_bytes = tiered->spilled_bytes();
       s.spilled_bytes = tiered->spill_bytes_written();
       s.bloom_fp_rate = tiered->bloom_fp_rate();
-      if (collect) res.visited = tiered->sorted_contents();
     } else if (visited) {
       s.visited_resident_bytes = visited->bytes();
       s.visited_peak_resident_bytes = s.visited_resident_bytes;
-      if (collect) res.visited = visited->sorted_contents();
     }
   }
 
@@ -365,7 +362,11 @@ struct SystemExplorer::Shared {
   ScratchDir spill_scratch;
   std::unique_ptr<TieredVisitedSet> tiered;
   PorState por;
+  /// States counted over the whole search (root included): the budget
+  /// authority. `slice_base` is its value when the current slice began,
+  /// so a slice's own count is states - slice_base.
   std::atomic<std::uint64_t> states{0};
+  std::uint64_t slice_base = 0;
   std::atomic<std::uint64_t> violation_count{0};
   std::atomic<std::size_t> active{0};
   std::atomic<bool> stop{false};
@@ -402,6 +403,9 @@ struct SystemExplorer::Worker {
   std::deque<PathNode> arena;
   ExploreStats stats;
   std::vector<SysViolation> violations;
+  /// Digests this worker inserted first during the current slice (only
+  /// with opts.collect_visited).
+  std::vector<std::uint64_t> fresh;
 };
 
 // ---------------------------------------------------------------------------
@@ -826,11 +830,13 @@ void SystemExplorer::por_race_detect(PorState& ps, const Node& cur,
 }
 
 Trail SystemExplorer::trail_of(const PathNode* path) {
+  std::size_t n = 0;
+  for (const PathNode* p = path; p != nullptr; p = p->parent) ++n;
   Trail t;
+  t.steps.resize(n);
   for (const PathNode* p = path; p != nullptr; p = p->parent) {
-    t.steps.push_back(p->action);
+    t.steps[--n] = p->action;
   }
-  std::reverse(t.steps.begin(), t.steps.end());
   return t;
 }
 
@@ -890,13 +896,6 @@ SysExploreResult SystemExplorer::explore() {
         "kRandomWalk; ModelD's Explorer keeps best-first search)");
   }
   check_pause_resume_options();
-  // Anchor eviction needs a replay recipe per node, which only trail-mode
-  // graph searches have; snapshot mode ignores the frontier budget.
-  reg_.reset();
-  if (opts_.frontier_budget_bytes > 0 && opts_.trail_frontier &&
-      opts_.order != SearchOrder::kRandomWalk) {
-    reg_ = std::make_unique<AnchorRegistry>(opts_.frontier_budget_bytes);
-  }
   SysExploreResult res = opts_.order == SearchOrder::kRandomWalk
                              ? random_walk()
                              : graph_search();
@@ -1046,13 +1045,15 @@ void SystemExplorer::expand(Shared& sh, Worker& me, Node cur) {
     }
 
     if (opts_.dedup) {
-      if (!sh.insert(timed_mc_digest(w, stats, opts_.abstract_time))) {
+      const std::uint64_t h = timed_mc_digest(w, stats, opts_.abstract_time);
+      if (!sh.insert(h)) {
         ++stats.duplicates;
         // The edge (if allocated for the violation trail above) was never
         // published to a frontier node; the Trail copied its actions.
         if (path) me.arena.pop_back();
         continue;
       }
+      if (opts_.collect_visited) me.fresh.push_back(h);
     }
     stats.max_depth = std::max<std::uint64_t>(stats.max_depth, depth);
     // The shared counter is the budget authority (per-worker counts would
@@ -1103,7 +1104,7 @@ void SystemExplorer::worker_loop(Shared& sh, Worker& me) {
     if (sh.paused.load(std::memory_order_acquire)) return;
     if (opts_.pause_check && sh.active.load(std::memory_order_acquire) > 0) {
       ExploreStats probe = me.stats;
-      probe.states = sh.states.load(std::memory_order_relaxed);
+      probe.states = sh.states.load(std::memory_order_relaxed) - sh.slice_base;
       if (opts_.pause_check(probe)) {
         sh.paused.store(true, std::memory_order_release);
         return;
@@ -1151,14 +1152,21 @@ void SystemExplorer::worker_loop(Shared& sh, Worker& me) {
   }
 }
 
-SysExploreResult SystemExplorer::graph_search() {
-  SysExploreResult res;
-  // Resume slices do not re-probe (or re-count) the root: the first slice
-  // already did, and the checkpointed stats accumulate across slices.
-  if (!opts_.resume_from_checkpoint && !probe_root(res)) return res;
+std::unique_ptr<SystemExplorer::Shared> SystemExplorer::start_search(
+    SysExploreResult& res) {
+  // A search resumed from a checkpoint does not re-probe (or re-count)
+  // the root: its first slice already did, and the checkpointed stats
+  // accumulate across slices.
+  if (!opts_.resume_from_checkpoint && !probe_root(res)) return nullptr;
 
+  // Anchor eviction needs a replay recipe per node, which only trail-mode
+  // graph searches have; snapshot mode ignores the frontier budget.
+  reg_.reset();
+  if (opts_.frontier_budget_bytes > 0 && opts_.trail_frontier) {
+    reg_ = std::make_unique<AnchorRegistry>(opts_.frontier_budget_bytes);
+  }
   const std::size_t n_workers = std::max<std::size_t>(1, opts_.workers);
-  Shared sh(opts_, n_workers);
+  auto sh = std::make_unique<Shared>(opts_, n_workers);
 
   // One COW snapshot of the investigated state: the root node's anchor,
   // the POR backtrack anchor, and the image every worker world of a
@@ -1167,20 +1175,23 @@ SysExploreResult SystemExplorer::graph_search() {
   auto root_anchor = std::make_shared<Anchor>();
   root_anchor->snap = capture(*scratch_, res.stats);
   if (reg_) reg_->set_root(root_anchor);
-  if (opts_.por) sh.por.root = root_anchor;
+  if (opts_.por) sh->por.root = root_anchor;
   if (opts_.dedup) {
     if (opts_.resume_from_checkpoint) {
       // Preseed with the checkpoint's visited set (root digest included);
       // children re-reaching pre-crash states dedup against it exactly as
       // the uninterrupted run deduped against its own history.
-      for (std::uint64_t h : opts_.resume_visited) sh.insert(h);
+      for (std::uint64_t h : opts_.resume_visited) sh->insert(h);
     } else {
-      sh.insert(timed_mc_digest(*scratch_, res.stats, opts_.abstract_time));
+      const std::uint64_t h =
+          timed_mc_digest(*scratch_, res.stats, opts_.abstract_time);
+      sh->insert(h);
+      if (opts_.collect_visited) res.visited.push_back(h);
     }
   }
-  sh.states.store(res.stats.states);  // the probed root
+  sh->states.store(res.stats.states);  // the probed root
   // Root violations count against the budget like any other.
-  sh.violation_count.store(res.violations.size());
+  sh->violation_count.store(res.violations.size());
 
   // One worker expands on scratch_ itself, on the calling thread; more
   // workers each get a private clone of the root.
@@ -1195,7 +1206,7 @@ SysExploreResult SystemExplorer::graph_search() {
       wk->world = wk->own_world.get();
     }
     wk->meter.set_charge_snapshots(reg_ == nullptr);
-    sh.workers.push_back(std::move(wk));
+    sh->workers.push_back(std::move(wk));
   }
 
   if (opts_.resume_from_checkpoint) {
@@ -1204,32 +1215,51 @@ SysExploreResult SystemExplorer::graph_search() {
     // DFS pop_back then reproduces the uninterrupted run's pop sequence
     // exactly. Path chains go into worker 0's arena (before any thread
     // starts, so single-writer holds).
-    std::vector<Node> nodes = resume_nodes(root_anchor, sh.workers[0]->arena);
+    std::vector<Node> nodes = resume_nodes(root_anchor, sh->workers[0]->arena);
     for (std::size_t i = 0; i < nodes.size(); ++i) {
-      push(sh, *sh.workers[i % n_workers], std::move(nodes[i]));
+      push(*sh, *sh->workers[i % n_workers], std::move(nodes[i]));
     }
   } else {
     Node root;
     root.state = root_anchor;
-    push(sh, *sh.workers[0], std::move(root));
+    push(*sh, *sh->workers[0], std::move(root));
   }
+  return sh;
+}
+
+SysExploreResult SystemExplorer::graph_search() {
+  SysExploreResult res;
+  // Continue the parked search in place, or start a new one. The search
+  // is parked in live_ again only if this slice pauses; an exception or
+  // a finished search drops it.
+  std::unique_ptr<Shared> sh = std::move(live_);
+  if (sh) {
+    sh->paused.store(false);
+    sh->slice_base = sh->states.load();
+    for (const auto& wk : sh->workers) wk->stats = ExploreStats{};
+  } else {
+    sh = start_search(res);
+    if (!sh) return res;
+  }
+  const std::size_t n_workers = sh->workers.size();
 
   if (n_workers == 1) {
-    worker_loop(sh, *sh.workers[0]);
+    worker_loop(*sh, *sh->workers[0]);
   } else {
     std::vector<std::thread> threads;
     threads.reserve(n_workers);
+    Shared& s = *sh;
     for (std::size_t i = 0; i < n_workers; ++i) {
-      threads.emplace_back([this, &sh, i] { worker_loop(sh, *sh.workers[i]); });
+      threads.emplace_back([this, &s, i] { worker_loop(s, *s.workers[i]); });
     }
     for (auto& t : threads) t.join();
   }
-  if (sh.error) std::rethrow_exception(sh.error);
+  if (sh->error) std::rethrow_exception(sh->error);
 
   // Merge. The shared counter is the state total (root included); timing
   // counters sum across workers (CPU time, can exceed wall time).
-  res.stats.states = sh.states.load();
-  for (const auto& wk : sh.workers) {
+  res.stats.states = sh->states.load() - sh->slice_base;
+  for (const auto& wk : sh->workers) {
     res.stats.transitions += wk->stats.transitions;
     res.stats.duplicates += wk->stats.duplicates;
     res.stats.max_depth =
@@ -1250,7 +1280,11 @@ SysExploreResult SystemExplorer::graph_search() {
           res.stats.peak_frontier_bytes_max_worker, wk->meter.peak());
     }
     for (auto& v : wk->violations) res.violations.push_back(std::move(v));
+    wk->violations.clear();
+    res.visited.insert(res.visited.end(), wk->fresh.begin(), wk->fresh.end());
+    wk->fresh.clear();
   }
+  std::sort(res.visited.begin(), res.visited.end());
   res.stats.workers = n_workers;
   if (n_workers > 1) {
     // Violations arrive in nondeterministic worker order; re-sort into a
@@ -1269,21 +1303,22 @@ SysExploreResult SystemExplorer::graph_search() {
     res.stats.peak_frontier_bytes += reg_->peak_resident();
     res.stats.anchor_evictions = reg_->evictions();
   }
-  sh.report_visited(res, opts_.collect_visited);
+  sh->report_visited(res.stats);
   // A pause that raced a hard stop (budget/violation cap) is NOT a clean
   // boundary — stop abandons in-flight children — so it is not reported
-  // as paused and nothing is captured.
-  res.paused = sh.paused.load() && !sh.stop.load();
-  if (res.paused && opts_.capture_frontier) {
+  // as paused and nothing is captured. Neither is a pause with nothing
+  // left queued: the search is complete.
+  res.paused = sh->paused.load() && !sh->stop.load() && sh->active.load() > 0;
+  if (!res.paused) return res;
+  if (opts_.capture_frontier) {
     // Front-to-back deque order: resume's in-order re-plant restores the
     // identical pop order for both kBfs (pop_front) and kDfs (pop_back).
-    for (auto& wk : sh.workers) {
-      Node nd;
-      while (wk->deque.pop_front(nd)) {
-        res.frontier.push_back(trail_of(nd.path));
-      }
+    for (const auto& wk : sh->workers) {
+      wk->deque.for_each(
+          [&](const Node& nd) { res.frontier.push_back(trail_of(nd.path)); });
     }
   }
+  live_ = std::move(sh);
   return res;
 }
 

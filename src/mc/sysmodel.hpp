@@ -212,9 +212,13 @@ struct SysExploreOptions {
   /// including violation-found early returns (RAII; tested).
   std::string spill_dir;
 
-  /// Test hook: return the visited canonical-digest set (sorted) in
-  /// SysExploreResult::visited — the differential suites compare worker
-  /// counts, and the engine against the reference BFS, with this.
+  /// Return, sorted, the canonical digests this explore() call inserted
+  /// first in SysExploreResult::visited. A single-shot search therefore
+  /// returns its whole visited set (root included); a paused search's
+  /// slices each return only their new digests, and a resume preseed
+  /// (resume_visited) is never returned. The differential suites compare
+  /// worker counts, and the engine against the reference BFS, with this;
+  /// src/svc/jobd.cpp checkpoints each slice's new digests with it.
   bool collect_visited = false;
 
   /// Registers invariants (and anything else detection needs) on a world.
@@ -231,6 +235,15 @@ struct SysExploreOptions {
   // back byte-identical. src/svc/jobd.cpp builds durable, kill -9
   // survivable investigation jobs on exactly this contract.
   //
+  // A paused search stays alive in its explorer: the next explore() call
+  // on the same explorer continues from the parked frontier in place —
+  // the visited set, the workers' deques and path arenas and the frontier
+  // meters carry over, nothing is re-planted or re-inserted, and workers
+  // > 1 re-spawn their threads on the live search. Budgets (max_states,
+  // max_violations) span the whole search; each call's stats start at
+  // zero and cover only that slice's work. A call that does not pause
+  // ends the search, and the call after it starts a new one.
+  //
   // Supported only for graph searches (kBfs/kDfs) with dedup on and por
   // off (it carries traversal-order-sensitive extra state); explore()
   // throws ConfigError otherwise.
@@ -245,16 +258,19 @@ struct SysExploreOptions {
   /// in-flight expansions complete (their children are pushed or deduped,
   /// never dropped), then SysExploreResult::paused is set. Also the
   /// service heartbeat: jobd's lease supervision feeds off these calls.
+  /// A pause that leaves nothing queued is completion: paused stays false.
   std::function<bool(const ExploreStats&)> pause_check;
 
-  /// On pause, drain the remaining frontier into SysExploreResult::
-  /// frontier as root-relative trails (deque order, front first, workers
-  /// in id order). Nodes are captured as {action path from the root},
-  /// which is exactly what resume_frontier accepts.
+  /// On pause, copy the parked frontier into SysExploreResult::frontier as
+  /// root-relative trails (deque order, front first, workers in id order)
+  /// without draining it, so the next explore() continues from it. Nodes
+  /// are captured as {action path from the root}, which is exactly what
+  /// resume_frontier accepts.
   bool capture_frontier = false;
 
-  /// Resume a previously paused search instead of starting from the root:
-  /// the root state is NOT re-probed or re-counted, resume_visited
+  /// Start the search from a checkpoint of an earlier explorer (one that
+  /// no longer exists, e.g. before a crash) instead of from the root: the
+  /// root state is NOT re-probed or re-counted, resume_visited
   /// preseeds the dedup set (it must contain the root digest), and
   /// resume_frontier's trails are re-planted as root-anchored frontier
   /// nodes in order. The base world passed to the constructor must be the
@@ -267,10 +283,12 @@ struct SysExploreOptions {
 struct SysExploreResult {
   ExploreStats stats;
   std::vector<SysViolation> violations;
-  /// Sorted visited canonical digests (only when opts.collect_visited).
+  /// Sorted canonical digests first visited by this call (only when
+  /// opts.collect_visited; see there).
   std::vector<std::uint64_t> visited;
   /// True when pause_check stopped the search at a clean node boundary
-  /// (never set by budget truncation or a filled violation budget).
+  /// with work still queued (never set by budget truncation or a filled
+  /// violation budget). The next explore() continues the search.
   bool paused = false;
   /// The un-expanded frontier at pause time (only when opts.capture_frontier).
   std::vector<Trail> frontier;
@@ -284,6 +302,8 @@ class SystemExplorer {
   SystemExplorer(rt::World& base, SysExploreOptions opts);
   ~SystemExplorer();
 
+  /// Run the search; if the previous call paused, continue it in place
+  /// (see "Pause / capture / resume" in SysExploreOptions).
   SysExploreResult explore();
 
   /// Re-execute a trail on a fresh clone of `base`; returns the violations
@@ -431,8 +451,12 @@ class SystemExplorer {
   /// with workers > 1 it is marked shared, since any node may be stolen.
   std::shared_ptr<const rt::WorldSnapshot> capture(rt::World& w,
                                                    ExploreStats& stats) const;
-  /// The graph-search engine (kBfs/kDfs) at any worker count.
+  /// The graph-search engine (kBfs/kDfs) at any worker count: one slice of
+  /// the live search, started first by start_search() when none is parked.
   SysExploreResult graph_search();
+  /// Probe the root, build the shared state and plant the root (or the
+  /// resume frontier). Null when the root probe fills the violation budget.
+  std::unique_ptr<Shared> start_search(SysExploreResult& res);
   void worker_loop(Shared& sh, Worker& me);
   void expand(Shared& sh, Worker& me, Node cur);
   /// Make `nd` visible on `me`'s frontier deque; `active` rises first, so
@@ -445,8 +469,10 @@ class SystemExplorer {
   SysExploreOptions opts_;
   std::unique_ptr<rt::World> scratch_;
   /// Anchor residency bookkeeping; non-null only for budgeted trail-mode
-  /// graph searches (created per explore(); defined in sysmodel.cpp).
+  /// graph searches (created per search; defined in sysmodel.cpp).
   std::unique_ptr<AnchorRegistry> reg_;
+  /// The paused search the next explore() continues (null otherwise).
+  std::unique_ptr<Shared> live_;
 };
 
 }  // namespace fixd::mc

@@ -37,30 +37,59 @@ struct SysAction {
   ProcessId src = kNoProcess;  ///< kPartitionLinks / kHealLinks
   ProcessId dst = kNoProcess;  ///< kPartitionLinks / kHealLinks
 
+  bool operator==(const SysAction&) const = default;
+
   std::string describe() const {
+    std::string s;
+    append_describe(s);
+    return s;
+  }
+
+  /// Append describe()'s text to `out` without building temporaries.
+  void append_describe(std::string& out) const {
     switch (kind) {
       case Kind::kRuntime:
-        return event.to_string();
+        event.append_to(out);
+        return;
       case Kind::kDropMessage:
-        return "env:drop(msg#" + std::to_string(msg) + ")";
+        out += "env:drop(msg#";
+        rt::append_decimal(out, msg);
+        out += ')';
+        return;
       case Kind::kDupMessage:
-        return "env:dup(msg#" + std::to_string(msg) + ")";
+        out += "env:dup(msg#";
+        rt::append_decimal(out, msg);
+        out += ')';
+        return;
       case Kind::kDelayMessage:
-        return "env:delay(msg#" + std::to_string(msg) + ",+" +
-               std::to_string(delay) + ")";
+        out += "env:delay(msg#";
+        rt::append_decimal(out, msg);
+        out += ",+";
+        rt::append_decimal(out, delay);
+        out += ')';
+        return;
       case Kind::kCancelTimer:
-        return "env:cancel-timer(t#" + std::to_string(event.timer) + "@p" +
-               std::to_string(event.pid) + ")";
+        out += "env:cancel-timer(t#";
+        rt::append_decimal(out, event.timer);
+        out += "@p";
+        rt::append_decimal(out, event.pid);
+        out += ')';
+        return;
       case Kind::kPartitionLinks:
-        return "env:cut(p" + std::to_string(src) + "->p" +
-               std::to_string(dst) + ")";
       case Kind::kHealLinks:
-        return "env:heal(p" + std::to_string(src) + "->p" +
-               std::to_string(dst) + ")";
+        out += kind == Kind::kPartitionLinks ? "env:cut(p" : "env:heal(p";
+        rt::append_decimal(out, src);
+        out += "->p";
+        rt::append_decimal(out, dst);
+        out += ')';
+        return;
       case Kind::kRestartProcess:
-        return "env:restart(p" + std::to_string(event.pid) + ")";
+        out += "env:restart(p";
+        rt::append_decimal(out, event.pid);
+        out += ')';
+        return;
     }
-    return "?";
+    out += '?';
   }
 
   void save(BinaryWriter& w) const {
@@ -93,10 +122,22 @@ struct Trail {
 
   std::string render() const {
     std::string out;
-    for (std::size_t i = 0; i < steps.size(); ++i) {
-      out += "  " + std::to_string(i + 1) + ". " + steps[i].describe() + "\n";
-    }
+    render_to(out);
     return out;
+  }
+
+  /// Append render()'s line for step `i` to `out`.
+  void render_step(std::string& out, std::size_t i) const {
+    out += "  ";
+    rt::append_decimal(out, i + 1);
+    out += ". ";
+    steps[i].append_describe(out);
+    out += '\n';
+  }
+
+  /// Append render()'s text to `out` without building temporaries.
+  void render_to(std::string& out) const {
+    for (std::size_t i = 0; i < steps.size(); ++i) render_step(out, i);
   }
 
   void save(BinaryWriter& w) const {

@@ -8,12 +8,21 @@
 //   - the Investigator's transition label (mc/sysmodel.hpp).
 #pragma once
 
+#include <charconv>
 #include <string>
 
 #include "common/serialize.hpp"
 #include "common/types.hpp"
 
 namespace fixd::rt {
+
+/// Append `v` in decimal to `out`: std::to_string without the temporary
+/// (trail renderings are hashed for every violation of a job).
+inline void append_decimal(std::string& out, std::uint64_t v) {
+  char buf[20];
+  const auto r = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, r.ptr);
+}
 
 enum class EventKind : std::uint8_t {
   kStart = 0,    ///< process bootstrap (on_start)
@@ -56,17 +65,35 @@ struct EventDesc {
   }
 
   std::string to_string() const {
+    std::string s;
+    append_to(s);
+    return s;
+  }
+
+  /// Append to_string()'s text to `out` without building temporaries.
+  void append_to(std::string& out) const {
     switch (kind) {
       case EventKind::kStart:
-        return "start(p" + std::to_string(pid) + ")";
+        out += "start(p";
+        append_decimal(out, pid);
+        out += ')';
+        return;
       case EventKind::kDeliver:
-        return "deliver(p" + std::to_string(pid) + ", msg#" +
-               std::to_string(msg) + ")";
+        out += "deliver(p";
+        append_decimal(out, pid);
+        out += ", msg#";
+        append_decimal(out, msg);
+        out += ')';
+        return;
       case EventKind::kTimer:
-        return "timer(p" + std::to_string(pid) + ", t" +
-               std::to_string(timer) + ")";
+        out += "timer(p";
+        append_decimal(out, pid);
+        out += ", t";
+        append_decimal(out, timer);
+        out += ')';
+        return;
     }
-    return "?";
+    out += '?';
   }
 };
 

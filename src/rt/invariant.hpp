@@ -16,6 +16,7 @@
 
 #include "common/serialize.hpp"
 #include "common/types.hpp"
+#include "rt/event.hpp"
 
 namespace fixd::rt {
 
@@ -31,10 +32,30 @@ struct Violation {
   std::uint64_t step = 0;  ///< world step index at detection
 
   std::string to_string() const {
-    std::string who = pid == kNoProcess ? std::string("global")
-                                        : "p" + std::to_string(pid);
-    return "[" + invariant + "] " + who + " step=" + std::to_string(step) +
-           " t=" + std::to_string(at) + (detail.empty() ? "" : ": " + detail);
+    std::string s;
+    append_to(s);
+    return s;
+  }
+
+  /// Append to_string()'s text to `out` without building temporaries.
+  void append_to(std::string& out) const {
+    out += '[';
+    out += invariant;
+    out += "] ";
+    if (pid == kNoProcess) {
+      out += "global";
+    } else {
+      out += 'p';
+      append_decimal(out, pid);
+    }
+    out += " step=";
+    append_decimal(out, step);
+    out += " t=";
+    append_decimal(out, at);
+    if (!detail.empty()) {
+      out += ": ";
+      out += detail;
+    }
   }
 
   void save(BinaryWriter& w) const {

@@ -67,16 +67,46 @@ std::uint64_t visited_digest(const std::vector<std::uint64_t>& visited) {
 }
 
 std::uint64_t trail_digest(const std::vector<mc::SysViolation>& violations,
-                           std::uint32_t workers) {
+                           std::uint32_t workers,
+                           const std::function<void()>& progress) {
+  // Called every kProgressEvery violations (see the declaration).
+  constexpr std::size_t kProgressEvery = 1024;
+  std::size_t done = 0;
+  auto tick = [&] {
+    if (progress && ++done % kProgressEvery == 0) progress();
+  };
   if (workers <= 1) {
     // Sequential searches produce a fully deterministic ordered trail
     // list: digest everything, order-sensitively.
+    // Consecutive violations mostly share a trail prefix (siblings found
+    // by one expansion), so each rendering keeps the previous one's text
+    // up to the shared prefix and renders only the steps after it.
     Hasher h;
     h.update_u64(violations.size());
+    const mc::Trail* prev = nullptr;
+    std::string what;              // the violation, rendered
+    std::string text;              // the previous trail, rendered
+    std::vector<std::size_t> end;  // text size after each of its steps
     for (const mc::SysViolation& v : violations) {
-      h.update_string(v.violation.to_string());
-      h.update_string(v.trail.render());
+      what.clear();
+      v.violation.append_to(what);
+      h.update_string(what);
+      const std::vector<mc::SysAction>& steps = v.trail.steps;
+      std::size_t k = 0;
+      if (prev != nullptr) {
+        const std::size_t m = std::min(prev->steps.size(), steps.size());
+        while (k < m && prev->steps[k] == steps[k]) ++k;
+      }
+      text.resize(k > 0 ? end[k - 1] : 0);
+      end.resize(k);
+      for (std::size_t i = k; i < steps.size(); ++i) {
+        v.trail.render_step(text, i);
+        end.push_back(text.size());
+      }
+      h.update_string(text);
       h.update_u64(v.depth);
+      prev = &v.trail;
+      tick();
     }
     return h.digest();
   }
@@ -88,8 +118,10 @@ std::uint64_t trail_digest(const std::vector<mc::SysViolation>& violations,
     records.push_back(v.violation.invariant + "|" +
                       std::to_string(v.violation.pid) + "|" +
                       v.violation.detail);
+    tick();
   }
   std::sort(records.begin(), records.end());
+  if (progress) progress();
   Hasher h;
   h.update_u64(records.size());
   for (const std::string& r : records) h.update_string(r);
@@ -160,80 +192,87 @@ JobResultMsg run_investigation(const ScenarioFamily& fam, const JobSpec& spec,
   }
   std::unique_ptr<rt::World> world = fam.make(spec.n, spec.version);
 
+  // The fold of every slice so far (the resume point's fold included).
   CheckpointState state;
   if (resume != nullptr) state = *resume;
 
   JobResultMsg out;
   out.resumed = resume != nullptr && state.slices > 0;
 
-  for (;;) {
+  // Budgets span the explorer's whole search. The accumulated `states`
+  // counter matches the uninterrupted run's exactly (resume preseeds are
+  // not re-counted), so remaining = spec budget - accumulated.
+  const bool exhausted = state.stats.states >= spec.max_states ||
+                         state.violations.size() >= spec.max_violations;
+  mc::SysExploreOptions iopts = options_for(fam, spec);
+  iopts.max_states = spec.max_states - std::min(spec.max_states,
+                                                state.stats.states);
+  iopts.max_violations = spec.max_violations -
+                         std::min(spec.max_violations,
+                                  state.violations.size());
+  // Pause roughly every checkpoint_states newly-visited states. The
+  // threshold is per-slice (each slice's stats start at zero), so every
+  // slice is guaranteed forward progress before it can pause.
+  if (spec.checkpoint_states > 0) {
+    const std::uint64_t threshold = spec.checkpoint_states;
+    iopts.pause_check = [threshold](const mc::ExploreStats& s) {
+      return s.states >= threshold;
+    };
+    iopts.capture_frontier = static_cast<bool>(cb.on_checkpoint);
+  }
+  if (state.slices > 0) {
+    iopts.resume_from_checkpoint = true;
+    iopts.resume_visited = state.visited;
+    iopts.resume_frontier = std::move(state.frontier);
+  }
+  // One explorer for the whole attempt: each explore() after a pause
+  // continues the same search in place.
+  mc::SystemExplorer explorer(*world, std::move(iopts));
+  // Copying a resume point and digesting the result grow with the job,
+  // not the slice: they heartbeat too, so no lease lapses while an
+  // attempt is busy outside a slice.
+  if (cb.heartbeat) cb.heartbeat();
+
+  while (!exhausted) {
     if (cb.should_cancel && cb.should_cancel()) {
       // Abandoned mid-run: report what has accumulated, not complete.
       break;
     }
-    mc::SysExploreOptions iopts = options_for(fam, spec);
-
-    // Remaining budgets for this slice. The accumulated `states` counter
-    // matches the uninterrupted run's exactly (resume preseeds are not
-    // re-counted), so remaining = spec budget - accumulated.
-    if (state.stats.states >= spec.max_states ||
-        state.violations.size() >= spec.max_violations) {
-      break;
-    }
-    iopts.max_states = spec.max_states - state.stats.states;
-    iopts.max_violations = spec.max_violations - state.violations.size();
-
-    // Pause roughly every checkpoint_states newly-visited states. The
-    // threshold is per-slice (each slice's stats start at zero), so every
-    // slice is guaranteed forward progress before it can pause.
-    if (spec.checkpoint_states > 0) {
-      const std::uint64_t threshold = spec.checkpoint_states;
-      iopts.pause_check = [threshold](const mc::ExploreStats& s) {
-        return s.states >= threshold;
-      };
-      iopts.capture_frontier = true;
-    }
-
-    if (state.slices > 0) {
-      iopts.resume_from_checkpoint = true;
-      iopts.resume_visited = state.visited;
-      iopts.resume_frontier = state.frontier;
-    }
-
-    mc::SystemExplorer explorer(*world, iopts);
     mc::SysExploreResult res = explorer.explore();
-
-    // res.visited is the FULL visited set (preseed included), already
-    // sorted; the per-slice stats cover only this slice's new work.
-    state.visited = std::move(res.visited);
-    state.frontier = std::move(res.frontier);
     accumulate_stats(state.stats, res.stats);
-    for (mc::SysViolation& v : res.violations) {
-      state.violations.push_back(std::move(v));
-    }
     ++state.slices;
 
     if (cb.heartbeat) cb.heartbeat();
 
-    if (!res.paused || state.frontier.empty()) {
-      // Terminal: the search completed (or hit a budget / filled its
-      // violation quota). A pause with an empty frontier is completion —
-      // there is nothing left to expand.
-      out.complete = true;
-      break;
+    // The checkpoint carries only this slice's new digests and violations.
+    CheckpointState ck;
+    ck.visited = std::move(res.visited);
+    ck.frontier = std::move(res.frontier);
+    ck.stats = state.stats;
+    ck.violations = std::move(res.violations);
+    ck.slices = state.slices;
+    // A slice that does not pause ends the search: it completed (or hit a
+    // budget / filled its violation quota). A refused checkpoint means
+    // fenced (a newer attempt owns the job) or draining: stop quietly.
+    out.complete = !res.paused;
+    const bool go_on =
+        res.paused && (!cb.on_checkpoint || cb.on_checkpoint(ck));
+    state.visited.insert(state.visited.end(), ck.visited.begin(),
+                         ck.visited.end());
+    for (mc::SysViolation& v : ck.violations) {
+      state.violations.push_back(std::move(v));
     }
-
-    if (cb.on_checkpoint && !cb.on_checkpoint(state)) {
-      // Fenced (a newer attempt owns the job) or draining: stop quietly.
-      break;
-    }
+    if (!go_on) break;
   }
 
+  std::sort(state.visited.begin(), state.visited.end());
   out.stats = state.stats;
   out.violations = std::move(state.violations);
   out.visited_count = state.visited.size();
   out.visited_digest = svc::visited_digest(state.visited);
-  out.trail_digest = svc::trail_digest(out.violations, spec.workers);
+  out.trail_digest =
+      svc::trail_digest(out.violations, spec.workers, cb.heartbeat);
+  if (cb.heartbeat) cb.heartbeat();
   return out;
 }
 
@@ -380,9 +419,9 @@ std::size_t JobManager::recover() {
         job.phase = JobPhase::kCancelled;
         continue;
       }
-      if (rec->last_checkpoint) {
-        JournalRecord& ck = *rec->last_checkpoint;
-        job.ckpt.visited = job.journal->load_visited_run(ck.visited);
+      if (rec->checkpoint) {
+        JournalRecord& ck = *rec->checkpoint;
+        job.ckpt.visited = std::move(rec->visited);
         job.ckpt.frontier = std::move(ck.frontier);
         job.ckpt.stats = ck.stats;
         job.ckpt.violations = std::move(ck.violations);
@@ -498,6 +537,8 @@ void JobManager::execute(std::uint64_t job_id, std::uint32_t my_gen) {
       start = job.ckpt;  // copy: the zombie/fenced race means the map's
                          // copy must stay independent of this attempt
       has_start = true;
+      // The copy grows with the job; the lease runs from here.
+      job.last_heartbeat = now_ms();
     }
   }
   fam = registry_.find(spec.scenario);
@@ -541,7 +582,8 @@ void JobManager::execute(std::uint64_t job_id, std::uint32_t my_gen) {
       return false;  // zombie attempt: its durable writes are rejected
     }
     // Durability order: run file (fsynced by SortedRunWriter::finish)
-    // BEFORE the WAL record that references it.
+    // BEFORE the WAL record that references it. Both carry only what this
+    // slice added; recovery folds the records back together.
     JournalRecord rec;
     rec.type = JournalRecordType::kCheckpoint;
     rec.checkpoint_seq = st.slices - 1;
@@ -550,7 +592,14 @@ void JobManager::execute(std::uint64_t job_id, std::uint32_t my_gen) {
     rec.stats = st.stats;
     rec.violations = st.violations;
     job.journal->append(rec);
-    job.ckpt = st;
+    CheckpointState& fold = job.ckpt;
+    fold.visited.insert(fold.visited.end(), st.visited.begin(),
+                        st.visited.end());
+    fold.violations.insert(fold.violations.end(), st.violations.begin(),
+                           st.violations.end());
+    fold.frontier = std::move(rec.frontier);
+    fold.stats = st.stats;
+    fold.slices = st.slices;
     job.has_ckpt = true;
     ++job.checkpoints;
     return true;

@@ -20,6 +20,8 @@
 //     from the last durable checkpoint.
 //   * Durability: every checkpoint hits the WAL (visited run fsynced
 //     before the record referencing it) before the search continues.
+//     A checkpoint writes only what its slice added (new digests, new
+//     violations) plus the frontier; recovery folds them back together.
 #pragma once
 
 #include <atomic>
@@ -70,13 +72,20 @@ class ScenarioRegistry {
   std::map<std::string, ScenarioFamily> fams_;
 };
 
-/// Accumulated search state at a pause point — exactly what a kCheckpoint
-/// journal record carries, and exactly what a resume slice needs.
+/// Search state at a pause point. It has two readings:
+///   * Passed to RunCallbacks::on_checkpoint, it is one checkpoint — what a
+///     kCheckpoint journal record carries: `visited` and `violations` hold
+///     only what this slice added (its new digests, sorted; its new
+///     violations), while `frontier`, `stats` and `slices` are whole.
+///   * Passed to run_investigation as `resume`, it is the fold of every
+///     checkpoint so far: the union of their digests (any order), their
+///     violations concatenated in order, and the last one's frontier,
+///     stats and slice count.
 struct CheckpointState {
-  std::vector<std::uint64_t> visited;  ///< sorted canonical digests
-  std::vector<mc::Trail> frontier;
-  mc::ExploreStats stats;  ///< accumulated across slices
-  std::vector<mc::SysViolation> violations;
+  std::vector<std::uint64_t> visited;  ///< canonical digests (see above)
+  std::vector<mc::Trail> frontier;     ///< root-relative, deque order
+  mc::ExploreStats stats;              ///< accumulated across slices
+  std::vector<mc::SysViolation> violations;  ///< see above
   std::uint64_t slices = 0;
 };
 
@@ -89,23 +98,29 @@ std::uint64_t visited_digest(const std::vector<std::uint64_t>& visited);
 /// full ordered trails. Parallel searches report a deterministic violation
 /// *multiset* but path-dependent trails/depths, so the digest covers the
 /// sorted (invariant, pid, detail) records only — the strongest claim the
-/// parallel determinism contract supports.
+/// parallel determinism contract supports. `progress`, when set, is called
+/// every 1024 violations: the digest grows with the job, and the runner's
+/// lease heartbeat must not lapse while it is computed.
 std::uint64_t trail_digest(const std::vector<mc::SysViolation>& violations,
-                           std::uint32_t workers);
+                           std::uint32_t workers,
+                           const std::function<void()>& progress = {});
 
 struct RunCallbacks {
-  /// Called once per slice boundary — doubles as the lease heartbeat.
+  /// The lease heartbeat: called once the search is set up, after every
+  /// slice, and once the result is assembled.
   std::function<void()> heartbeat;
   /// Checked between slices; true stops the run (cancel / fenced / drain).
   std::function<bool()> should_cancel;
-  /// Called with the accumulated state after each paused slice. Return
-  /// false to abandon the run (stale generation). A null callback means
-  /// "no durability" (the degraded in-process path).
+  /// Called with each paused slice's checkpoint (its new digests and
+  /// violations; see CheckpointState). Return false to abandon the run
+  /// (stale generation). A null callback means "no durability" (the
+  /// degraded in-process path), and the frontier is then never captured.
   std::function<bool(const CheckpointState&)> on_checkpoint;
 };
 
-/// Run one investigation as a sequence of pause/resume slices of roughly
-/// `spec.checkpoint_states` states each. Pure with respect to the spec:
+/// Run one investigation as a sequence of pause/continue slices of roughly
+/// `spec.checkpoint_states` states each, on one explorer that keeps the
+/// search alive between slices. Pure with respect to the spec:
 /// the same spec (resumed from any checkpoint or not) converges to the
 /// same visited set and violations as one uninterrupted run. Used by the
 /// daemon's workers AND the client's in-process degradation fallback, so
@@ -178,7 +193,7 @@ class JobManager {
     bool resumed = false;
     bool stalled = false;  ///< test hook (see test_stall_job)
     std::uint64_t checkpoints = 0;
-    CheckpointState ckpt;
+    CheckpointState ckpt;  ///< the fold of every durable checkpoint
     bool has_ckpt = false;
     std::optional<JobResultMsg> result;
     std::string error;

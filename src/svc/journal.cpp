@@ -5,6 +5,9 @@
 #include <cerrno>
 #include <cstring>
 #include <set>
+#include <unordered_map>
+
+#include "common/hash.hpp"
 
 namespace fixd::svc {
 
@@ -21,7 +24,121 @@ std::filesystem::path run_path(const std::filesystem::path& dir,
                 std::to_string(seq) + ".run");
 }
 
+/// Leads a trail that shares a prefix with earlier ones; every action
+/// starts with its kind byte, and no kind is this large.
+constexpr std::uint8_t kSharedPrefix = 0xff;
+static_assert(static_cast<std::uint8_t>(mc::SysAction::Kind::kRestartProcess) <
+              kSharedPrefix);
+
+/// A frontier tree edge while encoding: (parent node, action), with the
+/// action borrowed from the trail being encoded.
+struct Edge {
+  std::size_t parent;
+  const mc::SysAction* action;
+  bool operator==(const Edge& o) const {
+    return parent == o.parent && *action == *o.action;
+  }
+};
+
+struct EdgeHash {
+  std::size_t operator()(const Edge& e) const {
+    const mc::SysAction& a = *e.action;
+    std::uint64_t h = hash_combine(e.parent, static_cast<std::uint64_t>(a.kind));
+    h = hash_combine(h, static_cast<std::uint64_t>(a.event.kind));
+    h = hash_combine(h, a.event.pid);
+    h = hash_combine(h, a.event.msg);
+    h = hash_combine(h, a.event.timer);
+    h = hash_combine(h, a.event.at);
+    h = hash_combine(h, a.msg);
+    h = hash_combine(h, a.delay);
+    h = hash_combine(h, hash_combine(a.src, a.dst));
+    return static_cast<std::size_t>(h);
+  }
+};
+
 }  // namespace
+
+void encode_frontier(BinaryWriter& w, const std::vector<mc::Trail>& frontier) {
+  // Node 0 is the root; node i > 0 is the i-th action written.
+  std::unordered_map<Edge, std::size_t, EdgeHash> nodes;
+  std::size_t next = 1;
+  // The node at each depth of the previous trail: frontier neighbours are
+  // mostly siblings, so the prefix they share is found by comparing
+  // actions, and the tree is searched only below it.
+  const mc::Trail* prev = nullptr;
+  std::vector<std::size_t> path;
+  w.write_varint(frontier.size());
+  for (const mc::Trail& t : frontier) {
+    w.write_varint(t.steps.size());
+    std::size_t k = 0;
+    if (prev != nullptr) {
+      const std::size_t m = std::min(prev->steps.size(), t.steps.size());
+      while (k < m && prev->steps[k] == t.steps[k]) ++k;
+    }
+    path.resize(k);
+    std::size_t at = k > 0 ? path[k - 1] : 0;
+    for (; k < t.steps.size(); ++k) {
+      const auto it = nodes.find({at, &t.steps[k]});
+      if (it == nodes.end()) break;
+      at = it->second;
+      path.push_back(at);
+    }
+    if (k > 0) {
+      w.write_u8(kSharedPrefix);
+      w.write_varint(at);
+    }
+    for (; k < t.steps.size(); ++k) {
+      t.steps[k].save(w);
+      nodes.emplace(Edge{at, &t.steps[k]}, next);
+      at = next++;
+      path.push_back(at);
+    }
+    prev = &t;
+  }
+}
+
+std::vector<mc::Trail> decode_frontier(BinaryReader& r) {
+  struct Node {
+    std::size_t parent;
+    std::size_t depth;
+    mc::SysAction action;
+  };
+  std::vector<Node> nodes(1, Node{0, 0, {}});
+  // Every trail takes at least its length byte.
+  const std::uint64_t n = r.read_varint();
+  if (n > r.remaining()) {
+    throw SerializationError("frontier: trail count exceeds the record");
+  }
+  std::vector<mc::Trail> out(static_cast<std::size_t>(n));
+  for (mc::Trail& t : out) {
+    const std::uint64_t len = r.read_varint();
+    std::size_t at = 0;
+    if (len > 0 && r.peek_u8() == kSharedPrefix) {
+      r.read_u8();
+      const std::uint64_t idx = r.read_varint();
+      if (idx == 0 || idx >= nodes.size() || nodes[idx].depth > len) {
+        throw SerializationError("frontier: bad shared-prefix node");
+      }
+      at = static_cast<std::size_t>(idx);
+    }
+    // Every new action takes at least its kind byte.
+    if (len - nodes[at].depth > r.remaining()) {
+      throw SerializationError("frontier: trail length exceeds the record");
+    }
+    t.steps.resize(static_cast<std::size_t>(len));
+    for (std::size_t d = nodes[at].depth; d < t.steps.size(); ++d) {
+      Node nd{at, d + 1, {}};
+      nd.action.load(r);
+      nodes.push_back(nd);
+      at = nodes.size() - 1;
+    }
+    for (std::size_t i = t.steps.size(); i-- > 0;) {
+      t.steps[i] = nodes[at].action;
+      at = nodes[at].parent;
+    }
+  }
+  return out;
+}
 
 void RunManifest::save(BinaryWriter& w) const {
   w.write_string(file);
@@ -49,9 +166,7 @@ void JournalRecord::save(BinaryWriter& w) const {
     case JournalRecordType::kCheckpoint:
       w.write_u64(checkpoint_seq);
       visited.save(w);
-      w.write_vector(frontier, [](BinaryWriter& ww, const mc::Trail& t) {
-        t.save(ww);
-      });
+      encode_frontier(w, frontier);
       stats.save(w);
       w.write_vector(violations,
                      [](BinaryWriter& ww, const mc::SysViolation& v) {
@@ -84,11 +199,7 @@ void JournalRecord::load(BinaryReader& r) {
     case JournalRecordType::kCheckpoint:
       checkpoint_seq = r.read_u64();
       visited.load(r);
-      frontier = r.read_vector<mc::Trail>([](BinaryReader& rr) {
-        mc::Trail tr;
-        tr.load(rr);
-        return tr;
-      });
+      frontier = decode_frontier(r);
       stats.load(r);
       violations = r.read_vector<mc::SysViolation>([](BinaryReader& rr) {
         mc::SysViolation v;
@@ -147,12 +258,6 @@ RunManifest JobJournal::write_visited_run(
   return m;
 }
 
-std::vector<std::uint64_t> JobJournal::load_visited_run(
-    const RunManifest& m) const {
-  SortedRunReader reader(dir_ / m.file, m.fence);
-  return reader.read_all();
-}
-
 void JobJournal::remove_files(const std::filesystem::path& dir,
                               std::uint64_t job_id) {
   std::error_code ec;
@@ -178,6 +283,7 @@ std::optional<RecoveredJob> recover_job(const std::filesystem::path& dir,
   out.job_id = job_id;
   bool saw_submitted = false;
   std::set<std::uint64_t> submitted_ids;
+  std::vector<RunManifest> runs;
 
   for (;;) {
     std::array<std::byte, kCrcFrameHeaderBytes> header;
@@ -232,7 +338,17 @@ std::optional<RecoveredJob> recover_job(const std::filesystem::path& dir,
         ++out.attempts;
         break;
       case JournalRecordType::kCheckpoint:
-        out.last_checkpoint = std::move(rec);
+        // Fold: the last record's frontier, stats and sequence number,
+        // every record's violations and visited run.
+        if (out.checkpoint) {
+          std::vector<mc::SysViolation>& all = out.checkpoint->violations;
+          for (mc::SysViolation& v : rec.violations) {
+            all.push_back(std::move(v));
+          }
+          rec.violations = std::move(all);
+        }
+        runs.push_back(rec.visited);
+        out.checkpoint = std::move(rec);
         ++out.checkpoints;
         break;
       case JournalRecordType::kCompleted:
@@ -245,6 +361,14 @@ std::optional<RecoveredJob> recover_job(const std::filesystem::path& dir,
   }
   std::fclose(f);
   if (!saw_submitted) return std::nullopt;
+  if (!out.result && !out.cancelled) {
+    for (const RunManifest& m : runs) {
+      std::vector<std::uint64_t> keys =
+          SortedRunReader(dir / m.file, m.fence).read_all();
+      out.visited.insert(out.visited.end(), keys.begin(), keys.end());
+    }
+    std::sort(out.visited.begin(), out.visited.end());
+  }
   return out;
 }
 

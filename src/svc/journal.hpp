@@ -6,12 +6,15 @@
 //
 //   kSubmitted      — job spec + idempotency request_id (exactly one)
 //   kAttemptStarted — a lease generation began (one per attempt)
-//   kCheckpoint     — a pause point: frontier trails + visited-run
-//                     manifest + accumulated stats. The visited run file
+//   kCheckpoint     — a pause point: what the slice added (a manifest of
+//                     its new visited digests, its new violations) plus
+//                     the whole frontier (as a shared-prefix tree) and the
+//                     accumulated stats. The visited run file
 //                     (`job-<id>-ckpt-<seq>.run`, SortedRunWriter format)
 //                     is written AND fsynced BEFORE this record is
 //                     appended, so a checkpoint record never references
-//                     bytes that could be lost by a crash.
+//                     bytes that could be lost by a crash. Recovery folds
+//                     every checkpoint record back together.
 //   kCompleted      — terminal result (stats + violations + digests)
 //   kCancelled      — terminal, user-requested
 //
@@ -66,10 +69,11 @@ struct JournalRecord {
   std::uint32_t generation = 0;
   // kCheckpoint
   std::uint64_t checkpoint_seq = 0;
-  RunManifest visited;
+  RunManifest visited;  // this slice's new digests
+  /// On disk a shared-prefix tree (see encode_frontier).
   std::vector<mc::Trail> frontier;
   mc::ExploreStats stats;               // accumulated across slices so far
-  std::vector<mc::SysViolation> violations;  // accumulated so far
+  std::vector<mc::SysViolation> violations;  // this slice's new ones
   // kCompleted
   JobResultMsg result;
   // kCancelled: no extra payload
@@ -77,6 +81,18 @@ struct JournalRecord {
   void save(BinaryWriter& w) const;
   void load(BinaryReader& r);
 };
+
+/// The frontier's on-disk form: a shared-prefix tree of its trails. Every
+/// distinct path node is written once, as (parent, action): a trail names
+/// the deepest node it shares with earlier trails (its parent index) and
+/// then writes only its own actions, each of which becomes a node. Node
+/// indices count written actions in order. The layout is the plain trail
+/// list's (varint count; per trail a varint length, then actions) with a
+/// shared prefix replaced by one marker byte, which no action kind uses,
+/// plus the varint node index — so a frontier never encodes to more bytes
+/// than the plain list, and decodes back to the same trails in order.
+void encode_frontier(BinaryWriter& w, const std::vector<mc::Trail>& frontier);
+std::vector<mc::Trail> decode_frontier(BinaryReader& r);
 
 /// Append-only WAL for one job. Not internally synchronized — the JobManager
 /// serializes access per job.
@@ -101,9 +117,6 @@ class JobJournal {
   RunManifest write_visited_run(std::uint64_t checkpoint_seq,
                                 const std::vector<std::uint64_t>& keys);
 
-  /// Load a visited run referenced by a recovered manifest.
-  std::vector<std::uint64_t> load_visited_run(const RunManifest& m) const;
-
   /// Delete this job's journal + run files (terminal cleanup).
   static void remove_files(const std::filesystem::path& dir,
                            std::uint64_t job_id);
@@ -121,14 +134,20 @@ struct RecoveredJob {
   std::uint64_t request_id = 0;
   JobSpec spec;
   std::uint32_t attempts = 0;  ///< kAttemptStarted count
-  std::optional<JournalRecord> last_checkpoint;
+  /// The fold of every kCheckpoint record in WAL order (set iff one was
+  /// read): the last record's checkpoint_seq, visited manifest, frontier
+  /// and stats, with every record's violations concatenated.
+  std::optional<JournalRecord> checkpoint;
+  /// The union of every checkpoint's visited run, sorted. Loaded only for
+  /// a job with neither a result nor a cancellation (one to resume).
+  std::vector<std::uint64_t> visited;
   std::optional<JobResultMsg> result;  ///< set iff kCompleted seen
   bool cancelled = false;
   std::uint64_t checkpoints = 0;
 };
 
-/// Replay `dir/job-<id>.wal`. Stops cleanly at the first torn/garbled
-/// frame. Returns nullopt if the file is missing or holds no complete
+/// Replay `dir/job-<id>.wal`, folding its checkpoints (see RecoveredJob).
+/// Stops cleanly at the first torn/garbled frame. Returns nullopt if the file is missing or holds no complete
 /// kSubmitted record. Throws SerializationError on a duplicate kSubmitted
 /// (the idempotency invariant is broken — refuse to guess).
 std::optional<RecoveredJob> recover_job(const std::filesystem::path& dir,

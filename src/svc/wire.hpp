@@ -35,7 +35,9 @@ inline constexpr std::uint32_t kJournalMagic = 0x4c4a5846;  // "FXJL"
 /// resumed against a visited set hashed another way.
 ///   2: ExploreStats lost sleep_reexpansions.
 ///   3: state digests use the block hasher.
-inline constexpr std::uint32_t kWireVersion = 3;
+///   4: checkpoints carry only the slice's new digests and violations; the
+///      frontier is a prefix tree.
+inline constexpr std::uint32_t kWireVersion = 4;
 /// Upper bound on one frame's payload; a corrupt header cannot force a
 /// larger allocation.
 inline constexpr std::size_t kMaxFramePayload = 64u << 20;

@@ -1,6 +1,8 @@
 // SystemExplorer: model checking the real process implementations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "apps/kv_store.hpp"
 #include "apps/rep_counter.hpp"
 #include "apps/token_ring.hpp"
@@ -240,6 +242,142 @@ TEST(SystemExplorer, StateBudgetTruncates) {
   EXPECT_TRUE(res.stats.truncated);
   EXPECT_LE(res.stats.states, 201u);
 }
+
+// Trail digests (svc::trail_digest) hash rendered violations and trails,
+// so the text of every action kind and of a violation is part of a job's
+// result identity.
+TEST(Trail, RenderTextIsStable) {
+  auto runtime = [](rt::EventKind k) {
+    SysAction a;
+    a.event.kind = k;
+    a.event.pid = 1;
+    a.event.msg = 7;
+    a.event.timer = 3;
+    return a;
+  };
+  auto env = [](SysAction::Kind k) {
+    SysAction a;
+    a.kind = k;
+    a.event.pid = 4;
+    a.event.timer = 3;
+    a.msg = 5;
+    a.delay = 8;
+    a.src = 1;
+    a.dst = 2;
+    return a;
+  };
+  EXPECT_EQ(runtime(rt::EventKind::kStart).describe(), "start(p1)");
+  EXPECT_EQ(runtime(rt::EventKind::kDeliver).describe(), "deliver(p1, msg#7)");
+  EXPECT_EQ(runtime(rt::EventKind::kTimer).describe(), "timer(p1, t3)");
+  EXPECT_EQ(env(SysAction::Kind::kDropMessage).describe(), "env:drop(msg#5)");
+  EXPECT_EQ(env(SysAction::Kind::kDupMessage).describe(), "env:dup(msg#5)");
+  EXPECT_EQ(env(SysAction::Kind::kDelayMessage).describe(),
+            "env:delay(msg#5,+8)");
+  EXPECT_EQ(env(SysAction::Kind::kCancelTimer).describe(),
+            "env:cancel-timer(t#3@p4)");
+  EXPECT_EQ(env(SysAction::Kind::kPartitionLinks).describe(),
+            "env:cut(p1->p2)");
+  EXPECT_EQ(env(SysAction::Kind::kHealLinks).describe(), "env:heal(p1->p2)");
+  EXPECT_EQ(env(SysAction::Kind::kRestartProcess).describe(),
+            "env:restart(p4)");
+  Trail t;
+  t.steps = {runtime(rt::EventKind::kStart),
+             env(SysAction::Kind::kDropMessage)};
+  EXPECT_EQ(t.render(), "  1. start(p1)\n  2. env:drop(msg#5)\n");
+
+  rt::Violation v;
+  v.invariant = "inv";
+  v.pid = 3;
+  v.step = 42;
+  v.at = 7;
+  v.detail = "bad";
+  EXPECT_EQ(v.to_string(), "[inv] p3 step=42 t=7: bad");
+  v.pid = kNoProcess;
+  v.detail.clear();
+  EXPECT_EQ(v.to_string(), "[inv] global step=42 t=7");
+}
+
+// A paused search continues in place on the same explorer: a sliced
+// snapshot-mode run replays nothing (no frontier is re-planted) and counts
+// exactly the single-shot run's states, transitions and duplicates. Each
+// slice returns only the digests it visited first, so the slices partition
+// the single-shot visited set, and the state budget spans the slices.
+class SliceInPlace : public ::testing::TestWithParam<int> {};
+
+TEST_P(SliceInPlace, SnapshotSlicesReplayNothingAndMatchSingleShot) {
+  const int workers = GetParam();
+  TwoPcConfig cfg;
+  cfg.total_txns = 1;
+  auto w = make_two_pc_world(4, /*version=*/1, cfg);
+  SysExploreOptions o = bounded(SearchOrder::kBfs, 100000);
+  o.workers = static_cast<std::size_t>(workers);
+  o.max_violations = 100000;
+  o.collect_visited = true;
+  o.install_invariants = apps::install_two_pc_invariants;
+
+  SystemExplorer single(*w, o);
+  const SysExploreResult base = single.explore();
+  ASSERT_FALSE(base.paused);
+  ASSERT_FALSE(base.stats.truncated);
+  ASSERT_GT(base.stats.states, 500u);
+  ASSERT_EQ(base.visited.size(), base.stats.states);
+
+  constexpr std::uint64_t kSlice = 16;
+  o.pause_check = [](const ExploreStats& s) { return s.states >= kSlice; };
+  o.capture_frontier = true;
+  SystemExplorer sliced(*w, o);
+  ExploreStats sum;
+  std::vector<std::uint64_t> visited;
+  std::vector<SysViolation> violations;
+  std::size_t slices = 0;
+  for (;;) {
+    SysExploreResult r = sliced.explore();
+    ++slices;
+    sum.states += r.stats.states;
+    sum.transitions += r.stats.transitions;
+    sum.duplicates += r.stats.duplicates;
+    sum.replayed_actions += r.stats.replayed_actions;
+    EXPECT_TRUE(std::is_sorted(r.visited.begin(), r.visited.end()));
+    EXPECT_EQ(r.visited.size(), r.stats.states) << "slice " << slices;
+    visited.insert(visited.end(), r.visited.begin(), r.visited.end());
+    for (SysViolation& v : r.violations) violations.push_back(std::move(v));
+    if (!r.paused) break;
+    EXPECT_GE(r.stats.states, kSlice);
+    EXPECT_FALSE(r.frontier.empty());
+    ASSERT_LT(slices, 1000u) << "the sliced search never finished";
+  }
+  EXPECT_GT(slices, 10u);
+  EXPECT_EQ(sum.replayed_actions, 0u);
+  EXPECT_EQ(sum.states, base.stats.states);
+  EXPECT_EQ(sum.transitions, base.stats.transitions);
+  EXPECT_EQ(sum.duplicates, base.stats.duplicates);
+  std::sort(visited.begin(), visited.end());
+  EXPECT_EQ(visited, base.visited);
+  ASSERT_EQ(violations.size(), base.violations.size());
+  if (workers == 1) {
+    // One worker keeps discovery order across slices.
+    for (std::size_t i = 0; i < violations.size(); ++i) {
+      EXPECT_EQ(violations[i].render(), base.violations[i].render()) << i;
+    }
+  }
+
+  // The state budget spans the slices: a sliced run stops where a
+  // single-shot run with the same budget does (workers racing the shared
+  // counter may each count one state past it).
+  o.max_states = base.stats.states / 2;
+  SystemExplorer capped(*w, o);
+  std::uint64_t capped_states = 0;
+  SysExploreResult r;
+  do {
+    r = capped.explore();
+    capped_states += r.stats.states;
+  } while (r.paused);
+  EXPECT_TRUE(r.stats.truncated);
+  EXPECT_GE(capped_states, o.max_states);
+  EXPECT_LE(capped_states, o.max_states + o.workers - 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(Workers, SliceInPlace, ::testing::Values(1, 4));
 
 TEST(SystemExplorer, ExploresFromMidRunState) {
   // Investigate from a state deep in the run (what the Time Machine hands

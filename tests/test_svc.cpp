@@ -17,6 +17,8 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <array>
 #include <filesystem>
 #include <fstream>
 #include <thread>
@@ -129,10 +131,21 @@ TEST(SliceIdentity, ResumeFromEveryCheckpointConverges) {
   ASSERT_GE(checkpoints.size(), 3u);
   EXPECT_EQ(full.visited_digest, base.visited_digest);
 
-  // "Crash" after each checkpoint: resume from it; digests must converge.
+  // "Crash" after each checkpoint: resume from the fold of checkpoints
+  // 0..k (each carries only its slice's new digests and violations);
+  // digests must converge.
+  CheckpointState fold;
   for (std::size_t k = 0; k < checkpoints.size(); ++k) {
+    const CheckpointState& ck = checkpoints[k];
+    fold.visited.insert(fold.visited.end(), ck.visited.begin(),
+                        ck.visited.end());
+    fold.violations.insert(fold.violations.end(), ck.violations.begin(),
+                           ck.violations.end());
+    fold.frontier = ck.frontier;
+    fold.stats = ck.stats;
+    fold.slices = ck.slices;
     const JobResultMsg resumed =
-        svc::run_investigation(*fam, spec, &checkpoints[k], RunCallbacks{});
+        svc::run_investigation(*fam, spec, &fold, RunCallbacks{});
     ASSERT_TRUE(resumed.complete) << "resume from checkpoint " << k;
     EXPECT_TRUE(resumed.resumed);
     EXPECT_EQ(resumed.visited_digest, base.visited_digest)
@@ -192,14 +205,12 @@ TEST(Journal, AppendRecoverRoundTrip) {
   EXPECT_EQ(rec->spec.scenario, "two-pc");
   EXPECT_EQ(rec->attempts, 1u);
   EXPECT_FALSE(rec->result.has_value());
-  ASSERT_TRUE(rec->last_checkpoint.has_value());
-  EXPECT_EQ(rec->last_checkpoint->stats.states, 3u);
-  ASSERT_EQ(rec->last_checkpoint->frontier.size(), 1u);
-  EXPECT_EQ(rec->last_checkpoint->frontier[0].steps[0].msg, 5u);
+  ASSERT_TRUE(rec->checkpoint.has_value());
+  EXPECT_EQ(rec->checkpoint->stats.states, 3u);
+  ASSERT_EQ(rec->checkpoint->frontier.size(), 1u);
+  EXPECT_EQ(rec->checkpoint->frontier[0].steps[0].msg, 5u);
 
-  svc::JobJournal j2(dir.path(), job_id);
-  EXPECT_EQ(j2.load_visited_run(rec->last_checkpoint->visited),
-            (std::vector<std::uint64_t>{3, 9, 27}));
+  EXPECT_EQ(rec->visited, (std::vector<std::uint64_t>{3, 9, 27}));
 
   EXPECT_EQ(svc::list_journaled_jobs(dir.path()),
             std::vector<std::uint64_t>{job_id});
@@ -232,7 +243,7 @@ TEST(Journal, TornTailReadsAsCleanEnd) {
   const auto rec = svc::recover_job(dir.path(), job_id);
   ASSERT_TRUE(rec.has_value()) << "torn tail must not poison the journal";
   EXPECT_EQ(rec->request_id, 42u);
-  EXPECT_FALSE(rec->last_checkpoint.has_value())
+  EXPECT_FALSE(rec->checkpoint.has_value())
       << "the torn record must be discarded";
 
   // Tear into the submit record: now nothing durable remains.
@@ -458,6 +469,220 @@ TEST(JobManager, CancelQueuedAndRunning) {
   EXPECT_TRUE(st->phase == svc::JobPhase::kCancelled ||
               st->phase == svc::JobPhase::kDone);
   EXPECT_FALSE(mgr.cancel(9999));
+}
+
+// ---------------------------------------------------------------------------
+// Incremental checkpoints: each checkpoint writes only its slice's new work
+// ---------------------------------------------------------------------------
+
+struct WalRecord {
+  std::uintmax_t end = 0;  ///< byte offset just past this record's frame
+  svc::JournalRecord rec;
+};
+
+/// Every intact record of a WAL, in order, with its end offset.
+std::vector<WalRecord> read_wal(const std::filesystem::path& wal) {
+  std::ifstream in(wal, std::ios::binary);
+  std::vector<WalRecord> out;
+  std::uintmax_t pos = 0;
+  for (;;) {
+    std::array<std::byte, kCrcFrameHeaderBytes> header;
+    if (!in.read(reinterpret_cast<char*>(header.data()), header.size())) break;
+    const auto [len, crc] =
+        parse_crc_frame_header(header, svc::kJournalMagic, svc::kMaxFramePayload);
+    std::vector<std::byte> payload(len);
+    in.read(reinterpret_cast<char*>(payload.data()), len);
+    check_crc_payload(payload, crc);
+    BinaryReader r(payload);
+    EXPECT_EQ(r.read_u32(), svc::kWireVersion);
+    WalRecord w;
+    w.rec.load(r);
+    pos += header.size() + len;
+    w.end = pos;
+    out.push_back(std::move(w));
+  }
+  return out;
+}
+
+/// A job journaled by a real JobManager (one worker), run to completion.
+struct JournaledJob {
+  ScratchDir dir = ScratchDir::create("", "fixd-incr");
+  std::filesystem::path state_dir;
+  std::filesystem::path wal;
+  JobResultMsg result;
+  std::vector<WalRecord> records;
+
+  explicit JournaledJob(const JobSpec& spec) {
+    svc::JobManagerOptions o = manager_opts(dir);
+    o.worker_threads = 1;
+    state_dir = o.state_dir;
+    std::uint64_t id = 0;
+    {
+      svc::JobManager mgr(ScenarioRegistry::with_builtins(), o);
+      id = mgr.submit(1, spec).job_id;
+      result = wait_result(mgr, id);
+    }
+    wal = state_dir / ("job-" + std::to_string(id) + ".wal");
+    records = read_wal(wal);
+  }
+};
+
+std::vector<std::string> rendered(const std::vector<mc::SysViolation>& vs) {
+  std::vector<std::string> out;
+  for (const mc::SysViolation& v : vs) out.push_back(v.render());
+  return out;
+}
+
+TEST(IncrementalCheckpoint, EachDigestAndViolationIsWrittenOnce) {
+  JobSpec spec = small_spec();
+  spec.checkpoint_states = 16;
+  const JobResultMsg base = run_local(spec);
+  ASSERT_TRUE(base.complete);
+  JournaledJob job(spec);
+  ASSERT_TRUE(job.result.complete);
+  EXPECT_EQ(job.result.visited_digest, base.visited_digest);
+  EXPECT_EQ(job.result.trail_digest, base.trail_digest);
+
+  std::vector<std::uint64_t> runs;
+  std::vector<mc::SysViolation> violations;
+  const svc::JournalRecord* last = nullptr;
+  std::size_t checkpoints = 0, tree_bytes = 0, plain_bytes = 0;
+  std::uint64_t states = 0;
+  for (const WalRecord& w : job.records) {
+    if (w.rec.type != svc::JournalRecordType::kCheckpoint) continue;
+    ++checkpoints;
+    // The run holds exactly the digests first visited in this slice.
+    const std::vector<std::uint64_t> keys =
+        SortedRunReader(job.state_dir / w.rec.visited.file,
+                        w.rec.visited.fence)
+            .read_all();
+    EXPECT_EQ(keys.size(), w.rec.stats.states - states) << checkpoints;
+    states = w.rec.stats.states;
+    runs.insert(runs.end(), keys.begin(), keys.end());
+    violations.insert(violations.end(), w.rec.violations.begin(),
+                      w.rec.violations.end());
+
+    // The prefix tree never costs more than the plain trail list, and
+    // decodes back to the same trails.
+    BinaryWriter tree;
+    svc::encode_frontier(tree, w.rec.frontier);
+    BinaryWriter plain;
+    plain.write_vector(w.rec.frontier, [](BinaryWriter& ww,
+                                          const mc::Trail& t) { t.save(ww); });
+    EXPECT_LE(tree.size(), plain.size()) << "checkpoint " << checkpoints;
+    tree_bytes += tree.size();
+    plain_bytes += plain.size();
+    BinaryReader r(tree.bytes());
+    const std::vector<mc::Trail> back = svc::decode_frontier(r);
+    EXPECT_TRUE(r.at_end());
+    ASSERT_EQ(back.size(), w.rec.frontier.size());
+    for (std::size_t i = 0; i < back.size(); ++i) {
+      EXPECT_EQ(back[i].steps, w.rec.frontier[i].steps);
+    }
+    last = &w.rec;
+  }
+  ASSERT_GT(checkpoints, 20u);
+  ASSERT_NE(last, nullptr);
+  EXPECT_LT(tree_bytes * 2, plain_bytes) << "frontier trails share prefixes";
+
+  // Each digest sits in exactly one run.
+  std::sort(runs.begin(), runs.end());
+  EXPECT_EQ(std::adjacent_find(runs.begin(), runs.end()), runs.end());
+
+  // What the runs and records lack is exactly the final slice's work: a
+  // search resumed from them visits (and reports) only that, and the
+  // union is the uninterrupted run's set.
+  const ScenarioRegistry reg = ScenarioRegistry::with_builtins();
+  const svc::ScenarioFamily* fam = reg.find(spec.scenario);
+  auto world = fam->make(spec.n, spec.version);
+  mc::SysExploreOptions o;
+  o.order = spec.order;
+  o.max_depth = spec.max_depth;
+  o.max_violations = spec.max_violations;
+  o.install_invariants = fam->install_invariants;
+  o.collect_visited = true;
+  o.resume_from_checkpoint = true;
+  o.resume_visited = runs;
+  o.resume_frontier = last->frontier;
+  mc::SystemExplorer ex(*world, o);
+  const mc::SysExploreResult rest = ex.explore();
+  EXPECT_EQ(last->stats.states + rest.stats.states, base.stats.states);
+  std::vector<std::uint64_t> all = runs;
+  all.insert(all.end(), rest.visited.begin(), rest.visited.end());
+  std::sort(all.begin(), all.end());
+  EXPECT_EQ(std::adjacent_find(all.begin(), all.end()), all.end())
+      << "a resume preseed digest came back as new";
+  EXPECT_EQ(all.size(), base.visited_count);
+  EXPECT_EQ(svc::visited_digest(all), base.visited_digest);
+
+  // Each violation sits in exactly one record, in discovery order.
+  violations.insert(violations.end(), rest.violations.begin(),
+                    rest.violations.end());
+  EXPECT_EQ(rendered(violations), rendered(base.violations));
+}
+
+/// What JobManager::recover() hands the runner for a recovered job.
+std::optional<CheckpointState> resume_point(const svc::RecoveredJob& rec) {
+  if (!rec.checkpoint) return std::nullopt;
+  CheckpointState st;
+  st.visited = rec.visited;
+  st.frontier = rec.checkpoint->frontier;
+  st.stats = rec.checkpoint->stats;
+  st.violations = rec.checkpoint->violations;
+  st.slices = rec.checkpoint->checkpoint_seq + 1;
+  return st;
+}
+
+// A crash can cut the WAL after any record, or tear the record being
+// appended. Recovery from every such prefix folds the checkpoints back
+// together and resumes to the uninterrupted run's digests.
+TEST(IncrementalCheckpoint, RecoverFromEveryWalCutResumesToBaseline) {
+  JobSpec spec = small_spec();
+  spec.checkpoint_states = 16;
+  const JobResultMsg base = run_local(spec);
+  JournaledJob job(spec);
+  ASSERT_TRUE(job.result.complete);
+  ASSERT_GT(job.records.size(), 20u);
+  ASSERT_EQ(job.records.back().rec.type, svc::JournalRecordType::kCompleted);
+
+  std::vector<std::uintmax_t> cuts;
+  for (const WalRecord& w : job.records) cuts.push_back(w.end);
+  // Torn inside the last checkpoint record and inside the completion.
+  const std::uintmax_t last_ckpt_end = job.records[job.records.size() - 2].end;
+  cuts.push_back(last_ckpt_end - 7);
+  cuts.push_back(job.records.back().end - 7);
+
+  std::ifstream in(job.wal, std::ios::binary);
+  const std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
+                                std::istreambuf_iterator<char>());
+  const ScenarioRegistry reg = ScenarioRegistry::with_builtins();
+  const svc::ScenarioFamily* fam = reg.find(spec.scenario);
+  std::uint64_t id = 1000;
+  for (const std::uintmax_t cut : cuts) {
+    // The cut WAL sits beside the original, so its run manifests resolve.
+    ++id;
+    {
+      std::ofstream out(job.state_dir / ("job-" + std::to_string(id) + ".wal"),
+                        std::ios::binary);
+      out.write(bytes.data(), static_cast<std::streamsize>(cut));
+    }
+    const auto rec = svc::recover_job(job.state_dir, id);
+    ASSERT_TRUE(rec.has_value()) << "cut at " << cut;
+    if (rec->result) {
+      EXPECT_EQ(rec->result->visited_digest, base.visited_digest);
+      continue;
+    }
+    const std::optional<CheckpointState> from = resume_point(*rec);
+    if (from) {
+      EXPECT_EQ(from->visited.size(), from->stats.states) << "cut at " << cut;
+    }
+    const JobResultMsg res = svc::run_investigation(
+        *fam, spec, from ? &*from : nullptr, RunCallbacks{});
+    ASSERT_TRUE(res.complete) << "cut at " << cut;
+    EXPECT_EQ(res.visited_digest, base.visited_digest) << "cut at " << cut;
+    EXPECT_EQ(res.trail_digest, base.trail_digest) << "cut at " << cut;
+    EXPECT_EQ(res.stats.states, base.stats.states) << "cut at " << cut;
+  }
 }
 
 // ---------------------------------------------------------------------------

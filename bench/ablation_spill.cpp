@@ -1,4 +1,4 @@
-// Ablation A2 — beyond-RAM exploration (the tiered visited set and the
+// Ablation A2 — beyond-RAM exploration (the budgeted visited set and the
 // budgeted trail frontier).
 //
 // The feasibility wall in Figure 3 is a *memory* wall: the visited set and
@@ -11,7 +11,7 @@
 // Gated (exit code, enforced by the perf workflow):
 //   - beyond-RAM ratio: total states >= 10x the in-RAM ceiling of the
 //     budgeted run's exact tier (ceiling = 0.7 load factor over the
-//     non-Bloom half of the budget; mirrors mc/tiered_visited.cpp);
+//     non-Bloom half of the budget; mirrors mc/visited.cpp);
 //   - visited-set identity: the budgeted runs (1 and 4 workers) return
 //     byte-identical sorted digest sets to the unbounded run's;
 //   - resident budget held: peak resident visited bytes <= 1.5x the
@@ -78,7 +78,7 @@ RunResult run_config(const char* label, std::size_t n,
 
 // The in-RAM ceiling of the budgeted run's exact tier: keys the non-Bloom
 // half of the budget holds at the CompactDigestSet load factor. Mirrors
-// the split in mc/tiered_visited.cpp (Bloom takes the power-of-two floor
+// the split in mc/visited.cpp (Bloom takes the power-of-two floor
 // of budget/2) and the 0.7 rehash threshold in mc/concurrent.hpp.
 std::uint64_t in_ram_ceiling(std::uint64_t budget) {
   std::uint64_t p = 1;

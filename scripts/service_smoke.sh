@@ -4,10 +4,12 @@
 # fixdd + fixdctl:
 #
 #   1. `fixdctl local` computes the uninterrupted baseline digests.
-#   2. fixdd up → submit → SIGKILL the daemon mid-investigation.
+#   2. fixdd up → submit → wait until `fixdctl status` reports a durable
+#      checkpoint → SIGKILL the daemon mid-investigation.
 #   3. fixdd restarted over the same state dir → the same request-id is
-#      deduped against the recovered ledger → the resumed result's
-#      digests must equal the baseline byte for byte.
+#      deduped against the recovered ledger → the result must say it
+#      resumed from the checkpoint, and its digests must equal the
+#      baseline byte for byte.
 #   4. A probe against a dead endpoint must exit 3 (degraded/unreachable,
 #      distinct from error) — the graceful-degradation contract.
 set -euo pipefail
@@ -31,8 +33,10 @@ cleanup() {
 }
 trap cleanup EXIT
 
-SPEC=(--scenario two-pc --n 4 --version 1 --max-violations 100000
-      --checkpoint-states 24)
+# A job that is still running when its first checkpoint lands (about a
+# second journaled), so the kill below interrupts it.
+SPEC=(--scenario two-pc --n 5 --version 1 --max-violations 100000
+      --checkpoint-states 16)
 
 digests() {  # extract "visited_digest=… trail_digest=…" from a RESULT line
   grep -o 'visited_digest=[0-9a-f]* trail_digest=[0-9a-f]*' <<<"$1"
@@ -58,10 +62,23 @@ BASELINE="$("$FIXDCTL" local "${SPEC[@]}")"
 echo "$BASELINE"
 WANT="$(digests "$BASELINE")"
 
-echo "== phase 1: daemon up, submit, kill -9 mid-investigation"
+echo "== phase 1: daemon up, submit, kill -9 after the first checkpoint"
 start_daemon
-"$FIXDCTL" --endpoint "unix:$SOCK" --request-id 4242 submit "${SPEC[@]}"
-sleep 0.2
+SUB="$("$FIXDCTL" --endpoint "unix:$SOCK" --request-id 4242 submit "${SPEC[@]}")"
+echo "$SUB"
+JOB="$(sed -n 's/^SUBMITTED job=\([0-9]*\).*/\1/p' <<<"$SUB")"
+CHECKPOINTS=0
+for _ in $(seq 1 1000); do
+  STATUS="$("$FIXDCTL" --endpoint "unix:$SOCK" status "$JOB")"
+  CHECKPOINTS="$(sed -n 's/.* checkpoints=\([0-9]*\).*/\1/p' <<<"$STATUS")"
+  [ "${CHECKPOINTS:-0}" -ge 1 ] && break
+  sleep 0.01
+done
+echo "$STATUS"
+if [ "${CHECKPOINTS:-0}" -lt 1 ]; then
+  echo "service_smoke: FAIL — job never checkpointed before the kill" >&2
+  exit 1
+fi
 kill -9 "$DAEMON_PID"
 wait "$DAEMON_PID" 2>/dev/null || true
 DAEMON_PID=""
@@ -77,6 +94,11 @@ grep -q 'duplicate=1' <<<"$RESUB" || {
 JOB="$(sed -n 's/^SUBMITTED job=\([0-9]*\).*/\1/p' <<<"$RESUB")"
 RESULT="$("$FIXDCTL" --endpoint "unix:$SOCK" --wait-budget-ms 120000 result "$JOB")"
 echo "$RESULT"
+grep -q 'resumed=1' <<<"$RESULT" || {
+  echo "service_smoke: FAIL — the job did not resume from a checkpoint" \
+       "(the kill missed the running search)" >&2
+  exit 1
+}
 GOT="$(digests "$RESULT")"
 if [ "$GOT" != "$WANT" ]; then
   echo "service_smoke: FAIL — digest mismatch after crash-restart" >&2
@@ -100,4 +122,5 @@ if [ "$RC" != 3 ]; then
   exit 1
 fi
 
-echo "service_smoke: PASS — resumed digests identical, degradation clean"
+echo "service_smoke: PASS — resumed from a checkpoint, digests identical," \
+     "degradation clean"

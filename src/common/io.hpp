@@ -1,6 +1,6 @@
 // Scratch-directory lifecycle and sorted-run spill files.
 //
-// The beyond-RAM explorer (mc/tiered_visited.hpp) spills cold visited-set
+// The beyond-RAM explorer (mc/visited.hpp) spills cold visited-set
 // shards to disk as sorted u64 runs. Two concerns live here because they are
 // generic, not model-checker specific, and item 3 on the roadmap (multi-
 // machine exploration) will reuse the same on-disk artifacts:
@@ -131,7 +131,7 @@ class SortedRunWriter {
 /// Callers pass the fence index returned by the writer (the file itself
 /// stays fence-free: the index is cheap to keep resident — one key per 4 KiB
 /// of spilled data — and rebuilding it would mean a full-file scan on open).
-/// Not internally synchronized: the tiered visited set guards each run with
+/// Not internally synchronized: a budgeted VisitedSet guards each run with
 /// its stripe mutex.
 class SortedRunReader {
  public:

@@ -8,14 +8,12 @@ namespace fixd::core {
 
 namespace {
 /// Does any trail step on a violation path involve timer behaviour — a
-/// timer event, a modelled timer cancellation, or a modelled delivery
-/// delay? That is the signal that the bug may be a timeout-configuration
-/// bug rather than a code bug.
+/// timer event or a modelled delivery delay? That is the signal that the
+/// bug may be a timeout-configuration bug rather than a code bug.
 bool timer_implicated(const BugReport& bug) {
   for (const mc::SysViolation& sv : bug.trails) {
     for (const mc::SysAction& step : sv.trail.steps) {
-      if (step.kind == mc::SysAction::Kind::kCancelTimer ||
-          step.kind == mc::SysAction::Kind::kDelayMessage) {
+      if (step.kind == mc::SysAction::Kind::kDelayMessage) {
         return true;
       }
       if (step.kind == mc::SysAction::Kind::kRuntime &&

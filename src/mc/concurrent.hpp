@@ -5,18 +5,17 @@
 // engine sizes them with stripes_for(workers), so a one-worker search pays
 // for one uncontended stripe rather than 64:
 //
-//  - CompactDigestSet / StripedVisitedSet: the canonical-state dedup set.
-//    The storage is a compact open-addressing table of raw u64 digests
-//    (~10 bytes per entry at the 0.7 load factor vs ~40+ for a node-based
-//    unordered_set) — the visited set is the one explorer structure that
-//    only ever grows in-RAM, so its bytes are reported
-//    (`visited_resident_bytes`) and kept small; under a
-//    `visited_budget_bytes` the tiered wrapper (mc/tiered_visited.hpp)
-//    spills cold shards to disk. The striped wrapper lock-stripes inserts
-//    so concurrent
-//    (well-mixed) digests rarely contend. Insertion is linearizable per
-//    stripe; exactly one worker wins each digest, so every unique state is
-//    expanded exactly once — the property the differential tests
+//  - CompactDigestSet: the in-RAM table of canonical-state digests. A
+//    compact open-addressing table of raw u64 digests (~10 bytes per entry
+//    at the 0.7 load factor vs ~40+ for a node-based unordered_set): the
+//    visited set is the one explorer structure that only ever grows
+//    in-RAM, so its bytes are reported (`visited_resident_bytes`) and kept
+//    small. The SystemExplorer lock-stripes these tables in VisitedSet
+//    (mc/visited.hpp), which under a `visited_budget_bytes` also spills
+//    cold stripes to disk; ModelD's single-threaded Explorer uses one
+//    table directly. Striped inserts are linearizable per stripe; exactly
+//    one worker wins each digest, so every unique state is expanded
+//    exactly once — the property the differential tests
 //    (tests/test_mc_parallel.cpp) pin against a reference BFS.
 //
 //  - StealableDeque: a per-worker frontier deque. The owner pushes and
@@ -79,6 +78,10 @@ class StripeArray {
   /// Visit every stripe (callers lock `mu` themselves).
   template <typename F>
   void for_each(F&& f) const {
+    for (const auto& s : stripes_) f(static_cast<const Stripe&>(*s));
+  }
+  template <typename F>
+  void for_each(F&& f) {
     for (const auto& s : stripes_) f(*s);
   }
 
@@ -198,7 +201,8 @@ class CompactDigestSet {
     return true;
   }
 
-  /// Membership probe without insertion (the tiered set's hot-tier check).
+  /// Membership probe without insertion (the budgeted VisitedSet's
+  /// hot-tier check).
   bool contains(std::uint64_t h) const {
     if (h == 0) return has_zero_;
     if (slots_.empty()) return false;
@@ -212,8 +216,8 @@ class CompactDigestSet {
   }
 
   /// Extract every stored digest in ascending order and reset the table to
-  /// empty, releasing its memory — the spill path of the tiered visited set
-  /// (mc/tiered_visited.hpp) drains cold shards to disk with this.
+  /// empty, releasing its memory — the budgeted VisitedSet
+  /// (mc/visited.hpp) drains cold stripes to disk with this.
   std::vector<std::uint64_t> take_sorted() {
     std::vector<std::uint64_t> out;
     out.reserve(size());
@@ -259,39 +263,6 @@ class CompactDigestSet {
   std::vector<std::uint64_t> slots_;
   std::size_t size_ = 0;
   bool has_zero_ = false;
-};
-
-/// Lock-striped set of 64-bit state digests over compact tables.
-class StripedVisitedSet {
- public:
-  explicit StripedVisitedSet(std::size_t stripes = 64) : stripes_(stripes) {}
-
-  /// Insert a digest; true iff it was not present (the caller owns the
-  /// state and must expand it).
-  bool insert(std::uint64_t h) {
-    Stripe& s = stripes_.of(h);
-    std::lock_guard<std::mutex> lk(s.mu);
-    return s.set.insert(h);
-  }
-
-  /// Total retained bytes across stripes (the `visited_resident_bytes`
-  /// stat; call with the workers quiescent or joined for an exact figure).
-  std::uint64_t bytes() const {
-    std::uint64_t n = 0;
-    stripes_.for_each([&n](const Stripe& s) {
-      std::lock_guard<std::mutex> lk(s.mu);
-      n += s.set.bytes();
-    });
-    return n;
-  }
-
- private:
-  struct Stripe {
-    mutable std::mutex mu;
-    CompactDigestSet set;
-  };
-
-  StripeArray<Stripe> stripes_;
 };
 
 /// Per-state expansion records for dynamic POR: digest -> {the enabled

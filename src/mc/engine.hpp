@@ -19,11 +19,11 @@
 #include <chrono>
 #include <deque>
 #include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/serialize.hpp"
+#include "mc/concurrent.hpp"
 #include "mc/guarded.hpp"
 
 namespace fixd::mc {
@@ -74,7 +74,7 @@ struct ExploreStats {
   /// Cumulative spill IO written over the run (re-merges count every
   /// generation, so this can exceed visited_spilled_bytes).
   std::uint64_t spilled_bytes = 0;
-  /// Bloom-filter false positives / queries for the tiered visited set
+  /// Bloom-filter false positives / queries for a budgeted visited set
   /// (each false positive costs one disk probe, never correctness).
   double bloom_fp_rate = 0.0;
   /// Trail-frontier anchors whose snapshot was dropped under
@@ -172,7 +172,7 @@ struct ExploreResult {
 
 /// Default `max_states` caps. The two explorers deliberately differ:
 /// abstract-model states (Explorer<S>) are tens of bytes hashed in
-/// nanoseconds, so a ~1M-state default costs ~10 MB of visited set; a
+/// nanoseconds, so a ~1M-state default costs ~16 MB of visited set; a
 /// SystemExplorer state is a whole COW world whose expansion costs
 /// microseconds and whose frontier snapshot can run to kilobytes, so its
 /// default stays an order of magnitude lower. Beyond-RAM runs raise the
@@ -266,7 +266,7 @@ class Explorer {
 
   ExploreResult graph_search() {
     ExploreResult res;
-    std::unordered_set<std::uint64_t> visited;
+    CompactDigestSet visited;  // single-threaded: no stripes, no lock
 
     auto cmp = [](const Node& a, const Node& b) {
       return a.priority < b.priority;  // max-heap by priority
@@ -315,7 +315,7 @@ class Explorer {
         model_.actions()[ai].effect(next);
         ++res.stats.transitions;
         std::uint64_t h = timed_hash(next, res.stats);
-        if (!visited.insert(h).second) {
+        if (!visited.insert(h)) {
           ++res.stats.duplicates;
           continue;
         }

@@ -6,12 +6,12 @@
 #include <deque>
 #include <exception>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 #include "common/hash.hpp"
-#include "common/io.hpp"
 #include "mc/concurrent.hpp"
-#include "mc/tiered_visited.hpp"
+#include "mc/visited.hpp"
 
 namespace fixd::mc {
 
@@ -319,48 +319,31 @@ struct SystemExplorer::PorState {
 /// *after* its expansion finishes, so an idle worker observing active == 0
 /// knows the search is complete (no node can reappear). Every striped
 /// structure is sized by stripes_for(workers): one stripe for a one-worker
-/// search.
+/// search (a budgeted visited set keeps 64, its spill granularity).
 struct SystemExplorer::Shared {
   Shared(const SysExploreOptions& o, std::size_t n_workers)
       : por(stripes_for(n_workers)) {
-    if (!o.dedup) return;
-    if (o.visited_budget_bytes > 0) {
-      spill_scratch = ScratchDir::create(o.spill_dir, "fixd-spill");
-      tiered = std::make_unique<TieredVisitedSet>(o.visited_budget_bytes,
-                                                  spill_scratch.path());
-    } else {
-      visited = std::make_unique<StripedVisitedSet>(stripes_for(n_workers));
+    if (o.dedup) {
+      visited.emplace(stripes_for(n_workers), o.visited_budget_bytes,
+                      o.spill_dir);
     }
   }
 
-  /// Insert into whichever visited set this search uses (dedup on); true
-  /// iff `h` is new.
-  bool insert(std::uint64_t h) {
-    return visited ? visited->insert(h) : tiered->insert(h);
-  }
-
-  /// The visited-set stats.
+  /// The visited-set stats (all zero with dedup off).
   void report_visited(ExploreStats& s) const {
-    if (tiered) {
-      s.visited_resident_bytes = tiered->resident_bytes();
-      s.visited_peak_resident_bytes = tiered->peak_resident_bytes();
-      s.visited_spilled_bytes = tiered->spilled_bytes();
-      s.spilled_bytes = tiered->spill_bytes_written();
-      s.bloom_fp_rate = tiered->bloom_fp_rate();
-    } else if (visited) {
-      s.visited_resident_bytes = visited->bytes();
-      s.visited_peak_resident_bytes = s.visited_resident_bytes;
-    }
+    if (!visited) return;
+    s.visited_resident_bytes = visited->resident_bytes();
+    s.visited_peak_resident_bytes = visited->peak_resident_bytes();
+    s.visited_spilled_bytes = visited->spilled_bytes();
+    s.spilled_bytes = visited->spill_bytes_written();
+    s.bloom_fp_rate = visited->bloom_fp_rate();
   }
 
-  /// The visited set, chosen once from visited_budget_bytes: at most one
-  /// of these is non-null (none with dedup off). `tiered` is the
-  /// Bloom-fronted spill-to-disk set of budgeted dedup, with its per-run
-  /// scratch directory (RAII: spill files vanish on every exit path); it
-  /// keeps per-stripe linearizability, so exactly-one-winner holds for both.
-  std::unique_ptr<StripedVisitedSet> visited;
-  ScratchDir spill_scratch;
-  std::unique_ptr<TieredVisitedSet> tiered;
+  /// The search's visited set (none with dedup off). Under
+  /// visited_budget_bytes it spills to its own scratch directory (RAII:
+  /// spill files vanish on every exit path); either way it keeps
+  /// per-stripe linearizability, so exactly one worker wins each digest.
+  std::optional<VisitedSet> visited;
   PorState por;
   /// States counted over the whole search (root included): the budget
   /// authority. `slice_base` is its value when the current slice began,
@@ -540,19 +523,6 @@ std::vector<SysAction> SystemExplorer::enabled_actions(
       out.push_back(a);
     }
   }
-  if (opts_.model_timer_mutation) {
-    // Cancel actions derive from the enabled timer events already in
-    // `out`, so cached and uncached enumeration agree automatically.
-    const std::size_t n = out.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      if (out[i].kind != SysAction::Kind::kRuntime) continue;
-      if (out[i].event.kind != rt::EventKind::kTimer) continue;
-      SysAction a;
-      a.kind = SysAction::Kind::kCancelTimer;
-      a.event = out[i].event;
-      out.push_back(a);
-    }
-  }
   if (opts_.model_partition) {
     // Heal actions: every blocked link (the mask is a sorted set, so the
     // canonical order is free). Cut actions: every distinct unblocked link
@@ -616,9 +586,6 @@ void SystemExplorer::apply_action(rt::World& w, const SysAction& a) {
     case SysAction::Kind::kDelayMessage:
       w.model_delay_message(a.msg, a.delay);
       break;
-    case SysAction::Kind::kCancelTimer:
-      w.model_cancel_timer(a.event.pid, a.event.timer);
-      break;
     case SysAction::Kind::kPartitionLinks:
       w.model_cut_link(a.src, a.dst);
       break;
@@ -679,11 +646,6 @@ ActionFootprint SystemExplorer::footprint(const rt::World& w,
       } else if (a.event.kind == rt::EventKind::kTimer) {
         f.timer = timer_token(a.event.pid, a.event.timer);
       }
-      break;
-    case SysAction::Kind::kCancelTimer:
-      // Touches only the timer's owning process, like the timer event.
-      f.procs = ActionFootprint::proc_bit(a.event.pid);
-      f.timer = timer_token(a.event.pid, a.event.timer);
       break;
     case SysAction::Kind::kRestartProcess:
       // Touches only the restarted process (its local state and every
@@ -841,8 +803,8 @@ Trail SystemExplorer::trail_of(const PathNode* path) {
 }
 
 void SystemExplorer::check_pause_resume_options() const {
-  if (!opts_.pause_check && !opts_.capture_frontier &&
-      !opts_.resume_from_checkpoint) {
+  if (!opts_.pause_check && !opts_.capture_frontier && !resuming() &&
+      opts_.resume_frontier.empty()) {
     return;
   }
   if (opts_.order != SearchOrder::kBfs && opts_.order != SearchOrder::kDfs) {
@@ -860,10 +822,10 @@ void SystemExplorer::check_pause_resume_options() const {
         "pause/resume: por carries traversal-order-sensitive state that a "
         "checkpoint does not capture");
   }
-  if (opts_.resume_from_checkpoint && opts_.resume_visited.empty()) {
+  if (!resuming() && !opts_.resume_frontier.empty()) {
     throw ConfigError(
-        "resume_from_checkpoint requires the checkpoint's visited set "
-        "(it must include the root digest)");
+        "resume_frontier requires the checkpoint's visited set in "
+        "resume_visited (it must include the root digest)");
   }
 }
 
@@ -1046,7 +1008,7 @@ void SystemExplorer::expand(Shared& sh, Worker& me, Node cur) {
 
     if (opts_.dedup) {
       const std::uint64_t h = timed_mc_digest(w, stats, opts_.abstract_time);
-      if (!sh.insert(h)) {
+      if (!sh.visited->insert(h)) {
         ++stats.duplicates;
         // The edge (if allocated for the violation trail above) was never
         // published to a frontier node; the Trail copied its actions.
@@ -1157,7 +1119,7 @@ std::unique_ptr<SystemExplorer::Shared> SystemExplorer::start_search(
   // A search resumed from a checkpoint does not re-probe (or re-count)
   // the root: its first slice already did, and the checkpointed stats
   // accumulate across slices.
-  if (!opts_.resume_from_checkpoint && !probe_root(res)) return nullptr;
+  if (!resuming() && !probe_root(res)) return nullptr;
 
   // Anchor eviction needs a replay recipe per node, which only trail-mode
   // graph searches have; snapshot mode ignores the frontier budget.
@@ -1177,15 +1139,15 @@ std::unique_ptr<SystemExplorer::Shared> SystemExplorer::start_search(
   if (reg_) reg_->set_root(root_anchor);
   if (opts_.por) sh->por.root = root_anchor;
   if (opts_.dedup) {
-    if (opts_.resume_from_checkpoint) {
+    if (resuming()) {
       // Preseed with the checkpoint's visited set (root digest included);
       // children re-reaching pre-crash states dedup against it exactly as
       // the uninterrupted run deduped against its own history.
-      for (std::uint64_t h : opts_.resume_visited) sh->insert(h);
+      for (std::uint64_t h : opts_.resume_visited) sh->visited->insert(h);
     } else {
       const std::uint64_t h =
           timed_mc_digest(*scratch_, res.stats, opts_.abstract_time);
-      sh->insert(h);
+      sh->visited->insert(h);
       if (opts_.collect_visited) res.visited.push_back(h);
     }
   }
@@ -1209,7 +1171,7 @@ std::unique_ptr<SystemExplorer::Shared> SystemExplorer::start_search(
     sh->workers.push_back(std::move(wk));
   }
 
-  if (opts_.resume_from_checkpoint) {
+  if (resuming()) {
     // Re-plant the checkpoint frontier in captured order, round-robin. At
     // one worker every node lands on the one deque, whose BFS pop_front /
     // DFS pop_back then reproduces the uninterrupted run's pop sequence
@@ -1327,10 +1289,11 @@ SysExploreResult SystemExplorer::graph_search() {
 // (seed, walk index) — never shared across walks — so sharding the walk
 // budget over workers cannot change any trajectory: workers == k runs
 // exactly the walks workers == 1 runs (violations are re-sorted into walk
-// order). The only divergence is the early stop: a parallel run may
-// finish the few walks in flight when the violation budget fills, so it
-// can report slightly more walks' worth of violations than a sequential
-// run that stopped between walks.
+// order). Every worker count runs the same loop; one worker runs it on
+// the calling thread. The only divergence is the early stop: a parallel
+// run may finish the few walks in flight when the violation budget fills,
+// so it can report slightly more walks' worth of violations than a
+// one-worker run, which stops between walks.
 SysExploreResult SystemExplorer::random_walk() {
   SysExploreResult res;
 
@@ -1353,7 +1316,7 @@ SysExploreResult SystemExplorer::random_walk() {
       apply_action(w, a);
       ++stats.transitions;
       ++stats.states;
-      arena.push_back({cur_path, a});
+      arena.push_back({cur_path, a, ActionFootprint{}, 0});
       cur_path = &arena.back();
       stats.max_depth = std::max<std::uint64_t>(stats.max_depth, d + 1);
       if (!w.violations().empty()) {
@@ -1371,77 +1334,78 @@ SysExploreResult SystemExplorer::random_walk() {
       std::max<std::size_t>(1, opts_.workers),
       std::max<std::size_t>(1, opts_.walk_restarts));
 
-  std::vector<std::pair<std::size_t, SysViolation>> tagged;
-  if (n_workers <= 1) {
+  // One worker walks on scratch_ itself, on the calling thread; more
+  // workers each walk on a private clone of the root.
+  if (n_workers > 1) root.share_across_threads();
+  std::atomic<std::size_t> next_walk{0};
+  std::atomic<std::size_t> violation_count{0};
+  std::atomic<bool> stop{false};
+  std::mutex err_mu;
+  std::exception_ptr error;
+
+  struct WalkWorker {
+    rt::World* world = nullptr;
+    std::unique_ptr<rt::World> own_world;
     std::deque<PathNode> arena;
-    std::size_t found = 0;
-    for (std::size_t walk = 0; walk < opts_.walk_restarts; ++walk) {
-      found += run_walk(*scratch_, arena, walk, res.stats, tagged);
-      if (found >= opts_.max_violations) break;
+    ExploreStats stats;
+    std::vector<std::pair<std::size_t, SysViolation>> violations;
+  };
+  std::vector<WalkWorker> workers(n_workers);
+  for (auto& wk : workers) {
+    if (n_workers == 1) {
+      wk.world = scratch_.get();
+    } else {
+      wk.own_world = scratch_->clone_from_snapshot(root);
+      if (opts_.install_invariants) opts_.install_invariants(*wk.own_world);
+      wk.world = wk.own_world.get();
     }
-  } else {
-    root.share_across_threads();
-    std::atomic<std::size_t> next_walk{0};
-    std::atomic<std::size_t> violation_count{0};
-    std::atomic<bool> stop{false};
-    std::mutex err_mu;
-    std::exception_ptr error;
-
-    struct WalkWorker {
-      std::unique_ptr<rt::World> world;
-      std::deque<PathNode> arena;
-      ExploreStats stats;
-      std::vector<std::pair<std::size_t, SysViolation>> violations;
-    };
-    std::vector<WalkWorker> workers(n_workers);
-    for (auto& wk : workers) {
-      wk.world = scratch_->clone_from_snapshot(root);
-      if (opts_.install_invariants) opts_.install_invariants(*wk.world);
-    }
-
-    {
-      std::vector<std::thread> threads;
-      threads.reserve(n_workers);
-      for (std::size_t i = 0; i < n_workers; ++i) {
-        threads.emplace_back([&, i] {
-          WalkWorker& me = workers[i];
-          try {
-            while (!stop.load(std::memory_order_acquire)) {
-              std::size_t walk = next_walk.fetch_add(1);
-              if (walk >= opts_.walk_restarts) return;
-              std::size_t found = run_walk(*me.world, me.arena, walk,
-                                           me.stats, me.violations);
-              if (found > 0 && violation_count.fetch_add(found) + found >=
-                                   opts_.max_violations) {
-                stop.store(true, std::memory_order_release);
-              }
-            }
-          } catch (...) {
-            {
-              std::lock_guard<std::mutex> lk(err_mu);
-              if (!error) error = std::current_exception();
-            }
-            stop.store(true, std::memory_order_release);
-          }
-        });
-      }
-      for (auto& t : threads) t.join();
-    }
-    if (error) std::rethrow_exception(error);
-
-    for (auto& wk : workers) {
-      res.stats.transitions += wk.stats.transitions;
-      res.stats.states += wk.stats.states;
-      res.stats.max_depth = std::max(res.stats.max_depth, wk.stats.max_depth);
-      for (auto& v : wk.violations) tagged.push_back(std::move(v));
-    }
-    // Walks complete in nondeterministic worker order; walk-index order is
-    // the one-worker report order.
-    std::stable_sort(tagged.begin(), tagged.end(),
-                     [](const auto& a, const auto& b) {
-                       return a.first < b.first;
-                     });
   }
+
+  auto walk_loop = [&](WalkWorker& me) {
+    try {
+      while (!stop.load(std::memory_order_acquire)) {
+        std::size_t walk = next_walk.fetch_add(1);
+        if (walk >= opts_.walk_restarts) return;
+        std::size_t found =
+            run_walk(*me.world, me.arena, walk, me.stats, me.violations);
+        if (found > 0 && violation_count.fetch_add(found) + found >=
+                             opts_.max_violations) {
+          stop.store(true, std::memory_order_release);
+        }
+      }
+    } catch (...) {
+      {
+        std::lock_guard<std::mutex> lk(err_mu);
+        if (!error) error = std::current_exception();
+      }
+      stop.store(true, std::memory_order_release);
+    }
+  };
+  if (n_workers == 1) {
+    walk_loop(workers[0]);
+  } else {
+    std::vector<std::thread> threads;
+    threads.reserve(n_workers);
+    for (auto& wk : workers) {
+      threads.emplace_back([&walk_loop, &wk] { walk_loop(wk); });
+    }
+    for (auto& t : threads) t.join();
+  }
+  if (error) std::rethrow_exception(error);
+
+  std::vector<std::pair<std::size_t, SysViolation>> tagged;
+  for (auto& wk : workers) {
+    res.stats.transitions += wk.stats.transitions;
+    res.stats.states += wk.stats.states;
+    res.stats.max_depth = std::max(res.stats.max_depth, wk.stats.max_depth);
+    for (auto& v : wk.violations) tagged.push_back(std::move(v));
+  }
+  // Walks complete in nondeterministic worker order; walk-index order is
+  // the one-worker report order.
+  std::stable_sort(tagged.begin(), tagged.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first < b.first;
+                   });
   res.stats.workers = n_workers;
   res.violations.reserve(tagged.size());
   for (auto& [walk, v] : tagged) res.violations.push_back(std::move(v));

@@ -41,8 +41,7 @@ namespace fixd::mc {
 ///     order-sensitive even when they touch different messages.
 ///   - `msg`: the specific message consumed/dropped/duplicated/delayed
 ///     (0 = none; real MsgIds start at 1).
-///   - `timer`: the specific (pid, timer) an action fires or cancels
-///     (0 = none).
+///   - `timer`: the specific (pid, timer) an action fires (0 = none).
 ///   - `cut_budget`: partition cuts and heals both move the global
 ///     blocked-link count that gates further cut enumeration
 ///     (max_cut_links), so any two of them are mutually dependent.
@@ -81,18 +80,15 @@ struct SysExploreOptions {
   bool model_message_loss = false;
   bool model_message_duplication = false;
 
-  /// Timeout environment models. With model_message_delay, every pending
+  /// Timeout environment model. With model_message_delay, every pending
   /// non-control message whose accumulated latency is still below
   /// model_delay_horizon additionally yields a kDelayMessage action
-  /// (ready time += model_delay_quantum). With model_timer_mutation,
-  /// every enabled timer event additionally yields a kCancelTimer action
-  /// ("the timeout never fires"). Both are meant for *timed* exploration
-  /// (abstract_time = false): abstract time ignores ready times, so a
-  /// delay cannot change what is enabled there. The horizon keeps the
-  /// timed state space finite and is a pure function of world state, so
-  /// cached and uncached enumeration agree by construction.
+  /// (ready time += model_delay_quantum). It is meant for *timed*
+  /// exploration (abstract_time = false): abstract time ignores ready
+  /// times, so a delay cannot change what is enabled there. The horizon
+  /// keeps the timed state space finite and is a pure function of world
+  /// state, so cached and uncached enumeration agree by construction.
   bool model_message_delay = false;
-  bool model_timer_mutation = false;
   VirtualTime model_delay_quantum = 8;
   VirtualTime model_delay_horizon = 32;
 
@@ -190,7 +186,7 @@ struct SysExploreOptions {
   std::size_t workers = 1;
 
   /// Beyond-RAM budgets (0 = unbounded, the historical behavior; see
-  /// docs/PERF.md Layer 9 and mc/tiered_visited.hpp).
+  /// docs/PERF.md Layer 9 and mc/visited.hpp).
   ///
   /// visited_budget_bytes bounds the *resident* dedup set: half funds a
   /// Bloom front filter, half the hot exact shards; cold shards spill to
@@ -268,14 +264,14 @@ struct SysExploreOptions {
   /// resume_frontier accepts.
   bool capture_frontier = false;
 
-  /// Start the search from a checkpoint of an earlier explorer (one that
-  /// no longer exists, e.g. before a crash) instead of from the root: the
-  /// root state is NOT re-probed or re-counted, resume_visited
-  /// preseeds the dedup set (it must contain the root digest), and
-  /// resume_frontier's trails are re-planted as root-anchored frontier
-  /// nodes in order. The base world passed to the constructor must be the
-  /// same state the original search started from.
-  bool resume_from_checkpoint = false;
+  /// A non-empty resume_visited starts the search from a checkpoint of an
+  /// earlier explorer (one that no longer exists, e.g. before a crash)
+  /// instead of from the root: the root state is NOT re-probed or
+  /// re-counted, resume_visited preseeds the dedup set (it must contain
+  /// the root digest), and resume_frontier's trails are re-planted as
+  /// root-anchored frontier nodes in order. The base world passed to the
+  /// constructor must be the same state the original search started from.
+  /// A resume_frontier without resume_visited is a ConfigError.
   std::vector<std::uint64_t> resume_visited;
   std::vector<Trail> resume_frontier;
 };
@@ -444,6 +440,8 @@ class SystemExplorer {
                                  std::deque<PathNode>& arena) const;
   /// Validates the pause/capture/resume option contract (ConfigError).
   void check_pause_resume_options() const;
+  /// Whether this search starts from a checkpoint (resume_visited given).
+  bool resuming() const { return !opts_.resume_visited.empty(); }
   /// Probe the investigated state itself (the violation might already
   /// hold); returns false when the violation budget is already exhausted.
   bool probe_root(SysExploreResult& res);

@@ -18,20 +18,22 @@ namespace fixd::mc {
 /// One transition label in a system-level trail.
 struct SysAction {
   enum class Kind : std::uint8_t {
-    kRuntime = 0,     ///< a runtime event (start / deliver / timer)
-    kDropMessage,     ///< environment model: the network loses a message
-    kDupMessage,      ///< environment model: the network duplicates a message
-    kDelayMessage,    ///< environment model: a delivery is deferred (timed)
-    kCancelTimer,     ///< environment model: an armed timeout never fires
-    kPartitionLinks,  ///< environment model: cut one directed link (traffic
-                      ///< on it is deferred, never lost)
-    kHealLinks,       ///< environment model: re-open one cut link
-    kRestartProcess,  ///< environment model: durable restart of a crashed
-                      ///< process (resumes with crash-time state)
+    kRuntime = 0,         ///< a runtime event (start / deliver / timer)
+    kDropMessage = 1,     ///< environment model: the network loses a message
+    kDupMessage = 2,      ///< environment model: the network duplicates a
+                          ///< message
+    kDelayMessage = 3,    ///< environment model: a delivery is deferred
+                          ///< (timed)
+    // Tag 4 is retired (a timer-cancel model action); load() rejects it.
+    kPartitionLinks = 5,  ///< environment model: cut one directed link
+                          ///< (traffic on it is deferred, never lost)
+    kHealLinks = 6,       ///< environment model: re-open one cut link
+    kRestartProcess = 7,  ///< environment model: durable restart of a
+                          ///< crashed process (resumes with crash-time state)
   };
 
   Kind kind = Kind::kRuntime;
-  rt::EventDesc event;      ///< kRuntime / kCancelTimer / kRestartProcess
+  rt::EventDesc event;      ///< kRuntime / kRestartProcess
   MsgId msg = 0;            ///< kDropMessage / kDupMessage / kDelayMessage
   VirtualTime delay = 0;    ///< kDelayMessage: extra virtual time
   ProcessId src = kNoProcess;  ///< kPartitionLinks / kHealLinks
@@ -68,13 +70,6 @@ struct SysAction {
         rt::append_decimal(out, delay);
         out += ')';
         return;
-      case Kind::kCancelTimer:
-        out += "env:cancel-timer(t#";
-        rt::append_decimal(out, event.timer);
-        out += "@p";
-        rt::append_decimal(out, event.pid);
-        out += ')';
-        return;
       case Kind::kPartitionLinks:
       case Kind::kHealLinks:
         out += kind == Kind::kPartitionLinks ? "env:cut(p" : "env:heal(p";
@@ -103,7 +98,8 @@ struct SysAction {
 
   void load(BinaryReader& r) {
     const std::uint8_t k = r.read_u8();
-    if (k > static_cast<std::uint8_t>(Kind::kRestartProcess)) {
+    if (k == 4 /* retired */ ||
+        k > static_cast<std::uint8_t>(Kind::kRestartProcess)) {
       throw SerializationError("SysAction: bad kind tag " + std::to_string(k));
     }
     kind = static_cast<Kind>(k);

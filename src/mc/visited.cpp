@@ -1,9 +1,7 @@
-#include "mc/tiered_visited.hpp"
+#include "mc/visited.hpp"
 
 #include <algorithm>
 #include <string>
-
-#include "common/error.hpp"
 
 namespace fixd::mc {
 
@@ -31,11 +29,12 @@ AtomicBloom::AtomicBloom(std::uint64_t bytes) {
   bit_mask_ = words * 64 - 1;
 }
 
-TieredVisitedSet::TieredVisitedSet(std::uint64_t budget_bytes,
-                                   std::filesystem::path scratch,
-                                   std::size_t stripes)
-    : scratch_(std::move(scratch)) {
-  FIXD_CHECK_MSG(budget_bytes > 0, "TieredVisitedSet needs a positive budget");
+VisitedSet::VisitedSet(std::size_t stripes, std::uint64_t budget_bytes,
+                       const std::filesystem::path& spill_parent)
+    : stripes_(budget_bytes > 0 ? std::max(stripes, kSpillStripes)
+                                : stripes) {
+  if (budget_bytes == 0) return;
+  scratch_ = ScratchDir::create(spill_parent, "fixd-spill");
   // Half the budget to the Bloom filter, half to the exact hot tier. The
   // Bloom share is what keeps the false-positive rate down once most states
   // live on disk (sizing math in docs/PERF.md Layer 9); the hot share is
@@ -45,19 +44,9 @@ TieredVisitedSet::TieredVisitedSet(std::uint64_t budget_bytes,
   bloom_ = std::make_unique<AtomicBloom>(bloom_share);
   exact_budget_ =
       budget_bytes > bloom_->bytes() ? budget_bytes - bloom_->bytes() : 1;
-  std::size_t n = 1;
-  while (n < stripes) n <<= 1;
-  stripes_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    stripes_.push_back(std::make_unique<Stripe>());
-  }
-  mask_ = n - 1;
 }
 
-TieredVisitedSet::~TieredVisitedSet() = default;
-
-bool TieredVisitedSet::insert(std::uint64_t h) {
-  Stripe& s = *stripes_[stripe_of(h)];
+bool VisitedSet::insert_budgeted(Stripe& s, std::uint64_t h) {
   bool fresh;
   {
     std::lock_guard<std::mutex> lk(s.mu);
@@ -68,14 +57,11 @@ bool TieredVisitedSet::insert(std::uint64_t h) {
       if (!bloom_->maybe_contains(h)) {
         // Definitely in no tier: the Bloom has seen every insert.
         fresh = s.hot.insert(h);
+      } else if (s.hot.contains(h) || s.run->contains(h)) {
+        fresh = false;
       } else {
-        bloom_maybes_.fetch_add(1, std::memory_order_relaxed);
-        if (s.hot.contains(h) || s.run->contains(h)) {
-          fresh = false;
-        } else {
-          bloom_fps_.fetch_add(1, std::memory_order_relaxed);
-          fresh = s.hot.insert(h);
-        }
+        bloom_fps_.fetch_add(1, std::memory_order_relaxed);
+        fresh = s.hot.insert(h);
       }
     } else {
       fresh = s.hot.insert(h);
@@ -85,7 +71,6 @@ bool TieredVisitedSet::insert(std::uint64_t h) {
       std::uint64_t nb = s.hot.bytes();
       std::uint64_t ob = s.hot_bytes.exchange(nb, std::memory_order_relaxed);
       if (nb != ob) resident_.fetch_add(nb - ob, std::memory_order_relaxed);
-      size_.fetch_add(1, std::memory_order_relaxed);
     }
   }
   if (fresh) {
@@ -95,7 +80,7 @@ bool TieredVisitedSet::insert(std::uint64_t h) {
   return fresh;
 }
 
-void TieredVisitedSet::note_peak() {
+void VisitedSet::note_peak() {
   std::uint64_t cur = resident_bytes();
   std::uint64_t prev = peak_resident_.load(std::memory_order_relaxed);
   while (cur > prev && !peak_resident_.compare_exchange_weak(
@@ -103,17 +88,34 @@ void TieredVisitedSet::note_peak() {
   }
 }
 
-std::uint64_t TieredVisitedSet::resident_bytes() const {
-  return bloom_->bytes() + resident_.load(std::memory_order_relaxed);
+std::uint64_t VisitedSet::resident_bytes() const {
+  if (bloom_) {
+    return bloom_->bytes() + resident_.load(std::memory_order_relaxed);
+  }
+  std::uint64_t n = 0;
+  stripes_.for_each([&n](const Stripe& s) {
+    std::lock_guard<std::mutex> lk(s.mu);
+    n += s.hot.bytes();
+  });
+  return n;
 }
 
-double TieredVisitedSet::bloom_fp_rate() const {
+std::uint64_t VisitedSet::size() const {
+  std::uint64_t n = 0;
+  stripes_.for_each([&n](const Stripe& s) {
+    std::lock_guard<std::mutex> lk(s.mu);
+    n += s.hot.size() + (s.run ? s.run->count() : 0);
+  });
+  return n;
+}
+
+double VisitedSet::bloom_fp_rate() const {
   std::uint64_t q = bloom_queries_.load(std::memory_order_relaxed);
   if (q == 0) return 0.0;
   return double(bloom_fps_.load(std::memory_order_relaxed)) / double(q);
 }
 
-void TieredVisitedSet::maybe_spill() {
+void VisitedSet::maybe_spill() {
   if (resident_.load(std::memory_order_relaxed) <= exact_budget_) return;
   // One spiller at a time; anyone else keeps exploring — the budget is a
   // target the evictor converges to, not a hard wall on every insert.
@@ -124,23 +126,23 @@ void TieredVisitedSet::maybe_spill() {
   while (resident_.load(std::memory_order_relaxed) > exact_budget_ / 2) {
     Stripe* victim = nullptr;
     std::uint64_t coldest = ~std::uint64_t{0};
-    for (auto& sp : stripes_) {
-      if (sp->hot_bytes.load(std::memory_order_relaxed) <=
+    stripes_.for_each([&](Stripe& sp) {
+      if (sp.hot_bytes.load(std::memory_order_relaxed) <=
           sizeof(CompactDigestSet)) {
-        continue;  // empty shard: nothing to drain
+        return;  // empty shard: nothing to drain
       }
-      std::uint64_t t = sp->last_touch.load(std::memory_order_relaxed);
+      std::uint64_t t = sp.last_touch.load(std::memory_order_relaxed);
       if (t < coldest) {
         coldest = t;
-        victim = sp.get();
+        victim = &sp;
       }
-    }
+    });
     if (victim == nullptr) break;  // all shards empty; fences alone remain
     spill_stripe(*victim);
   }
 }
 
-void TieredVisitedSet::spill_stripe(Stripe& s) {
+void VisitedSet::spill_stripe(Stripe& s) {
   std::lock_guard<std::mutex> lk(s.mu);
   std::vector<std::uint64_t> batch = s.hot.take_sorted();
   if (batch.empty()) {  // raced with another drain; fix accounting and go
@@ -149,13 +151,12 @@ void TieredVisitedSet::spill_stripe(Stripe& s) {
     resident_.fetch_add(nb - ob, std::memory_order_relaxed);
     return;
   }
-  std::size_t idx = 0;
-  for (std::size_t i = 0; i < stripes_.size(); ++i) {
-    if (stripes_[i].get() == &s) idx = i;
-  }
+  // Spills run one at a time (under spill_mu_), so the spill count names
+  // each run file uniquely.
   std::filesystem::path next =
-      scratch_ / ("stripe-" + std::to_string(idx) + "-g" +
-                  std::to_string(++s.generation) + ".run");
+      scratch_.path() /
+      ("run-" + std::to_string(spill_events_.load(std::memory_order_relaxed)) +
+       ".run");
   SortedRunWriter w(next);
   if (s.run == nullptr) {
     w.append(batch.data(), batch.size());
@@ -191,7 +192,6 @@ void TieredVisitedSet::spill_stripe(Stripe& s) {
   std::filesystem::path old_path = s.run ? s.run->path() : std::filesystem::path{};
   std::uint64_t fence_b = fin.fence.size() * 8;
   s.run = std::make_unique<SortedRunReader>(next, std::move(fin.fence));
-  s.run_path = next;
   if (!old_path.empty()) {
     std::error_code ec;
     std::filesystem::remove(old_path, ec);
@@ -207,17 +207,17 @@ void TieredVisitedSet::spill_stripe(Stripe& s) {
   spill_events_.fetch_add(1, std::memory_order_relaxed);
 }
 
-std::vector<std::uint64_t> TieredVisitedSet::sorted_contents() {
+std::vector<std::uint64_t> VisitedSet::sorted_contents() {
   std::vector<std::uint64_t> out;
   out.reserve(static_cast<std::size_t>(size()));
-  for (auto& sp : stripes_) {
-    std::lock_guard<std::mutex> lk(sp->mu);
-    sp->hot.for_each([&out](std::uint64_t v) { out.push_back(v); });
-    if (sp->run != nullptr) {
-      std::vector<std::uint64_t> run = sp->run->read_all();
+  stripes_.for_each([&out](Stripe& s) {
+    std::lock_guard<std::mutex> lk(s.mu);
+    s.hot.for_each([&out](std::uint64_t v) { out.push_back(v); });
+    if (s.run != nullptr) {
+      std::vector<std::uint64_t> run = s.run->read_all();
       out.insert(out.end(), run.begin(), run.end());
     }
-  }
+  });
   std::sort(out.begin(), out.end());
   return out;
 }

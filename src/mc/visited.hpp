@@ -1,35 +1,40 @@
-// Tiered visited set: bounded-resident state dedup for beyond-RAM searches.
+// The explorer's visited set: exact state dedup, optionally bounded in RAM.
 //
-// The plain visited set (CompactDigestSet / StripedVisitedSet) only ever
-// grows, which caps `max_states` at whatever fits in RAM. TieredVisitedSet
-// keeps exact dedup semantics under a fixed resident budget
-// (`SysExploreOptions::visited_budget_bytes`) with three tiers:
+// VisitedSet is one lock-striped set of 64-bit canonical digests over
+// CompactDigestSet tables (mc/concurrent.hpp). Every SystemExplorer graph
+// search with dedup on uses it, at any worker count, with or without a
+// `SysExploreOptions::visited_budget_bytes`.
+//
+// Budget 0 (the default): the set never spills. No Bloom filter, no
+// scratch directory; an insert is one stripe lock plus one table insert,
+// and touches no shared atomic.
+//
+// Budget > 0: exact dedup under a fixed resident budget, in three tiers:
 //
 //   1. Bloom front filter (AtomicBloom, ~half the budget). Fed on every
 //      successful insert. Once a stripe has spilled, a Bloom "definitely
 //      not present" answers the common miss path without touching disk.
-//   2. Hot exact tier: the same lock-striped CompactDigestSet shards as the
-//      in-RAM set, so the parallel path keeps its striping and per-stripe
-//      linearizability.
+//   2. Hot exact tier: the stripes' CompactDigestSet tables, so the
+//      parallel path keeps its striping and per-stripe linearizability.
 //   3. Cold exact tier: when the hot tier exceeds its share of the budget,
 //      the coldest stripes (least-recently-touched) drain to disk as sorted
-//      u64 runs (common/io.hpp, BinaryWriter encoding) under the per-run
+//      u64 runs (common/io.hpp, BinaryWriter encoding) under the set's own
 //      ScratchDir. Each stripe owns at most one run; a re-spill streams a
-//      merge of the old run with the newly drained shard, so resident cost
+//      merge of the old run with the newly drained table, so resident cost
 //      stays O(chunk), not O(spilled).
 //
-// Insert protocol per stripe (under the stripe mutex, so inserts stay
-// linearizable per stripe and exactly-one-winner is preserved):
+// Budgeted insert protocol per stripe (under the stripe mutex, so inserts
+// stay linearizable per stripe and exactly-one-winner is preserved):
 //   - stripe never spilled      -> plain hot insert (Bloom is fed, not asked).
 //   - Bloom says "not present"  -> definitely new anywhere: hot insert.
-//   - Bloom says "maybe"        -> check hot shard, then probe the stripe's
+//   - Bloom says "maybe"        -> check hot table, then probe the stripe's
 //     disk run (fence index + one ~4 KiB block read: rehydrate-on-maybe).
 //     Found nowhere -> a Bloom false positive, counted in `bloom_fp_rate`.
 //
 // The Bloom filter is *advisory only* — every "maybe" is resolved by an
 // exact tier, so false positives cost a disk probe, never correctness.
-// tests/test_mc_spill.cpp pins spill-on/off `sorted_contents()` set identity
-// under randomized churn at 1 and 4 threads.
+// tests/test_mc_spill.cpp pins `sorted_contents()` against an in-RAM
+// oracle under randomized churn at 1 and 4 threads, budgeted and not.
 #pragma once
 
 #include <atomic>
@@ -83,31 +88,42 @@ class AtomicBloom {
   std::uint64_t bit_mask_;  // bit count - 1 (bit count is a power of two)
 };
 
-/// Budget-bounded exact visited set (see file comment for the design).
-/// insert() is safe from any number of threads; the byte/rate accessors are
-/// exact once callers are quiescent (same contract as StripedVisitedSet).
-class TieredVisitedSet {
+/// Exact visited set (see the file comment for the design). insert() is
+/// safe from any number of threads; the byte/size/rate accessors are exact
+/// once callers are quiescent or joined.
+class VisitedSet {
  public:
-  /// `budget_bytes` bounds Bloom + hot tier residency (> 0; a zero budget
-  /// means "don't use this class" and is rejected). Spill runs are created
-  /// under `scratch`, which must outlive the set.
-  TieredVisitedSet(std::uint64_t budget_bytes, std::filesystem::path scratch,
-                   std::size_t stripes = 64);
-  ~TieredVisitedSet();
+  /// `stripes` lock stripes (stripes_for(workers); a budgeted set keeps at
+  /// least kSpillStripes). `budget_bytes` bounds
+  /// Bloom + hot tier residency; 0 means the set never spills. A budgeted
+  /// set creates its spill ScratchDir under `spill_parent` (empty = the
+  /// system temp dir) and removes it, with every run, on destruction.
+  explicit VisitedSet(std::size_t stripes, std::uint64_t budget_bytes = 0,
+                      const std::filesystem::path& spill_parent = {});
 
-  TieredVisitedSet(const TieredVisitedSet&) = delete;
-  TieredVisitedSet& operator=(const TieredVisitedSet&) = delete;
+  VisitedSet(const VisitedSet&) = delete;
+  VisitedSet& operator=(const VisitedSet&) = delete;
 
   /// Insert a digest; true iff it was not present in any tier (the caller
   /// owns the state and must expand it — exactly one caller wins each h).
-  bool insert(std::uint64_t h);
+  bool insert(std::uint64_t h) {
+    Stripe& s = stripes_.of(h);
+    if (!bloom_) {
+      std::lock_guard<std::mutex> lk(s.mu);
+      return s.hot.insert(h);
+    }
+    return insert_budgeted(s, h);
+  }
 
-  /// Resident footprint now: Bloom + hot shards + fence indexes.
+  /// Resident footprint now: the tables' bytes, plus the Bloom filter and
+  /// the runs' fence indexes when budgeted.
   std::uint64_t resident_bytes() const;
-  /// High-water resident footprint over the run (approximate under
-  /// concurrency: updated outside the stripe locks).
+  /// High-water resident footprint over the run. Budgeted: approximate
+  /// under concurrency (updated outside the stripe locks). Unbudgeted: the
+  /// set never shrinks, so it is resident_bytes().
   std::uint64_t peak_resident_bytes() const {
-    return peak_resident_.load(std::memory_order_relaxed);
+    return bloom_ ? peak_resident_.load(std::memory_order_relaxed)
+                  : resident_bytes();
   }
   /// Bytes currently on disk across all stripe runs.
   std::uint64_t spilled_bytes() const {
@@ -120,44 +136,41 @@ class TieredVisitedSet {
   std::uint64_t spill_events() const {
     return spill_events_.load(std::memory_order_relaxed);
   }
-
-  std::uint64_t bloom_queries() const {
-    return bloom_queries_.load(std::memory_order_relaxed);
-  }
   /// False positives / queries; 0 when nothing ever spilled (no queries).
   double bloom_fp_rate() const;
 
-  std::uint64_t size() const { return size_.load(std::memory_order_relaxed); }
+  /// Distinct digests across both tiers.
+  std::uint64_t size() const;
 
   /// Every digest across both tiers, sorted (test/differential hook — the
   /// result is O(total states), deliberately unbounded by the budget).
   std::vector<std::uint64_t> sorted_contents();
 
  private:
+  /// Stripes a budgeted set keeps at least: it spills one stripe at a
+  /// time, so the stripe count is its eviction granularity.
+  static constexpr std::size_t kSpillStripes = 64;
+
   struct Stripe {
-    std::mutex mu;
+    mutable std::mutex mu;
     CompactDigestSet hot;
     std::unique_ptr<SortedRunReader> run;  // at most one sorted run on disk
-    std::filesystem::path run_path;
-    int generation = 0;  // names successive run files uniquely
-    // Read without the stripe lock by the spill victim scan:
+    // Budgeted only; read without the stripe lock by the spill victim scan:
     std::atomic<std::uint64_t> last_touch{0};
     std::atomic<std::uint64_t> hot_bytes{0};
     std::atomic<std::uint64_t> fence_bytes{0};
   };
 
-  std::size_t stripe_of(std::uint64_t h) const {
-    return static_cast<std::size_t>(mix64(h)) & mask_;
-  }
+  bool insert_budgeted(Stripe& s, std::uint64_t h);
   void note_peak();
   void maybe_spill();
   void spill_stripe(Stripe& s);
 
-  std::filesystem::path scratch_;
-  std::unique_ptr<AtomicBloom> bloom_;
-  std::vector<std::unique_ptr<Stripe>> stripes_;
-  std::size_t mask_ = 0;
-  std::uint64_t exact_budget_ = 0;  // budget minus the Bloom's share
+  // Declared before the stripes, so their runs close before it is removed.
+  ScratchDir scratch_;  // budgeted only, like everything after stripes_
+  StripeArray<Stripe> stripes_;
+  std::unique_ptr<AtomicBloom> bloom_;  // non-null iff budgeted
+  std::uint64_t exact_budget_ = 0;      // budget minus the Bloom's share
 
   std::mutex spill_mu_;  // serializes victim selection + spilling
   std::atomic<std::uint64_t> tick_{1};
@@ -166,9 +179,7 @@ class TieredVisitedSet {
   std::atomic<std::uint64_t> spilled_now_{0};
   std::atomic<std::uint64_t> spill_written_{0};
   std::atomic<std::uint64_t> spill_events_{0};
-  std::atomic<std::uint64_t> size_{0};
   std::atomic<std::uint64_t> bloom_queries_{0};
-  std::atomic<std::uint64_t> bloom_maybes_{0};
   std::atomic<std::uint64_t> bloom_fps_{0};
 };
 

@@ -1112,25 +1112,6 @@ bool World::model_delay_message(MsgId id, VirtualTime extra) {
   return net_.delay(id, extra);
 }
 
-bool World::model_cancel_timer(ProcessId pid, TimerId id) {
-  FIXD_CHECK_MSG(pid < procs_.size(), "model_cancel_timer: bad id");
-  const std::uint64_t rk =
-      replay_keyable()
-          ? hash_combine(replay_acc_, 0xca9cull ^ hash_combine(pid, id))
-          : 0;
-  mark_state_dirty(pid);
-  bool ok = infos_[pid].timers.cancel(id);
-  eidx_sync_timers(pid);
-  if (rk) {
-    // Commit like dispatch does: the new content is the deterministic
-    // function of (snapshot, actions...), so sibling replays may share
-    // the capture under this key.
-    replay_acc_ = rk;
-    warm_key_[pid] = rk;
-  }
-  return ok;
-}
-
 bool World::model_cut_link(ProcessId src, ProcessId dst) {
   if (replay_keyable()) {
     replay_acc_ =

@@ -252,13 +252,12 @@ class World : private net::DeliverableListener {
   bool model_drop_message(MsgId id);
   std::optional<MsgId> model_duplicate_message(MsgId id);
 
-  /// Timeout-class environment-model actions: defer a pending delivery by
-  /// `extra` virtual time / cancel an armed timer. Like drop/duplicate
-  /// above they advance the replay-warm key chain instead of breaking it.
-  /// Delays gate enabledness only in timed mode (abstract time ignores
-  /// ready times by construction).
+  /// Timeout-class environment-model action: defer a pending delivery by
+  /// `extra` virtual time. Like drop/duplicate above it advances the
+  /// replay-warm key chain instead of breaking it. Delays gate enabledness
+  /// only in timed mode (abstract time ignores ready times by
+  /// construction).
   bool model_delay_message(MsgId id, VirtualTime extra);
-  bool model_cancel_timer(ProcessId pid, TimerId id);
 
   /// Partition-family environment-model actions: cut / heal one directed
   /// link, or restart a crashed process. Pure functions of world state

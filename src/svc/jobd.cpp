@@ -184,7 +184,7 @@ mc::SysExploreOptions options_for(const ScenarioFamily& fam,
 }  // namespace
 
 JobResultMsg run_investigation(const ScenarioFamily& fam, const JobSpec& spec,
-                               const CheckpointState* resume,
+                               CheckpointState resume,
                                const RunCallbacks& cb) {
   if (spec.order != mc::SearchOrder::kBfs &&
       spec.order != mc::SearchOrder::kDfs) {
@@ -193,11 +193,10 @@ JobResultMsg run_investigation(const ScenarioFamily& fam, const JobSpec& spec,
   std::unique_ptr<rt::World> world = fam.make(spec.n, spec.version);
 
   // The fold of every slice so far (the resume point's fold included).
-  CheckpointState state;
-  if (resume != nullptr) state = *resume;
+  CheckpointState& state = resume;
 
   JobResultMsg out;
-  out.resumed = resume != nullptr && state.slices > 0;
+  out.resumed = state.slices > 0;
 
   // Budgets span the explorer's whole search. The accumulated `states`
   // counter matches the uninterrupted run's exactly (resume preseeds are
@@ -221,7 +220,8 @@ JobResultMsg run_investigation(const ScenarioFamily& fam, const JobSpec& spec,
     iopts.capture_frontier = static_cast<bool>(cb.on_checkpoint);
   }
   if (state.slices > 0) {
-    iopts.resume_from_checkpoint = true;
+    // The fold keeps its own visited set for the final digest; the
+    // explorer's preseed is one copy of it.
     iopts.resume_visited = state.visited;
     iopts.resume_frontier = std::move(state.frontier);
   }
@@ -528,15 +528,14 @@ void JobManager::execute(std::uint64_t job_id, std::uint32_t my_gen) {
   const ScenarioFamily* fam = nullptr;
   JobSpec spec;
   CheckpointState start;
-  bool has_start = false;
   {
     std::unique_lock<std::mutex> lk(mu_);
     Job& job = jobs_[job_id];
     spec = job.spec;
     if (job.has_ckpt) {
       start = job.ckpt;  // copy: the zombie/fenced race means the map's
-                         // copy must stay independent of this attempt
-      has_start = true;
+                         // copy must stay independent of this attempt,
+                         // which then owns (moves) this one copy
       // The copy grows with the job; the lease runs from here.
       job.last_heartbeat = now_ms();
     }
@@ -608,7 +607,7 @@ void JobManager::execute(std::uint64_t job_id, std::uint32_t my_gen) {
   JobResultMsg res;
   std::string error;
   try {
-    res = run_investigation(*fam, spec, has_start ? &start : nullptr, cb);
+    res = run_investigation(*fam, spec, std::move(start), cb);
   } catch (const FixdError& e) {
     error = e.what();
   }

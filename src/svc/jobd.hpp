@@ -80,7 +80,8 @@ class ScenarioRegistry {
 ///   * Passed to run_investigation as `resume`, it is the fold of every
 ///     checkpoint so far: the union of their digests (any order), their
 ///     violations concatenated in order, and the last one's frontier,
-///     stats and slice count.
+///     stats and slice count. A default-constructed fold (slices == 0)
+///     starts the search from the root.
 struct CheckpointState {
   std::vector<std::uint64_t> visited;  ///< canonical digests (see above)
   std::vector<mc::Trail> frontier;     ///< root-relative, deque order
@@ -125,9 +126,20 @@ struct RunCallbacks {
 /// same visited set and violations as one uninterrupted run. Used by the
 /// daemon's workers AND the client's in-process degradation fallback, so
 /// degraded results are comparable by construction.
+/// `resume` is taken by value: callers move their fold in, so a resumed
+/// attempt copies it no more than its caller already did.
 JobResultMsg run_investigation(const ScenarioFamily& fam, const JobSpec& spec,
-                               const CheckpointState* resume,
+                               CheckpointState resume,
                                const RunCallbacks& cb);
+/// The same for a caller that keeps its fold: one copy of `*resume`, or a
+/// search from the root when `resume` is null.
+inline JobResultMsg run_investigation(const ScenarioFamily& fam,
+                                      const JobSpec& spec,
+                                      const CheckpointState* resume,
+                                      const RunCallbacks& cb) {
+  return run_investigation(fam, spec,
+                           resume ? *resume : CheckpointState{}, cb);
+}
 
 struct SubmitOutcome {
   std::uint64_t job_id = 0;

@@ -1,27 +1,31 @@
 // Beyond-RAM exploration: the spill plumbing (ScratchDir, sorted runs), the
-// tiered visited set against an in-RAM oracle (sequential churn and
-// concurrent exactly-one-winner), and full-explorer differentials pinning
-// that budgets change the memory trajectory and *nothing else* — visited
-// sets, counts, and rendered violation trails stay bit-identical to the
-// unbounded search, across orders, worker counts, frontier modes, and with
-// POR enabled.
+// visited set against an in-RAM oracle (sequential churn and concurrent
+// exactly-one-winner, budgeted and not), and full-explorer differentials
+// pinning that budgets change the memory trajectory and *nothing else* —
+// visited sets, counts, and rendered violation trails stay bit-identical to
+// the unbounded search, across orders, worker counts, frontier modes, and
+// with POR enabled.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <set>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "apps/two_phase_commit.hpp"
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "common/io.hpp"
 #include "common/rng.hpp"
 #include "mc/sysmodel.hpp"
-#include "mc/tiered_visited.hpp"
+#include "mc/visited.hpp"
 
 namespace fixd::mc {
 namespace {
@@ -133,7 +137,7 @@ TEST(SortedRun, EmptyRunIsValid) {
 }
 
 // ---------------------------------------------------------------------------
-// TieredVisitedSet vs an in-RAM oracle
+// VisitedSet vs an in-RAM oracle
 // ---------------------------------------------------------------------------
 
 // Sequential churn with a budget far below the key volume: every insert's
@@ -141,7 +145,7 @@ TEST(SortedRun, EmptyRunIsValid) {
 // constantly (the adversarial case for the rehydrate-on-maybe path).
 TEST(TieredVisited, SequentialChurnMatchesOracle) {
   ScratchDir d = ScratchDir::create("", "fixd-test");
-  TieredVisitedSet tiered(4 * 1024, d.path());
+  VisitedSet tiered(1, 4 * 1024, d.path());
   std::unordered_set<std::uint64_t> oracle;
   Rng rng(20260808);
   for (int i = 0; i < 30000; ++i) {
@@ -163,7 +167,7 @@ TEST(TieredVisited, SequentialChurnMatchesOracle) {
 // round-trip like any other key.
 TEST(TieredVisited, ZeroDigestSurvivesSpill) {
   ScratchDir d = ScratchDir::create("", "fixd-test");
-  TieredVisitedSet tiered(1024, d.path());
+  VisitedSet tiered(1, 1024, d.path());
   EXPECT_TRUE(tiered.insert(0));
   EXPECT_FALSE(tiered.insert(0));
   for (std::uint64_t k = 1; k <= 4000; ++k) tiered.insert(k * 2654435761u);
@@ -183,7 +187,7 @@ TEST(TieredVisited, ConcurrentInsertsExactlyOneWinner) {
   constexpr std::uint64_t kShared = 8000;
   constexpr std::uint64_t kPrivate = 2000;
   ScratchDir d = ScratchDir::create("", "fixd-test");
-  TieredVisitedSet tiered(8 * 1024, d.path());
+  VisitedSet tiered(4, 8 * 1024, d.path());
   std::atomic<std::uint64_t> wins{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
@@ -213,6 +217,70 @@ TEST(TieredVisited, ConcurrentInsertsExactlyOneWinner) {
   for (std::uint64_t k = 1; k <= unique; ++k) want.push_back(k);
   EXPECT_EQ(tiered.sorted_contents(), want);
   EXPECT_GT(tiered.spill_events(), 0u);
+}
+
+std::size_t entry_count(const fs::path& p) {
+  std::size_t n = 0;
+  for (auto it = fs::directory_iterator(p); it != fs::directory_iterator();
+       ++it) {
+    ++n;
+  }
+  return n;
+}
+
+// Budget 0: the set never spills. Under 4-thread churn over a shared key
+// space every insert's verdict agrees with one oracle (exactly one winner
+// per key), no scratch directory is created, and the resident bytes are
+// exactly the tables' bytes.
+TEST(VisitedSet, UnbudgetedChurnMatchesOracleWithoutScratch) {
+  constexpr int kThreads = 4;
+  constexpr int kInserts = 20000;
+  ScratchDir parent = ScratchDir::create("", "fixd-test");
+  VisitedSet set(stripes_for(kThreads), /*budget_bytes=*/0, parent.path());
+  std::vector<std::vector<std::pair<std::uint64_t, bool>>> verdicts(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(700 + t);
+      for (int i = 0; i < kInserts; ++i) {
+        // Digest 0 (the table's sentinel) is in the key space too.
+        const std::uint64_t key = rng.next_below(30000);
+        verdicts[t].push_back({key, set.insert(key)});
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  std::unordered_set<std::uint64_t> oracle;
+  std::unordered_map<std::uint64_t, int> wins;
+  for (const auto& per_thread : verdicts) {
+    for (const auto& [key, fresh] : per_thread) {
+      oracle.insert(key);
+      if (fresh) ++wins[key];
+    }
+  }
+  EXPECT_EQ(wins.size(), oracle.size());
+  for (const auto& [key, n] : wins) EXPECT_EQ(n, 1) << "key " << key;
+  EXPECT_EQ(set.size(), oracle.size());
+  std::vector<std::uint64_t> want(oracle.begin(), oracle.end());
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(set.sorted_contents(), want);
+
+  EXPECT_EQ(entry_count(parent.path()), 0u) << "budget 0 made a scratch dir";
+  EXPECT_EQ(set.spill_events(), 0u);
+  EXPECT_EQ(set.spilled_bytes(), 0u);
+  EXPECT_EQ(set.bloom_fp_rate(), 0.0);
+  // The unbudgeted formula: every stripe's table, touched or not (one
+  // CompactDigestSet per stripe, selected as StripeArray does).
+  std::uint64_t tables = 0;
+  std::vector<CompactDigestSet> mirror(stripes_for(kThreads));
+  for (std::uint64_t key : want) {
+    mirror[static_cast<std::size_t>(mix64(key)) & (mirror.size() - 1)]
+        .insert(key);
+  }
+  for (const CompactDigestSet& t : mirror) tables += t.bytes();
+  EXPECT_EQ(set.resident_bytes(), tables);
+  EXPECT_EQ(set.peak_resident_bytes(), tables);
 }
 
 // ---------------------------------------------------------------------------
@@ -372,15 +440,6 @@ INSTANTIATE_TEST_SUITE_P(Workers, PorSpillDifferential,
 // ---------------------------------------------------------------------------
 // Temp-file hygiene: the spill scratch dir is removed on every exit path
 // ---------------------------------------------------------------------------
-
-std::size_t entry_count(const fs::path& p) {
-  std::size_t n = 0;
-  for (auto it = fs::directory_iterator(p); it != fs::directory_iterator();
-       ++it) {
-    ++n;
-  }
-  return n;
-}
 
 TEST(SpillScratchHygiene, RemovedOnCompletionAndViolationEarlyExit) {
   ScratchDir parent = ScratchDir::create("", "fixd-test");

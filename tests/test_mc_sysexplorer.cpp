@@ -2,11 +2,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <utility>
+#include <vector>
 
 #include "apps/kv_store.hpp"
 #include "apps/rep_counter.hpp"
 #include "apps/token_ring.hpp"
 #include "apps/two_phase_commit.hpp"
+#include "common/error.hpp"
+#include "common/serialize.hpp"
 #include "mc/sysmodel.hpp"
 
 namespace fixd::mc {
@@ -231,6 +236,19 @@ TEST(SystemExplorer, RejectsPriorityOrder) {
   EXPECT_THROW(ex.explore(), ConfigError);
 }
 
+// A non-empty resume_visited is the resume signal; a checkpoint frontier
+// without it would silently restart from the root, so it is refused.
+TEST(SystemExplorer, RejectsResumeFrontierWithoutVisitedSet) {
+  TwoPcConfig cfg;
+  cfg.total_txns = 1;
+  auto w = make_two_pc_world(3, 1, cfg);
+  auto o = bounded(SearchOrder::kBfs, 1000);
+  o.install_invariants = apps::install_two_pc_invariants;
+  o.resume_frontier.push_back(Trail{});
+  SystemExplorer ex(*w, o);
+  EXPECT_THROW(ex.explore(), ConfigError);
+}
+
 TEST(SystemExplorer, StateBudgetTruncates) {
   TwoPcConfig cfg;
   cfg.total_txns = 2;
@@ -273,8 +291,6 @@ TEST(Trail, RenderTextIsStable) {
   EXPECT_EQ(env(SysAction::Kind::kDupMessage).describe(), "env:dup(msg#5)");
   EXPECT_EQ(env(SysAction::Kind::kDelayMessage).describe(),
             "env:delay(msg#5,+8)");
-  EXPECT_EQ(env(SysAction::Kind::kCancelTimer).describe(),
-            "env:cancel-timer(t#3@p4)");
   EXPECT_EQ(env(SysAction::Kind::kPartitionLinks).describe(),
             "env:cut(p1->p2)");
   EXPECT_EQ(env(SysAction::Kind::kHealLinks).describe(), "env:heal(p1->p2)");
@@ -295,6 +311,40 @@ TEST(Trail, RenderTextIsStable) {
   v.pid = kNoProcess;
   v.detail.clear();
   EXPECT_EQ(v.to_string(), "[inv] global step=42 t=7");
+}
+
+// Every live action kind keeps its wire tag, and the retired timer-cancel
+// tag (4) is refused rather than decoded as some other kind.
+TEST(Trail, ActionTagsAreStableAndTagFourIsRejected) {
+  auto encode = [](const SysAction& a) {
+    BinaryWriter w;
+    a.save(w);
+    return w.take();
+  };
+  using K = SysAction::Kind;
+  const std::pair<K, int> tags[] = {
+      {K::kRuntime, 0},        {K::kDropMessage, 1}, {K::kDupMessage, 2},
+      {K::kDelayMessage, 3},   {K::kPartitionLinks, 5},
+      {K::kHealLinks, 6},      {K::kRestartProcess, 7},
+  };
+  for (const auto& [kind, tag] : tags) {
+    SysAction a;
+    a.kind = kind;
+    std::vector<std::byte> bytes = encode(a);
+    ASSERT_FALSE(bytes.empty());
+    EXPECT_EQ(std::to_integer<int>(bytes[0]), tag);
+    BinaryReader r(bytes);
+    SysAction back;
+    back.load(r);
+    EXPECT_EQ(back, a);
+  }
+  for (int bad : {4, 8}) {
+    std::vector<std::byte> bytes = encode(SysAction{});
+    bytes[0] = static_cast<std::byte>(bad);
+    BinaryReader r(bytes);
+    SysAction a;
+    EXPECT_THROW(a.load(r), SerializationError) << "tag " << bad;
+  }
 }
 
 // A paused search continues in place on the same explorer: a sliced

@@ -601,7 +601,6 @@ TEST(IncrementalCheckpoint, EachDigestAndViolationIsWrittenOnce) {
   o.max_violations = spec.max_violations;
   o.install_invariants = fam->install_invariants;
   o.collect_visited = true;
-  o.resume_from_checkpoint = true;
   o.resume_visited = runs;
   o.resume_frontier = last->frontier;
   mc::SystemExplorer ex(*world, o);

@@ -34,8 +34,7 @@ mc::SysExploreOptions timed_delay_opts(
 
 bool trail_touches_timeout_machinery(const mc::Trail& trail) {
   for (const mc::SysAction& step : trail.steps) {
-    if (step.kind == mc::SysAction::Kind::kDelayMessage ||
-        step.kind == mc::SysAction::Kind::kCancelTimer) {
+    if (step.kind == mc::SysAction::Kind::kDelayMessage) {
       return true;
     }
     if (step.kind == mc::SysAction::Kind::kRuntime &&

@@ -122,8 +122,10 @@ void figure6_exact_scenario() {
 // behind the partition onset with rollback_pinned, heals the cut, and
 // resumes (docs/ROBUSTNESS.md). Reports the TimeMachine's channel-replay
 // accounting — the drops and re-injections that keep the restored cut
-// consistent — and each rung the ladder climbed.
-void live_pipeline_rollback() {
+// consistent — each rung the ladder climbed, and what the delivered-message
+// log holds. Returns false when the log keeps more than 96 B per record
+// plus its largest chunk.
+bool live_pipeline_rollback() {
   bench::header("Live pipeline rollback (elect-split under asymmetric cut)");
 
   auto w = apps::make_elect_split_world(3, 1);
@@ -160,6 +162,19 @@ void live_pipeline_rollback() {
     bench::row("  rung %-14s %-4s %s", core::to_string(ro.rung),
                ro.ok ? "ok" : "FAIL", ro.detail.c_str());
   }
+
+  const ckpt::DeliveredLog& log = fixd.time_machine().delivered_log();
+  const std::size_t resident = fixd.time_machine().log_resident_bytes();
+  const std::size_t bound = 96 * log.size() + log.largest_chunk_bytes();
+  const bool ok = resident <= bound;
+  bench::row("delivered-message log: records=%zu  resident=%zu B "
+             "(%.1f B/record; bound %zu B = 96 B/record + largest chunk)%s",
+             log.size(), resident,
+             log.empty() ? 0.0
+                         : static_cast<double>(resident) /
+                               static_cast<double>(log.size()),
+             bound, ok ? "" : "  OVER BOUND");
+  return ok;
 }
 
 }  // namespace
@@ -169,7 +184,7 @@ int main() {
               "communication-induced vs independent checkpointing\n");
 
   figure6_exact_scenario();
-  live_pipeline_rollback();
+  const bool log_ok = live_pipeline_rollback();
 
   bench::header(
       "Rollback locality after a failure (avg over 8 random runs)");
@@ -185,5 +200,10 @@ int main() {
       "\nShape check (paper): CIC checkpoints always admit a safe line one\n"
       "step back (no domino); sparse independent checkpoints cascade —\n"
       "events undone per process grows with the checkpoint interval.\n");
+  if (!log_ok) {
+    std::fprintf(stderr,
+                 "FAIL: the delivered-message log is over its bound\n");
+    return 1;
+  }
   return 0;
 }

@@ -7,6 +7,15 @@
 
 namespace fixd::ckpt {
 
+CheckpointStore::CheckpointStore(std::size_t capacity) : capacity_(capacity) {
+  if (capacity_ < 2) {
+    throw ConfigError("checkpoint store capacity " +
+                      std::to_string(capacity_) +
+                      " leaves no slot beside the pinned initial checkpoint; "
+                      "the minimum is 2");
+  }
+}
+
 CheckpointId CheckpointStore::push(
     CkptReason reason, std::shared_ptr<const rt::ProcessCheckpoint> data) {
   FIXD_CHECK_MSG(data != nullptr, "push: null checkpoint");
@@ -14,12 +23,11 @@ CheckpointId CheckpointStore::push(
   sc.id = next_id_++;
   sc.reason = reason;
   sc.data = std::move(data);
-  if (entries_.size() >= capacity_ && capacity_ > 1) {
+  if (entries_.size() >= capacity_) {
     // Keep the initial checkpoint pinned at slot 0; rotate the rest.
     // Both paths are O(1) on the deque: evicting slot 1 shifts only the
     // pinned front entry, evicting slot 0 is a pop_front.
-    if (entries_.front().reason == CkptReason::kInitial &&
-        entries_.size() > 1) {
+    if (entries_.front().reason == CkptReason::kInitial) {
       entries_.erase(entries_.begin() + 1);
     } else {
       entries_.pop_front();

@@ -45,7 +45,9 @@ struct StoredCheckpoint {
 
 class CheckpointStore {
  public:
-  explicit CheckpointStore(std::size_t capacity = 64) : capacity_(capacity) {}
+  /// `capacity` counts the pinned initial checkpoint, so it must leave at
+  /// least one rotating slot: below 2 throws ConfigError.
+  explicit CheckpointStore(std::size_t capacity = 64);
 
   /// Append a checkpoint; evicts the oldest non-initial entry if full.
   CheckpointId push(CkptReason reason,

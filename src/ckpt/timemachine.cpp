@@ -7,7 +7,9 @@
 namespace fixd::ckpt {
 
 TimeMachine::TimeMachine(rt::World& world, TimeMachineOptions opts)
-    : world_(world), opts_(opts) {}
+    : world_(world),
+      opts_(opts),
+      delivered_log_(opts.delivered_log_capacity) {}
 
 TimeMachine::~TimeMachine() {
   if (attached_) detach();
@@ -106,13 +108,7 @@ void TimeMachine::after_event(rt::World& w, const rt::EventDesc& ev) {
 }
 
 void TimeMachine::on_deliver(const rt::World& w, const net::Message& msg) {
-  DeliveredRecord rec;
-  rec.msg = msg;
-  rec.dst_own_after = w.vclock_of(msg.dst)[msg.dst];
-  delivered_log_.push_back(std::move(rec));
-  if (delivered_log_.size() > opts_.delivered_log_capacity) {
-    delivered_log_.pop_front();
-  }
+  delivered_log_.append(msg, w.vclock_of(msg.dst)[msg.dst]);
 }
 
 std::vector<std::vector<VectorClock>> TimeMachine::clock_history() const {
@@ -199,24 +195,19 @@ void TimeMachine::execute_line(RecoveryLine& rl) {
   // 3. Re-inject logged messages that crossed the line: sent before the
   //    sender's cut, delivered after the receiver's cut. Without this the
   //    rollback would lose them (the classic in-transit message problem).
-  std::deque<DeliveredRecord> keep;
-  for (const DeliveredRecord& rec : delivered_log_) {
-    const net::Message& m = rec.msg;
-    bool sent_before_cut = m.vclock[m.src] <= (*cut[m.src])[m.src];
-    bool delivered_after_cut = rec.dst_own_after > (*cut[m.dst])[m.dst];
-    if (delivered_after_cut) {
-      if (sent_before_cut) {
-        world_.network().reinject(m);
-        ++rl.reinjected;
-        ++stats_.messages_reinjected;
-      }
-      // Either way this delivery has been undone; forget it. Re-deliveries
-      // will be logged afresh.
-    } else {
-      keep.push_back(rec);
+  //    Only the records re-injected are decoded.
+  delivered_log_.retain_if([&](const DeliveredLog::View& rec) {
+    const DeliveredLog::Head& h = rec.head;
+    if (h.dst_own_after <= (*cut[h.dst])[h.dst]) return true;
+    if (h.send_stamp <= (*cut[h.src])[h.src]) {
+      world_.network().reinject(rec.decode());
+      ++rl.reinjected;
+      ++stats_.messages_reinjected;
     }
-  }
-  delivered_log_ = std::move(keep);
+    // Either way this delivery has been undone; forget it. Re-deliveries
+    // will be logged afresh.
+    return false;
+  });
 
   // 4. Checkpoints in the undone future are no longer valid restore points.
   for (ProcessId pid = 0; pid < n; ++pid) {

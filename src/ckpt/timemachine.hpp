@@ -4,9 +4,9 @@
 // Attached to a world, the Time Machine:
 //   - takes an initial checkpoint of every process,
 //   - takes periodic and/or communication-induced checkpoints per policy,
-//   - logs delivered messages (sender-based message logging) so that a
-//     rollback can re-inject messages that were in flight across the
-//     recovery line,
+//   - logs delivered messages (sender-based message logging, one compact
+//     record each in a DeliveredLog) so that a rollback can re-inject
+//     messages that were in flight across the recovery line,
 //   - computes consistent recovery lines over the checkpoint histories
 //     (RecoveryLineSolver) and performs the actual rollback: restore each
 //     process, drop channel traffic sent after the line, re-inject logged
@@ -16,10 +16,10 @@
 // serializes (transmissible). bench/fig2_time_machine measures both.
 #pragma once
 
-#include <deque>
 #include <vector>
 
 #include "ckpt/checkpoint.hpp"
+#include "ckpt/delivered_log.hpp"
 #include "ckpt/recovery.hpp"
 #include "rt/hooks.hpp"
 #include "rt/world.hpp"
@@ -115,6 +115,13 @@ class TimeMachine final : public rt::StepInterceptor,
   /// Total retained checkpoint storage (bytes) across processes.
   std::uint64_t retained_bytes() const;
 
+  /// The delivered-message log, oldest delivery first.
+  const DeliveredLog& delivered_log() const { return delivered_log_; }
+  /// Bytes the delivered-message log holds allocated (its chunks).
+  std::size_t log_resident_bytes() const {
+    return delivered_log_.resident_bytes();
+  }
+
   // --- rt::StepInterceptor --------------------------------------------------
   bool before_event(rt::World& w, const rt::EventDesc& ev) override;
   void after_event(rt::World& w, const rt::EventDesc& ev) override;
@@ -130,19 +137,13 @@ class TimeMachine final : public rt::StepInterceptor,
   void on_deliver(const rt::World& w, const net::Message& msg) override;
 
  private:
-  struct DeliveredRecord {
-    net::Message msg;
-    /// Receiver's own vector-clock component right after the delivery.
-    std::uint64_t dst_own_after = 0;
-  };
-
   std::vector<std::vector<VectorClock>> clock_history() const;
   void execute_line(RecoveryLine& rl);
 
   rt::World& world_;
   TimeMachineOptions opts_;
   std::vector<CheckpointStore> stores_;
-  std::deque<DeliveredRecord> delivered_log_;
+  DeliveredLog delivered_log_;
   TimeMachineStats stats_;
   std::uint64_t submitted_before_event_ = 0;
   bool attached_ = false;

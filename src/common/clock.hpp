@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/serialize.hpp"
@@ -49,6 +50,9 @@ class VectorClock {
  public:
   VectorClock() = default;
   explicit VectorClock(std::size_t n) : v_(n, 0) {}
+  /// A clock with the given components (decoders).
+  explicit VectorClock(std::vector<std::uint64_t> components)
+      : v_(std::move(components)) {}
 
   std::size_t size() const { return v_.size(); }
   std::uint64_t operator[](std::size_t i) const { return v_.at(i); }

@@ -36,6 +36,18 @@ constexpr std::size_t varint_size(std::uint64_t v) {
   return v < 0x80 ? 1 : (static_cast<std::size_t>(std::bit_width(v)) + 6) / 7;
 }
 
+/// Writes the varint_size(v) bytes BinaryWriter::write_varint(v) would
+/// append, at `p`; returns the byte past them. For stores that encode
+/// into memory they own rather than into a growing buffer.
+inline std::byte* put_varint(std::byte* p, std::uint64_t v) {
+  while (v >= 0x80) {
+    *p++ = static_cast<std::byte>(static_cast<std::uint8_t>(v) | 0x80);
+    v >>= 7;
+  }
+  *p++ = static_cast<std::byte>(v);
+  return p;
+}
+
 /// Appends binary data to an internal byte buffer.
 class BinaryWriter {
  public:

@@ -168,6 +168,29 @@ TEST(CheckpointStore, PinnedInitialSurvivesEviction) {
   EXPECT_EQ(store.total_pushed(), 11u);
 }
 
+TEST(CheckpointStore, CapacityBelowTwoIsRejected) {
+  // Two is the pinned initial checkpoint plus one rotating slot; less
+  // would leave nothing to evict and the store would grow without bound.
+  EXPECT_THROW(CheckpointStore(0), ConfigError);
+  EXPECT_THROW(CheckpointStore(1), ConfigError);
+  CheckpointStore store(2);
+  rt::ProcessCheckpoint dummy;
+  store.push(CkptReason::kInitial, dummy);
+  for (int i = 0; i < 100; ++i) {
+    store.push(CkptReason::kCic, dummy);
+    ASSERT_EQ(store.size(), 2u);
+  }
+  EXPECT_EQ(store.entries().front().reason, CkptReason::kInitial);
+  EXPECT_EQ(store.latest().id, 100u);
+
+  auto w = apps::make_counter_world(2, 2, apps::CounterConfig{1});
+  TimeMachineOptions o;
+  o.store_capacity = 1;
+  TimeMachine tm(*w, o);
+  EXPECT_THROW(tm.attach(), ConfigError);
+  EXPECT_FALSE(tm.attached());
+}
+
 TEST(CheckpointStore, TruncateAfterDropsFuture) {
   CheckpointStore store(8);
   rt::ProcessCheckpoint dummy;

@@ -2,9 +2,15 @@
 // reconciliation and message re-injection, reset.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <unordered_set>
+
 #include "apps/rep_counter.hpp"
 #include "apps/kv_store.hpp"
 #include "ckpt/timemachine.hpp"
+#include "common/hash.hpp"
+#include "common/rng.hpp"
 
 namespace fixd::ckpt {
 namespace {
@@ -195,6 +201,226 @@ TEST(TimeMachine, DetachStopsCheckpointing) {
   tm.detach();
   w->run(5);
   EXPECT_EQ(tm.stats().checkpoints, count);
+}
+
+// --- Re-injection oracle -----------------------------------------------------
+//
+// A reference observer keeps what the delivered-message log must
+// reproduce: a full copy of every delivered message and the receiver's own
+// clock component after it, in a ring of the log's capacity. A rollback
+// must re-inject exactly the messages it predicts, in log order.
+
+class ReferenceLog final : public rt::RuntimeObserver {
+ public:
+  explicit ReferenceLog(std::size_t capacity) : capacity_(capacity) {}
+
+  void on_deliver(const rt::World& w, const net::Message& msg) override {
+    records_.push_back({msg, w.vclock_of(msg.dst)[msg.dst]});
+    if (records_.size() > capacity_) records_.pop_front();
+  }
+
+  /// The messages a rollback to `cut` re-injects, in log order; forgets
+  /// every delivery the rollback undoes.
+  std::vector<net::Message> roll_back(const std::vector<VectorClock>& cut) {
+    std::vector<net::Message> out;
+    std::deque<Record> keep;
+    for (Record& r : records_) {
+      const net::Message& m = r.msg;
+      if (r.dst_own_after <= cut[m.dst][m.dst]) {
+        keep.push_back(std::move(r));
+      } else if (m.vclock[m.src] <= cut[m.src][m.src]) {
+        out.push_back(m);
+      }
+    }
+    records_ = std::move(keep);
+    return out;
+  }
+
+ private:
+  struct Record {
+    net::Message msg;
+    std::uint64_t dst_own_after;
+  };
+  std::size_t capacity_;
+  std::deque<Record> records_;
+};
+
+void expect_same_message(const net::Message& got, const net::Message& want,
+                         std::size_t i) {
+  EXPECT_EQ(got.src, want.src) << "message " << i;
+  EXPECT_EQ(got.dst, want.dst) << "message " << i;
+  EXPECT_EQ(got.tag, want.tag) << "message " << i;
+  EXPECT_EQ(got.payload, want.payload) << "message " << i;
+  EXPECT_EQ(got.sent_at, want.sent_at) << "message " << i;
+  EXPECT_EQ(got.latency, want.latency) << "message " << i;
+  EXPECT_EQ(got.lamport, want.lamport) << "message " << i;
+  EXPECT_EQ(got.vclock, want.vclock) << "message " << i;
+  EXPECT_EQ(got.spec_taints, want.spec_taints) << "message " << i;
+  EXPECT_EQ(got.control, want.control) << "message " << i;
+  EXPECT_EQ(got.content_digest(), want.content_digest()) << "message " << i;
+}
+
+/// Rolls `w` back at a random (pid, index), through rollback_pinned when
+/// `pinned` is set, and checks the drops and re-injections against `ref`.
+void rollback_against_reference(rt::World& w, TimeMachine& tm,
+                                ReferenceLog& ref, Rng& rng, bool pinned) {
+  const std::size_t n = w.size();
+  std::unordered_set<MsgId> before;
+  std::vector<net::Message> in_flight;
+  for (const net::Message* m : w.network().pending()) {
+    before.insert(m->id);
+    in_flight.push_back(*m);
+  }
+
+  RecoveryLine rl;
+  if (pinned) {
+    std::vector<std::ptrdiff_t> pins(n, -1);
+    for (ProcessId p = 0; p < n; ++p) {
+      if (rng.next_below(2) == 0) {
+        pins[p] = static_cast<std::ptrdiff_t>(
+            rng.next_below(tm.store(p).size()));
+      }
+    }
+    rl = tm.rollback_pinned(pins);
+  } else {
+    const auto pid = static_cast<ProcessId>(rng.next_below(n));
+    rl = tm.rollback_to(pid, rng.next_below(tm.store(pid).size()));
+  }
+
+  std::vector<VectorClock> cut;
+  for (ProcessId p = 0; p < n; ++p) {
+    cut.push_back(tm.store(p).at(rl.line.index[p]).data->vclock);
+  }
+  std::size_t dropped = 0;
+  for (const net::Message& m : in_flight) {
+    if (m.vclock[m.src] > cut[m.src][m.src]) ++dropped;
+  }
+  const std::vector<net::Message> want = ref.roll_back(cut);
+
+  // Re-injected messages take fresh ids, so they are the pending messages
+  // not pending before, in id order.
+  std::vector<const net::Message*> got;
+  for (const net::Message* m : w.network().pending()) {
+    if (!before.contains(m->id)) got.push_back(m);
+  }
+  std::sort(got.begin(), got.end(),
+            [](const net::Message* a, const net::Message* b) {
+              return a->id < b->id;
+            });
+
+  EXPECT_EQ(rl.dropped, dropped);
+  EXPECT_EQ(rl.reinjected, want.size());
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    expect_same_message(*got[i], want[i], i);
+  }
+}
+
+constexpr std::size_t kFullLog = TimeMachineOptions{}.delivered_log_capacity;
+
+struct OracleCase {
+  bool kv = false;
+  std::uint64_t seed = 1;
+  std::size_t log_capacity = kFullLog;
+};
+
+void PrintTo(const OracleCase& c, std::ostream* os) {
+  *os << (c.kv ? "kv" : "counter") << " seed " << c.seed << " log capacity "
+      << c.log_capacity;
+}
+
+class ReinjectionOracle : public ::testing::TestWithParam<OracleCase> {};
+
+std::unique_ptr<rt::World> make_oracle_world(const OracleCase& c) {
+  rt::WorldOptions wo;
+  wo.seed = c.seed;
+  wo.net = net::NetworkOptions::reordering();
+  wo.net.seed = hash_combine(0x6f7261636c65ull, c.seed);
+  if (c.kv) {
+    apps::KvConfig cfg;
+    cfg.total_ops = 60;
+    cfg.key_space = 8;
+    return apps::make_kv_world(4, 2, cfg, wo);
+  }
+  return make_counter_world(4, 2, CounterConfig{3}, wo);
+}
+
+// Three rollbacks per run, alternating rollback_to and rollback_pinned, so
+// later ones read a log that earlier ones compacted; the run then
+// finishes. Returns how many messages the rollbacks re-injected.
+std::uint64_t run_oracle(const OracleCase& c) {
+  auto w = make_oracle_world(c);
+  TimeMachineOptions o;
+  o.cic = true;
+  o.delivered_log_capacity = c.log_capacity;
+  TimeMachine tm(*w, o);
+  ReferenceLog ref(c.log_capacity);
+  w->add_observer(&ref);
+  tm.attach();
+
+  Rng rng(c.seed);
+  for (int round = 0; round < 3; ++round) {
+    w->run(20 + rng.next_below(40));
+    if (w->all_halted()) break;
+    rollback_against_reference(*w, tm, ref, rng, round % 2 == 1);
+    if (::testing::Test::HasFatalFailure()) break;
+  }
+  // A ring smaller than the run forgets deliveries that crossed the line,
+  // and the run cannot finish without them: only a full log must.
+  if (!::testing::Test::HasFatalFailure() && c.log_capacity == kFullLog) {
+    rt::RunResult res = w->run(200000);
+    EXPECT_EQ(res.reason, rt::StopReason::kAllHalted);
+    EXPECT_FALSE(w->has_violation());
+    if (!c.kv) {
+      for (ProcessId p = 0; p < w->size(); ++p) {
+        const auto& ctr = dynamic_cast<const apps::ICounter&>(w->process(p));
+        EXPECT_EQ(ctr.total(),
+                  apps::counter_expected_sum(4, CounterConfig{3}))
+            << "p" << p;
+      }
+    }
+  }
+  w->remove_observer(&ref);
+  return tm.stats().messages_reinjected;
+}
+
+TEST_P(ReinjectionOracle, ReinjectsWhatFullCopiesPredict) {
+  run_oracle(GetParam());
+}
+
+std::vector<OracleCase> oracle_cases() {
+  std::vector<OracleCase> cases;
+  for (bool kv : {false, true}) {
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      cases.push_back({kv, seed});
+      // A ring far smaller than the run: only the newest eight deliveries
+      // can be re-injected.
+      cases.push_back({kv, seed, 8});
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Worlds, ReinjectionOracle, ::testing::ValuesIn(oracle_cases()),
+    [](const ::testing::TestParamInfo<OracleCase>& info) {
+      return std::string(info.param.kv ? "kv" : "counter") + "_seed" +
+             std::to_string(info.param.seed) + "_cap" +
+             std::to_string(info.param.log_capacity);
+    });
+
+// The oracle is only as strong as its runs: across seeds, rollbacks must
+// actually re-inject, with the full log and with the eight-record ring.
+TEST(ReinjectionOracleRuns, ReinjectSomeMessages) {
+  for (std::size_t cap : {kFullLog, std::size_t{8}}) {
+    for (bool kv : {false, true}) {
+      std::uint64_t reinjected = 0;
+      for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        reinjected += run_oracle({kv, seed, cap});
+      }
+      EXPECT_GT(reinjected, 0u) << (kv ? "kv" : "counter") << " cap " << cap;
+    }
+  }
 }
 
 }  // namespace

@@ -50,9 +50,12 @@ RunCost measure(MakeWorld make, scroll::LoggingPreset preset,
   return cost;
 }
 
-/// Prints one table; returns false when a replay diverged.
+/// Prints one table; returns false when a replay diverged, or when
+/// `max_digests_resident` is set and the "Scroll + digests" row keeps more
+/// resident bytes per record.
 template <typename MakeWorld>
-bool bench_workload(const char* name, MakeWorld make) {
+bool bench_workload(const char* name, MakeWorld make,
+                    double max_digests_resident = 0) {
   struct Preset {
     const char* name;
     scroll::LoggingPreset preset;
@@ -77,12 +80,20 @@ bool bench_workload(const char* name, MakeWorld make) {
     bool can_replay = p.preset.schedule;
     RunCost c = measure(make, p.preset, can_replay);
     if (can_replay && !c.replay_ok) ok = false;
+    const double resident =
+        c.records ? static_cast<double>(c.resident) / c.records : 0.0;
     bench::row("%-22s %10llu %10llu %12llu %10.1f %8s %14.1f", p.name,
                (unsigned long long)c.events, (unsigned long long)c.records,
                (unsigned long long)c.bytes,
                c.events ? static_cast<double>(c.bytes) / c.events : 0.0,
                can_replay ? (c.replay_ok ? "exact" : "FAIL") : "n/a",
-               c.records ? static_cast<double>(c.resident) / c.records : 0.0);
+               resident);
+    if (max_digests_resident > 0 && p.preset.sends && !p.preset.payloads &&
+        resident > max_digests_resident) {
+      std::printf("FAIL: %s keeps %.1f resident B/rec (gate %.1f)\n", p.name,
+                  resident, max_digests_resident);
+      ok = false;
+    }
   }
   return ok;
 }
@@ -104,18 +115,21 @@ int main() {
     return apps::make_token_ring_world(5, 2, cfg);
   });
 
+  // The Scroll's footprint gate: the digests preset, which FixdController
+  // records under, keeps at most 16 resident bytes per kv-store record.
   ok &= bench_workload("kv-store 3p x 400 ops (64B values)", [] {
     apps::KvConfig cfg;
     cfg.total_ops = 400;
     cfg.key_space = 64;
     return apps::make_kv_world(3, 2, cfg);
-  });
+  }, 16.0);
 
   std::printf(
       "\nShape check (paper): nondet-only logging is a small fraction of\n"
       "full interaction logging yet still replays the run exactly.\n");
   if (!ok) {
-    std::printf("FAIL: a recorded run did not replay exactly\n");
+    std::printf("FAIL: a recorded run did not replay exactly, or the "
+                "kv-store digests Scroll outgrew its footprint gate\n");
     return 1;
   }
   return 0;

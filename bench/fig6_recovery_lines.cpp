@@ -164,7 +164,7 @@ bool live_pipeline_rollback() {
   }
 
   const ckpt::DeliveredLog& log = fixd.time_machine().delivered_log();
-  const std::size_t resident = fixd.time_machine().log_resident_bytes();
+  const std::size_t resident = fixd.time_machine().delivered_log().resident_bytes();
   const std::size_t bound = 96 * log.size() + log.largest_chunk_bytes();
   const bool ok = resident <= bound;
   bench::row("delivered-message log: records=%zu  resident=%zu B "

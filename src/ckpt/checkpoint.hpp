@@ -23,17 +23,6 @@ enum class CkptReason : std::uint8_t {
   kManual = 4,
 };
 
-inline const char* to_string(CkptReason r) {
-  switch (r) {
-    case CkptReason::kInitial: return "initial";
-    case CkptReason::kPeriodic: return "periodic";
-    case CkptReason::kCic: return "cic";
-    case CkptReason::kSpecEntry: return "spec";
-    case CkptReason::kManual: return "manual";
-  }
-  return "?";
-}
-
 struct StoredCheckpoint {
   CheckpointId id = kNoCheckpoint;  ///< per-process, monotonically increasing
   CkptReason reason = CkptReason::kManual;

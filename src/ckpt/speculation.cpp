@@ -149,15 +149,4 @@ std::vector<ProcessId> SpeculationManager::members_of(SpecId id) const {
   return out;
 }
 
-std::vector<std::vector<VectorClock>>
-SpeculationManager::entry_clock_history() const {
-  std::vector<std::vector<VectorClock>> out;
-  for (const auto& [id, spec] : specs_) {
-    std::vector<VectorClock> clocks;
-    for (const auto& m : spec.members) clocks.push_back(m.entry.vclock);
-    out.push_back(std::move(clocks));
-  }
-  return out;
-}
-
 }  // namespace fixd::ckpt

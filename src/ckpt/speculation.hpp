@@ -64,11 +64,6 @@ class SpeculationManager final : public rt::SpecHooks {
   std::vector<ProcessId> members_of(SpecId id) const;
   const SpecStats& stats() const { return stats_; }
 
-  /// Entry-checkpoint vector clocks per process — the speculation system's
-  /// implicit recovery line (used by bench/fig6 to compare against the
-  /// solver's line).
-  std::vector<std::vector<VectorClock>> entry_clock_history() const;
-
  private:
   struct Member {
     ProcessId pid;

@@ -64,12 +64,6 @@ CheckpointId TimeMachine::take_checkpoint(ProcessId pid, CkptReason reason) {
   return id;
 }
 
-void TimeMachine::take_global_checkpoint(CkptReason reason) {
-  for (ProcessId pid = 0; pid < world_.size(); ++pid) {
-    take_checkpoint(pid, reason);
-  }
-}
-
 const CheckpointStore& TimeMachine::store(ProcessId pid) const {
   FIXD_CHECK_MSG(pid < stores_.size(), "store: bad pid");
   return stores_[pid];
@@ -122,8 +116,12 @@ std::vector<std::vector<VectorClock>> TimeMachine::clock_history() const {
 }
 
 RecoveryLine TimeMachine::compute_line() const {
+  return line_of(RecoveryLineSolver::solve(clock_history()));
+}
+
+RecoveryLine TimeMachine::line_of(LineResult line) const {
   RecoveryLine rl;
-  rl.line = RecoveryLineSolver::solve(clock_history());
+  rl.line = std::move(line);
   rl.ids.resize(stores_.size());
   for (std::size_t p = 0; p < stores_.size(); ++p) {
     rl.ids[p] = stores_[p].at(rl.line.index[p]).id;
@@ -142,26 +140,15 @@ RecoveryLine TimeMachine::rollback_to(ProcessId failed,
   FIXD_CHECK_MSG(failed < stores_.size(), "rollback_to: bad pid");
   std::vector<std::ptrdiff_t> pinned(stores_.size(), -1);
   pinned[failed] = static_cast<std::ptrdiff_t>(ckpt_index);
-  RecoveryLine rl;
-  rl.line = RecoveryLineSolver::solve_pinned(clock_history(), pinned);
-  rl.ids.resize(stores_.size());
-  for (std::size_t p = 0; p < stores_.size(); ++p) {
-    rl.ids[p] = stores_[p].at(rl.line.index[p]).id;
-  }
-  execute_line(rl);
-  return rl;
+  return rollback_pinned(pinned);
 }
 
 RecoveryLine TimeMachine::rollback_pinned(
     const std::vector<std::ptrdiff_t>& pinned) {
   FIXD_CHECK_MSG(pinned.size() == stores_.size(),
                  "rollback_pinned: pin vector size mismatch");
-  RecoveryLine rl;
-  rl.line = RecoveryLineSolver::solve_pinned(clock_history(), pinned);
-  rl.ids.resize(stores_.size());
-  for (std::size_t p = 0; p < stores_.size(); ++p) {
-    rl.ids[p] = stores_[p].at(rl.line.index[p]).id;
-  }
+  RecoveryLine rl =
+      line_of(RecoveryLineSolver::solve_pinned(clock_history(), pinned));
   execute_line(rl);
   return rl;
 }
@@ -195,7 +182,15 @@ void TimeMachine::execute_line(RecoveryLine& rl) {
   // 3. Re-inject logged messages that crossed the line: sent before the
   //    sender's cut, delivered after the receiver's cut. Without this the
   //    rollback would lose them (the classic in-transit message problem).
-  //    Only the records re-injected are decoded.
+  //    Only the records re-injected are decoded. A receiver cut behind a
+  //    delivery the log has evicted may need one it no longer holds: such
+  //    a rollback is counted, never silent.
+  for (ProcessId pid = 0; pid < n; ++pid) {
+    const std::uint64_t own = (*cut[pid])[pid];
+    if (own < delivered_log_.evicted_mark(pid)) ++rl.behind_log;
+    delivered_log_.rolled_back(pid, own);
+  }
+  stats_.destinations_behind_log += rl.behind_log;
   delivered_log_.retain_if([&](const DeliveredLog::View& rec) {
     const DeliveredLog::Head& h = rec.head;
     if (h.dst_own_after <= (*cut[h.dst])[h.dst]) return true;

@@ -49,6 +49,8 @@ struct TimeMachineStats {
   std::uint64_t rollbacks = 0;
   std::uint64_t messages_dropped = 0;    ///< sent-after-line channel drops
   std::uint64_t messages_reinjected = 0; ///< logged deliveries re-injected
+  /// Summed RecoveryLine::behind_log over every rollback.
+  std::uint64_t destinations_behind_log = 0;
 };
 
 /// A computed (and possibly executed) recovery line.
@@ -57,6 +59,10 @@ struct RecoveryLine {
   std::vector<CheckpointId> ids;  ///< chosen checkpoint id per process
   std::size_t dropped = 0;
   std::size_t reinjected = 0;
+  /// Processes whose cut lies behind a delivery the log has evicted: a
+  /// message that crossed the line there cannot be re-injected. Nonzero
+  /// means the rollback may have lost messages.
+  std::size_t behind_log = 0;
 };
 
 class TimeMachine final : public rt::StepInterceptor,
@@ -84,10 +90,6 @@ class TimeMachine final : public rt::StepInterceptor,
   /// Manual checkpoint of one process.
   CheckpointId take_checkpoint(ProcessId pid,
                                CkptReason reason = CkptReason::kManual);
-
-  /// Checkpoint every process (a manual global cut; consistent only if the
-  /// world is between events, which it is whenever user code runs).
-  void take_global_checkpoint(CkptReason reason = CkptReason::kManual);
 
   const CheckpointStore& store(ProcessId pid) const;
 
@@ -117,10 +119,6 @@ class TimeMachine final : public rt::StepInterceptor,
 
   /// The delivered-message log, oldest delivery first.
   const DeliveredLog& delivered_log() const { return delivered_log_; }
-  /// Bytes the delivered-message log holds allocated (its chunks).
-  std::size_t log_resident_bytes() const {
-    return delivered_log_.resident_bytes();
-  }
 
   // --- rt::StepInterceptor --------------------------------------------------
   bool before_event(rt::World& w, const rt::EventDesc& ev) override;
@@ -138,6 +136,8 @@ class TimeMachine final : public rt::StepInterceptor,
 
  private:
   std::vector<std::vector<VectorClock>> clock_history() const;
+  /// `line` with the checkpoint id each process is restored to.
+  RecoveryLine line_of(LineResult line) const;
   void execute_line(RecoveryLine& rl);
 
   rt::World& world_;

@@ -48,6 +48,17 @@ inline std::byte* put_varint(std::byte* p, std::uint64_t v) {
   return p;
 }
 
+/// Reads the varint put_varint wrote at `p` into `v`; returns the byte past
+/// it. Unchecked: only for bytes a store wrote itself.
+inline const std::byte* get_varint(const std::byte* p, std::uint64_t& v) {
+  v = 0;
+  for (int shift = 0;; shift += 7) {
+    const auto b = static_cast<std::uint8_t>(*p++);
+    v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
+    if (!(b & 0x80)) return p;
+  }
+}
+
 /// Appends binary data to an internal byte buffer.
 class BinaryWriter {
  public:

@@ -350,6 +350,12 @@ bool FixdController::recover_via_line(const BugReport& bug,
   }
   ckpt::RecoveryLine line = tm_.rollback_pinned(pinned);
   const std::size_t idx = failed_idx;
+  if (line.behind_log > 0) {
+    // A crossing the ring evicted may be lost: resuming could wedge the
+    // run, so the ladder escalates instead.
+    detail = "line reaches behind the delivered log";
+    return false;
+  }
 
   // Heal the cut: the resumed run models the partition as over. Collected
   // first, then healed through the model wrappers so the replay key chain

@@ -45,9 +45,6 @@ struct EventDesc {
 
   bool operator==(const EventDesc& o) const = default;
 
-  /// Byte count of save(): every field is fixed width.
-  static constexpr std::size_t kEncodedSize = 1 + 4 + 8 + 8 + 8;
-
   void save(BinaryWriter& w) const {
     w.write_u8(static_cast<std::uint8_t>(kind));
     w.write_u32(pid);
@@ -57,7 +54,12 @@ struct EventDesc {
   }
 
   void load(BinaryReader& r) {
-    kind = static_cast<EventKind>(r.read_u8());
+    const std::uint8_t k = r.read_u8();
+    if (k > static_cast<std::uint8_t>(EventKind::kTimer)) {
+      throw SerializationError("event kind " + std::to_string(k) +
+                               " out of range");
+    }
+    kind = static_cast<EventKind>(k);
     pid = r.read_u32();
     msg = r.read_u64();
     timer = r.read_u64();

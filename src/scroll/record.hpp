@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "common/serialize.hpp"
 #include "common/types.hpp"
 #include "rt/event.hpp"
 
@@ -48,57 +47,6 @@ struct ScrollRecord {
   std::vector<std::byte> payload;     ///< full payload (liblog preset only)
   SpecId spec = kNoSpec;              ///< kSpec
   std::uint8_t spec_op = 0;           ///< rt::RuntimeObserver::SpecOp
-
-  void save(BinaryWriter& w) const {
-    w.write_u8(static_cast<std::uint8_t>(kind));
-    w.write_varint(seq);
-    w.write_u32(pid);
-    w.write_varint(lamport);
-    event.save(w);
-    w.write_varint(msg);
-    w.write_u32(peer);
-    w.write_u32(tag);
-    w.write_u64(digest);
-    w.write_u64(value);
-    w.write_string(text);
-    w.write_bytes(payload);
-    w.write_u64(spec);
-    w.write_u8(spec_op);
-  }
-
-  /// Byte count save() writes, computed without serializing (the Scroll
-  /// sizes every record it keeps). Must track save() field for field.
-  std::size_t encoded_size() const {
-    return encoded_size(seq, lamport, msg, text.size(), payload.size());
-  }
-
-  /// The same count from the only fields whose values change it; the
-  /// Scroll sizes its compact entries with this.
-  static std::size_t encoded_size(std::uint64_t seq, LamportTime lamport,
-                                  MsgId msg, std::size_t text_len,
-                                  std::size_t payload_len) {
-    return 1 + varint_size(seq) + 4 + varint_size(lamport) +
-           rt::EventDesc::kEncodedSize + varint_size(msg) + 4 + 4 + 8 + 8 +
-           varint_size(text_len) + text_len + varint_size(payload_len) +
-           payload_len + 8 + 1;
-  }
-
-  void load(BinaryReader& r) {
-    kind = static_cast<RecordKind>(r.read_u8());
-    seq = r.read_varint();
-    pid = r.read_u32();
-    lamport = r.read_varint();
-    event.load(r);
-    msg = r.read_varint();
-    peer = r.read_u32();
-    tag = r.read_u32();
-    digest = r.read_u64();
-    value = r.read_u64();
-    text = r.read_string();
-    payload = r.read_bytes();
-    spec = r.read_u64();
-    spec_op = r.read_u8();
-  }
 
   bool operator==(const ScrollRecord& o) const = default;
 

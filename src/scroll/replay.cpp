@@ -4,41 +4,34 @@
 
 namespace fixd::scroll {
 
-RecordedEnvSource::RecordedEnvSource(const Scroll& recorded) {
-  for (ScrollRecord r : recorded.records()) {
-    if (r.kind == RecordKind::kEnvRead) {
-      reads_.push_back({r.pid, std::move(r.text), r.value});
-    }
-  }
-}
-
 std::optional<std::uint64_t> RecordedEnvSource::next_env(
     ProcessId pid, std::string_view key) {
-  if (cursor_ >= reads_.size()) {
-    throw ReplayDivergence("env read beyond recorded scroll (p" +
-                           std::to_string(pid) + ", key=" + std::string(key) +
-                           ")");
-  }
-  const Read& r = reads_[cursor_];
-  if (r.pid != pid || r.key != key) {
+  ScrollRecord r;
+  do {
+    if (!cursor_.next(r)) {
+      throw ReplayDivergence("env read beyond recorded scroll (p" +
+                             std::to_string(pid) + ", key=" +
+                             std::string(key) + ")");
+    }
+  } while (r.kind != RecordKind::kEnvRead);
+  if (r.pid != pid || r.text != key) {
     throw ReplayDivergence("env read mismatch: recorded p" +
-                           std::to_string(r.pid) + "/" + r.key + ", replay p" +
+                           std::to_string(r.pid) + "/" + r.text + ", replay p" +
                            std::to_string(pid) + "/" + std::string(key));
   }
-  ++cursor_;
   return r.value;
-}
-
-std::size_t RecordedEnvSource::remaining() const {
-  return reads_.size() - cursor_;
 }
 
 std::optional<std::pair<std::size_t, std::string>> ReplayEngine::compare(
     const Scroll& a, const Scroll& b) {
   std::size_t n = std::min(a.size(), b.size());
+  Scroll::Cursor ca = a.cursor();
+  Scroll::Cursor cb = b.cursor();
+  ScrollRecord ra;
+  ScrollRecord rb;
   for (std::size_t i = 0; i < n; ++i) {
-    const ScrollRecord ra = a.record(i);
-    const ScrollRecord rb = b.record(i);
+    ca.next(ra);
+    cb.next(rb);
     if (!ra.matches(rb)) {
       return std::make_pair(i, "recorded: " + ra.to_string() +
                                    " | replayed: " + rb.to_string());

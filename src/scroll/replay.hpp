@@ -20,25 +20,18 @@
 
 namespace fixd::scroll {
 
-/// Feeds recorded environment-read values back during replay.
+/// Feeds recorded environment-read values back during replay, walking the
+/// recording, which must outlive the source and not change meanwhile.
 class RecordedEnvSource final : public rt::EnvSource {
  public:
-  explicit RecordedEnvSource(const Scroll& recorded);
+  explicit RecordedEnvSource(const Scroll& recorded)
+      : cursor_(recorded.cursor()) {}
 
   std::optional<std::uint64_t> next_env(ProcessId pid,
                                         std::string_view key) override;
 
-  /// Number of recorded reads not yet consumed.
-  std::size_t remaining() const;
-
  private:
-  struct Read {
-    ProcessId pid;
-    std::string key;
-    std::uint64_t value;
-  };
-  std::vector<Read> reads_;
-  std::size_t cursor_ = 0;
+  Scroll::Cursor cursor_;
 };
 
 struct ReplayReport {

@@ -1,7 +1,7 @@
 #include "scroll/scroll.hpp"
 
 #include <algorithm>
-#include <bit>
+#include <limits>
 
 namespace fixd::scroll {
 
@@ -35,191 +35,251 @@ std::string ScrollRecord::to_string() const {
   return head + "?";
 }
 
+// A record's encoding: a header byte (record kind in bits 0-3, two flags,
+// event kind in bits 6-7), then varints:
+//
+//   header  [seq]  pid  lamport  [field set]  fields...  text  payload
+//
+// seq is stored only when it is not the last record's + 1; lamport, msg
+// ids and event times are zigzag deltas from the last ones written (a
+// per-process lamport base saved 1 byte in protect's 2.9 MB). A record
+// stores its kind's usual fields, or, when it sets any other, a field set
+// naming the fields that differ from their defaults. Text and payload
+// bytes go last.
 namespace {
 
-bool is_io(RecordKind k) {
-  return k == RecordKind::kSend || k == RecordKind::kDeliver;
+constexpr std::uint8_t kKindBits = 0x0f;
+constexpr std::uint8_t kSeqStored = 0x10;
+constexpr std::uint8_t kFieldsStored = 0x20;
+constexpr unsigned kEventKindShift = 6;
+
+// The field set, one bit per field in stored order.
+namespace field {
+constexpr std::uint32_t kEvPid = 1u << 0;  ///< default: pid for an event
+constexpr std::uint32_t kEvMsg = 1u << 1;
+constexpr std::uint32_t kEvTimer = 1u << 2;
+constexpr std::uint32_t kEvAt = 1u << 3;
+constexpr std::uint32_t kMsg = 1u << 4;
+constexpr std::uint32_t kPeer = 1u << 5;
+constexpr std::uint32_t kTag = 1u << 6;
+constexpr std::uint32_t kDigest = 1u << 7;  ///< 8 raw bytes
+constexpr std::uint32_t kValue = 1u << 8;   ///< 8 raw bytes for kRng
+constexpr std::uint32_t kSpec = 1u << 9;
+constexpr std::uint32_t kSpecOp = 1u << 10;  ///< one byte
+constexpr std::uint32_t kText = 1u << 11;
+constexpr std::uint32_t kPayload = 1u << 12;
+constexpr std::uint32_t kAll = (1u << 13) - 1;
+}  // namespace field
+
+/// The fields a kind's tap sets.
+std::uint32_t usual_fields(RecordKind kind, rt::EventKind ev) {
+  using namespace field;
+  constexpr std::uint32_t kIo = kMsg | kPeer | kTag | kDigest;
+  constexpr std::uint32_t kByKind[] = {
+      0, kIo, kIo, kValue, kValue, kValue | kText, kText, kSpec | kSpecOp};
+  if (kind != RecordKind::kEvent) {
+    return kByKind[static_cast<std::size_t>(kind)];
+  }
+  return kEvAt | (ev == rt::EventKind::kDeliver ? kEvMsg
+                  : ev == rt::EventKind::kTimer ? kEvTimer
+                                                : 0);
 }
 
-// True when every field `r`'s kind does not own is at its default, so the
-// kind's compact entry body holds the whole record. Events own the event;
-// sends and delivers msg, peer, tag, digest and payload; kSpec the spec id
-// and text; the other kinds value and text.
-bool fits_entry(const ScrollRecord& r) {
-  const ScrollRecord d;
-  const bool io = is_io(r.kind);
-  const bool event = r.kind == RecordKind::kEvent;
-  const bool spec = r.kind == RecordKind::kSpec;
-  const bool scalar = !io && !event;
-  return (event || r.event == d.event) &&
-         (io || (r.msg == d.msg && r.peer == d.peer && r.tag == d.tag &&
-                 r.digest == d.digest && r.payload.empty())) &&
-         (scalar || r.text.empty()) &&
-         ((scalar && !spec) || r.value == d.value) &&
-         (spec || r.spec == d.spec);
+ProcessId default_event_pid(RecordKind kind, ProcessId pid) {
+  return kind == RecordKind::kEvent ? pid : kNoProcess;
 }
+
+/// The fields of `r` that differ from their defaults.
+std::uint32_t set_fields(const ScrollRecord& r, std::string_view text,
+                         std::span<const std::byte> payload) {
+  using namespace field;
+  const auto bit = [](bool set, std::uint32_t f) { return set ? f : 0u; };
+  return bit(r.event.pid != default_event_pid(r.kind, r.pid), kEvPid) |
+         bit(r.event.msg != 0, kEvMsg) | bit(r.event.timer != 0, kEvTimer) |
+         bit(r.event.at != 0, kEvAt) | bit(r.msg != 0, kMsg) |
+         bit(r.peer != kNoProcess, kPeer) | bit(r.tag != 0, kTag) |
+         bit(r.digest != 0, kDigest) | bit(r.value != 0, kValue) |
+         bit(r.spec != kNoSpec, kSpec) | bit(r.spec_op != 0, kSpecOp) |
+         bit(!text.empty(), kText) | bit(!payload.empty(), kPayload);
+}
+
+std::uint64_t zigzag(std::uint64_t d) { return (d << 1) ^ (0 - (d >> 63)); }
+std::uint64_t unzigzag(std::uint64_t z) { return (z >> 1) ^ (0 - (z & 1)); }
+
+/// Encodes fields into memory the caller sized.
+struct Writer {
+  std::byte* p;
+  void varint(std::uint64_t v) { p = put_varint(p, v); }
+  void delta(std::uint64_t v, std::uint64_t& last) {
+    varint(zigzag(v - last));
+    last = v;
+  }
+  void raw(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) *p++ = static_cast<std::byte>(v >> (8 * i));
+  }
+  void byte(std::uint8_t v) { *p++ = static_cast<std::byte>(v); }
+};
+
+/// Decodes fields, bounds- and range-checked.
+struct Reader {
+  BinaryReader in;
+  template <typename T>
+  void varint(T& v) {
+    const std::uint64_t x = in.read_varint();
+    if constexpr (sizeof(T) < sizeof(x)) {
+      if (x > std::numeric_limits<T>::max()) {
+        throw SerializationError("scroll record field " + std::to_string(x) +
+                                 " out of range");
+      }
+    }
+    v = static_cast<T>(x);
+  }
+  void delta(std::uint64_t& v, std::uint64_t& last) {
+    v = last += unzigzag(in.read_varint());
+  }
+  void raw(std::uint64_t& v) { v = in.read_u64(); }
+  void byte(std::uint8_t& v) {
+    v = in.read_u8();
+    if (v > static_cast<std::uint8_t>(rt::RuntimeObserver::SpecOp::kAbsorb)) {
+      throw SerializationError("scroll spec op " + std::to_string(v) +
+                               " out of range");
+    }
+  }
+};
 
 }  // namespace
 
-Scroll::Scroll(const Scroll& o) : rt::RuntimeObserver(o) { *this = o; }
-
-Scroll& Scroll::operator=(const Scroll& o) {
-  if (this == &o) return *this;
-  clear();
-  preset_ = o.preset_;
-  arena_ = o.arena_;
-  next_seq_ = o.next_seq_;
-  for (std::size_t i = 0; i < o.size_; ++i) keep(o.entry(i));
-  return *this;
-}
-
-std::size_t Scroll::chunk_records(std::size_t k) {
-  return std::size_t{1}
-         << std::min<std::size_t>(kFirstChunkLog2 + k, kMaxChunkLog2);
-}
-
-std::pair<std::size_t, std::size_t> Scroll::locate(std::size_t i) {
-  constexpr std::size_t first = std::size_t{1} << kFirstChunkLog2;
-  // Entries held by the chunks that are smaller than the cap.
-  constexpr std::size_t growing = kMaxChunkRecords - first;
-  if (i < growing) {
-    const std::size_t j = i + first;
-    const std::size_t log2 = std::bit_width(j) - 1;
-    return {log2 - kFirstChunkLog2, j - (std::size_t{1} << log2)};
+template <typename IO, typename Record>
+void Scroll::Codec::fields(IO& io, Record& r, std::uint8_t h,
+                           std::uint32_t& f) {
+  if (h & kSeqStored) io.varint(r.seq);
+  io.varint(r.pid);
+  io.delta(r.lamport, lamport);
+  if (h & kFieldsStored) io.varint(f);
+  if (f & ~field::kAll) throw SerializationError("scroll field set");
+  if (f & field::kEvPid) io.varint(r.event.pid);
+  if (f & field::kEvMsg) io.delta(r.event.msg, msg);
+  if (f & field::kEvTimer) io.varint(r.event.timer);
+  if (f & field::kEvAt) io.delta(r.event.at, at);
+  if (f & field::kMsg) io.delta(r.msg, msg);
+  if (f & field::kPeer) io.varint(r.peer);
+  if (f & field::kTag) io.varint(r.tag);
+  if (f & field::kDigest) io.raw(r.digest);
+  if (f & field::kValue) {
+    r.kind == RecordKind::kRng ? io.raw(r.value) : io.varint(r.value);
   }
-  const std::size_t d = i - growing;
-  return {(kMaxChunkLog2 - kFirstChunkLog2) + (d >> kMaxChunkLog2),
-          d & (kMaxChunkRecords - 1)};
+  if (f & field::kSpec) io.varint(r.spec);
+  if (f & field::kSpecOp) io.byte(r.spec_op);
 }
 
-const Scroll::Entry& Scroll::entry(std::size_t i) const {
-  const auto [k, off] = locate(i);
-  return chunks_[k][off];
+void Scroll::Codec::put(RecordLog& log, const ScrollRecord& r,
+                        std::string_view text,
+                        std::span<const std::byte> payload) {
+  const std::uint32_t usual = usual_fields(r.kind, r.event.kind);
+  const std::uint32_t set = set_fields(r, text, payload);
+  std::uint32_t f = (set & ~usual) != 0 ? set : usual;
+  const auto h = static_cast<std::uint8_t>(
+      static_cast<unsigned>(r.kind) | (r.seq != seq ? kSeqStored : 0) |
+      (f != usual ? kFieldsStored : 0) |
+      (static_cast<unsigned>(r.event.kind) << kEventKindShift));
+
+  std::byte head[160];  // every field but the text and payload bytes
+  Writer io{head};
+  io.byte(h);
+  fields(io, r, h, f);
+  if (f & field::kText) io.varint(text.size());
+  if (f & field::kPayload) io.varint(payload.size());
+
+  const auto n = static_cast<std::size_t>(io.p - head);
+  std::byte* out = log.append(n + text.size() + payload.size());
+  out = std::copy_n(head, n, out);
+  out = std::ranges::copy(std::as_bytes(std::span(text)), out).out;
+  std::ranges::copy(payload, out);
+  seq = r.seq + 1;
 }
 
-Scroll::Entry Scroll::head(RecordKind kind, ProcessId pid,
-                           LamportTime lamport) {
-  Entry e{.kind = kind,
-          .spec_op = 0,
-          .wide = false,
-          .pid = pid,
-          .seq = 0,
-          .lamport = lamport,
-          .body = {}};
-  e.body.io = {};  // io spans the whole body: zero it before a tap fills it
-  return e;
-}
-
-Scroll::Blob Scroll::store(std::span<const std::byte> bytes) {
-  const Blob b{arena_.size(), bytes.size()};
-  arena_.insert(arena_.end(), bytes.begin(), bytes.end());
-  return b;
-}
-
-Scroll::Blob Scroll::store(std::string_view text) {
-  return store(std::as_bytes(std::span(text.data(), text.size())));
-}
-
-std::span<const std::byte> Scroll::bytes_of(Blob b) const {
-  return {arena_.data() + b.off, static_cast<std::size_t>(b.len)};
-}
-
-Scroll::Blob Scroll::blob_of(const Entry& e) {
-  if (e.wide) return e.body.wide;
-  return is_io(e.kind) ? e.body.io.payload : e.body.scalar.text;
-}
-
-void Scroll::account(const Entry& e) {
-  const bool io = is_io(e.kind);
-  const std::uint64_t blob =
-      e.kind == RecordKind::kEvent && !e.wide ? 0 : blob_of(e).len;
-  stats_.bytes += e.wide ? blob
-                         : ScrollRecord::encoded_size(
-                               e.seq, e.lamport, io ? e.body.io.msg : 0,
-                               io ? 0 : blob, io ? blob : 0);
-  ++stats_.records;
-  ++stats_.by_kind[static_cast<std::size_t>(e.kind)];
-}
-
-void Scroll::keep(const Entry& e) {
-  if (size_ == capacity_) {
-    const std::size_t n = chunk_records(chunks_.size());
-    chunks_.push_back(std::make_unique_for_overwrite<Entry[]>(n));
-    capacity_ += n;
+void Scroll::Codec::get(std::span<const std::byte> rec, ScrollRecord& out) {
+  Reader io{BinaryReader(rec)};
+  const std::uint8_t h = io.in.read_u8();
+  const unsigned kind = h & kKindBits;
+  const unsigned ev_kind = h >> kEventKindShift;
+  if (kind > static_cast<unsigned>(RecordKind::kSpec) ||
+      ev_kind > static_cast<unsigned>(rt::EventKind::kTimer)) {
+    throw SerializationError("scroll record kind " + std::to_string(kind) +
+                             ", event kind " + std::to_string(ev_kind) +
+                             ": out of range");
   }
-  const auto [k, off] = locate(size_);
-  chunks_[k][off] = e;
-  ++size_;
-  account(e);
-}
-
-void Scroll::push(Entry e) {
-  e.seq = next_seq_++;
-  keep(e);
-}
-
-void Scroll::keep(const ScrollRecord& rec) {
-  Entry e = head(rec.kind, rec.pid, rec.lamport);
-  e.seq = rec.seq;
-  e.spec_op = rec.spec_op;
-  if (!fits_entry(rec)) {
-    e.wide = true;
-    e.body.wide = store(to_bytes(rec));
-  } else if (rec.kind == RecordKind::kEvent) {
-    e.body.event = rec.event;
-  } else if (is_io(rec.kind)) {
-    e.body.io = {rec.msg, rec.peer, rec.tag, rec.digest, store(rec.payload)};
-  } else {
-    e.body.scalar = {rec.kind == RecordKind::kSpec ? rec.spec : rec.value,
-                     store(rec.text)};
+  out = ScrollRecord{};
+  out.kind = static_cast<RecordKind>(kind);
+  out.event.kind = static_cast<rt::EventKind>(ev_kind);
+  out.seq = seq;
+  std::uint32_t f = usual_fields(out.kind, out.event.kind);
+  fields(io, out, h, f);
+  if (!(f & field::kEvPid)) {
+    out.event.pid = default_event_pid(out.kind, out.pid);
   }
-  keep(e);
+  std::size_t text = 0;
+  std::size_t payload = 0;
+  if (f & field::kText) io.varint(text);
+  if (f & field::kPayload) io.varint(payload);
+  const auto t = io.in.read_raw(text);
+  out.text.assign(reinterpret_cast<const char*>(t.data()), t.size());
+  const auto p = io.in.read_raw(payload);
+  out.payload.assign(p.begin(), p.end());
+  if (!io.in.at_end()) {
+    throw SerializationError("scroll record has " +
+                             std::to_string(io.in.remaining()) +
+                             " trailing bytes");
+  }
+  seq = out.seq + 1;
 }
 
-ScrollRecord Scroll::record(std::size_t i) const {
-  const Entry& e = entry(i);
-  if (e.wide) return from_bytes<ScrollRecord>(bytes_of(e.body.wide));
+bool Scroll::Cursor::next(ScrollRecord& out) {
+  std::span<const std::byte> rec;
+  if (!records_.next(rec)) return false;
+  codec_.get(rec, out);
+  return true;
+}
+
+ScrollRecord Scroll::stamp(RecordKind kind, ProcessId pid,
+                           const rt::World& w) {
   ScrollRecord r;
-  r.kind = e.kind;
-  r.spec_op = e.spec_op;
-  r.pid = e.pid;
-  r.seq = e.seq;
-  r.lamport = e.lamport;
-  if (e.kind == RecordKind::kEvent) {
-    r.event = e.body.event;
-  } else if (is_io(e.kind)) {
-    r.msg = e.body.io.msg;
-    r.peer = e.body.io.peer;
-    r.tag = e.body.io.tag;
-    r.digest = e.body.io.digest;
-    const auto p = bytes_of(e.body.io.payload);
-    r.payload.assign(p.begin(), p.end());
-  } else {
-    if (e.kind == RecordKind::kSpec) {
-      r.spec = e.body.scalar.value;
-    } else {
-      r.value = e.body.scalar.value;
-    }
-    const auto t = bytes_of(e.body.scalar.text);
-    r.text.assign(reinterpret_cast<const char*>(t.data()), t.size());
-  }
+  r.kind = kind;
+  r.seq = next_seq_++;
+  r.pid = pid;
+  r.lamport = w.lamport_of(pid);
   return r;
+}
+
+void Scroll::keep(const ScrollRecord& r, std::string_view text,
+                  std::span<const std::byte> payload) {
+  encoder_.put(log_, r, text, payload);
+  ++by_kind_[static_cast<std::size_t>(r.kind)];
+}
+
+void Scroll::keep_value(RecordKind kind, ProcessId pid, const rt::World& w,
+                        std::uint64_t value, std::string_view text) {
+  ScrollRecord r = stamp(kind, pid, w);
+  r.value = value;
+  keep(r, text);
 }
 
 void Scroll::on_event(const rt::World& w, const rt::EventDesc& ev) {
   if (!preset_.schedule) return;
-  Entry e = head(RecordKind::kEvent, ev.pid, w.lamport_of(ev.pid));
-  e.body.event = ev;
-  push(e);
+  ScrollRecord r = stamp(RecordKind::kEvent, ev.pid, w);
+  r.event = ev;
+  keep(r);
 }
 
 void Scroll::push_io(RecordKind kind, ProcessId pid, ProcessId peer,
                      const rt::World& w, const net::Message& msg) {
-  Entry e = head(kind, pid, w.lamport_of(pid));
-  e.body.io = {msg.id, peer, msg.tag, msg.content_digest(),
-               store(preset_.payloads ? std::span(msg.payload)
-                                      : std::span<const std::byte>())};
-  push(e);
+  ScrollRecord r = stamp(kind, pid, w);
+  r.msg = msg.id;
+  r.peer = peer;
+  r.tag = msg.tag;
+  r.digest = msg.content_digest();
+  keep(r, {}, preset_.payloads ? std::span(msg.payload)
+                               : std::span<const std::byte>());
 }
 
 void Scroll::on_send(const rt::World& w, const net::Message& msg) {
@@ -233,165 +293,133 @@ void Scroll::on_deliver(const rt::World& w, const net::Message& msg) {
 }
 
 void Scroll::on_rng(const rt::World& w, ProcessId pid, std::uint64_t value) {
-  if (!preset_.rng) return;
-  Entry e = head(RecordKind::kRng, pid, w.lamport_of(pid));
-  e.body.scalar = {value, store(std::string_view())};
-  push(e);
+  if (preset_.rng) keep_value(RecordKind::kRng, pid, w, value);
 }
 
 void Scroll::on_time_read(const rt::World& w, ProcessId pid, VirtualTime t) {
-  if (!preset_.time_reads) return;
-  Entry e = head(RecordKind::kTimeRead, pid, w.lamport_of(pid));
-  e.body.scalar = {t, store(std::string_view())};
-  push(e);
+  if (preset_.time_reads) keep_value(RecordKind::kTimeRead, pid, w, t);
 }
 
 void Scroll::on_env_read(const rt::World& w, ProcessId pid,
                          const std::string& key, std::uint64_t value) {
-  if (!preset_.env_reads) return;
-  Entry e = head(RecordKind::kEnvRead, pid, w.lamport_of(pid));
-  e.body.scalar = {value, store(key)};
-  push(e);
+  if (preset_.env_reads) keep_value(RecordKind::kEnvRead, pid, w, value, key);
 }
 
 void Scroll::on_annotation(const rt::World& w, ProcessId pid,
                            const std::string& note) {
-  if (!preset_.annotations) return;
-  Entry e = head(RecordKind::kAnnotation, pid, w.lamport_of(pid));
-  e.body.scalar = {0, store(note)};
-  push(e);
+  if (preset_.annotations) keep_value(RecordKind::kAnnotation, pid, w, 0, note);
 }
 
 void Scroll::on_spec(const rt::World& w, ProcessId pid, SpecId spec,
                      SpecOp op) {
   if (!preset_.spec_events) return;
-  Entry e = head(RecordKind::kSpec, pid, w.lamport_of(pid));
-  e.spec_op = static_cast<std::uint8_t>(op);
-  e.body.scalar = {spec, store(std::string_view())};
-  push(e);
-}
-
-void Scroll::clear() {
-  chunks_.clear();
-  size_ = 0;
-  capacity_ = 0;
-  arena_.clear();
-  stats_ = {};
-  next_seq_ = 0;
-}
-
-std::size_t Scroll::resident_bytes() const {
-  return capacity_ * sizeof(Entry) + arena_.capacity();
+  ScrollRecord r = stamp(RecordKind::kSpec, pid, w);
+  r.spec = spec;
+  r.spec_op = static_cast<std::uint8_t>(op);
+  keep(r);
 }
 
 std::vector<ScrollRecord> Scroll::for_process(ProcessId pid) const {
   std::vector<ScrollRecord> out;
-  for (std::size_t i = 0; i < size_; ++i) {
-    if (entry(i).pid == pid) out.push_back(record(i));
+  Cursor c = cursor();
+  ScrollRecord r;
+  while (c.next(r)) {
+    if (r.pid == pid) out.push_back(r);
   }
   return out;
 }
 
 std::vector<rt::EventDesc> Scroll::schedule() const {
   std::vector<rt::EventDesc> out;
-  for (std::size_t i = 0; i < size_; ++i) {
-    if (entry(i).kind == RecordKind::kEvent) out.push_back(record(i).event);
+  Cursor c = cursor();
+  ScrollRecord r;
+  while (c.next(r)) {
+    if (r.kind == RecordKind::kEvent) out.push_back(r.event);
   }
   return out;
 }
 
 std::vector<ScrollRecord> Scroll::total_order() const {
-  std::vector<std::size_t> order(size_);
-  for (std::size_t i = 0; i < size_; ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [this](std::size_t i, std::size_t j) {
-                     const Entry& a = entry(i);
-                     const Entry& b = entry(j);
+  std::vector<ScrollRecord> out;
+  out.reserve(size());
+  Cursor c = cursor();
+  ScrollRecord r;
+  while (c.next(r)) out.push_back(r);
+  std::stable_sort(out.begin(), out.end(),
+                   [](const ScrollRecord& a, const ScrollRecord& b) {
                      if (a.lamport != b.lamport) return a.lamport < b.lamport;
                      if (a.pid != b.pid) return a.pid < b.pid;
                      return a.seq < b.seq;
                    });
-  std::vector<ScrollRecord> out;
-  out.reserve(size_);
-  for (std::size_t i : order) out.push_back(record(i));
   return out;
 }
 
 std::string Scroll::render(std::size_t max_records) const {
   std::string out;
-  std::size_t n = std::min(max_records, size_);
-  for (std::size_t i = 0; i < n; ++i) {
-    out += record(i).to_string();
+  std::size_t n = 0;
+  Cursor c = cursor();
+  ScrollRecord r;
+  while (n < max_records && c.next(r)) {
+    out += r.to_string();
     out += "\n";
+    ++n;
   }
-  if (n < size_) {
-    out += "... (" + std::to_string(size_ - n) + " more)\n";
+  if (n < size()) {
+    out += "... (" + std::to_string(size() - n) + " more)\n";
   }
   return out;
 }
 
+namespace {
+
+/// The preset's flags in stream order.
+constexpr bool LoggingPreset::*kPresetFlags[] = {
+    &LoggingPreset::schedule,  &LoggingPreset::rng,
+    &LoggingPreset::time_reads, &LoggingPreset::env_reads,
+    &LoggingPreset::sends,     &LoggingPreset::delivers,
+    &LoggingPreset::payloads,  &LoggingPreset::annotations,
+    &LoggingPreset::spec_events};
+
+}  // namespace
+
 void Scroll::save(BinaryWriter& w) const {
-  w.write_bool(preset_.schedule);
-  w.write_bool(preset_.rng);
-  w.write_bool(preset_.time_reads);
-  w.write_bool(preset_.env_reads);
-  w.write_bool(preset_.sends);
-  w.write_bool(preset_.delivers);
-  w.write_bool(preset_.payloads);
-  w.write_bool(preset_.annotations);
-  w.write_bool(preset_.spec_events);
+  w.write_varint(kStreamVersion);
+  for (bool LoggingPreset::*flag : kPresetFlags) w.write_bool(preset_.*flag);
   w.write_varint(next_seq_);
-  w.write_varint(size_);
-  for (std::size_t i = 0; i < size_; ++i) record(i).save(w);
+  w.write_varint(log_.size());
+  RecordLog::Cursor c = log_.cursor();
+  std::span<const std::byte> rec;
+  while (c.next(rec)) w.write_bytes(rec);
 }
 
 void Scroll::load(BinaryReader& r) {
-  preset_.schedule = r.read_bool();
-  preset_.rng = r.read_bool();
-  preset_.time_reads = r.read_bool();
-  preset_.env_reads = r.read_bool();
-  preset_.sends = r.read_bool();
-  preset_.delivers = r.read_bool();
-  preset_.payloads = r.read_bool();
-  preset_.annotations = r.read_bool();
-  preset_.spec_events = r.read_bool();
-  const std::uint64_t seq = r.read_varint();
+  const std::uint64_t version = r.read_varint();
+  if (version != kStreamVersion) {
+    throw SerializationError("scroll stream version " +
+                             std::to_string(version) + ", expected " +
+                             std::to_string(kStreamVersion));
+  }
+  LoggingPreset preset;
+  for (bool LoggingPreset::*flag : kPresetFlags) preset.*flag = r.read_bool();
+  const std::uint64_t next_seq = r.read_varint();
   const std::uint64_t n = r.read_varint();
-  clear();
-  next_seq_ = seq;
-  // The store grows as records decode: a count the stream cannot back
-  // runs out of bytes (SerializationError) before it can allocate.
+  // The log grows as records decode: a count the stream cannot back runs
+  // out of bytes (SerializationError) before it can allocate. Each record
+  // is decoded, checked and encoded afresh.
+  Scroll loaded(preset);
+  Codec decoder;
+  ScrollRecord rec;
   for (std::uint64_t i = 0; i < n; ++i) {
-    ScrollRecord rec;
-    rec.load(r);
-    if (static_cast<std::size_t>(rec.kind) >= stats_.by_kind.size()) {
-      throw SerializationError("scroll record kind " +
-                               std::to_string(static_cast<int>(rec.kind)) +
-                               " out of range");
+    const std::uint64_t len = r.read_varint();
+    if (len > r.remaining()) {
+      throw SerializationError("scroll record of " + std::to_string(len) +
+                               " bytes overruns the stream");
     }
-    keep(rec);
+    decoder.get(r.read_raw(static_cast<std::size_t>(len)), rec);
+    loaded.append(rec);
   }
-}
-
-void Scroll::truncate(std::size_t n) {
-  if (n >= size_) return;
-  // Blobs are appended in capture order: the first dropped record that
-  // owns one marks where the kept records' bytes end.
-  for (std::size_t i = n; i < size_; ++i) {
-    const Entry& e = entry(i);
-    if (e.wide || e.kind != RecordKind::kEvent) {
-      arena_.resize(blob_of(e).off);
-      break;
-    }
-  }
-  chunks_.resize(n == 0 ? 0 : locate(n - 1).first + 1);
-  capacity_ = 0;
-  for (std::size_t k = 0; k < chunks_.size(); ++k) {
-    capacity_ += chunk_records(k);
-  }
-  size_ = n;
-  stats_ = {};
-  for (std::size_t i = 0; i < n; ++i) account(entry(i));
+  loaded.next_seq_ = next_seq;
+  *this = std::move(loaded);
 }
 
 }  // namespace fixd::scroll

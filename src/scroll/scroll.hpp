@@ -14,21 +14,21 @@
 //                  payloads. What you pay when you log at the libc boundary
 //                  without knowing what is deterministic.
 //
-// Kept records are not stored as ScrollRecords: each is one fixed entry of
-// at most 64 bytes in a chunk that never moves, with text and payload bytes
-// in one byte arena. Readers get ScrollRecord values decoded on access.
+// Kept records live in one RecordLog (common/record_log.hpp), each in a
+// compact encoding that is also the save() stream's: a header byte, then
+// varints, with seq stored only when it is not the last one + 1, lamport
+// and message ids as deltas, and digests as 8 raw bytes (see scroll.cpp).
+// Readers walk the records forward with a Cursor, decoding each.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <memory>
-#include <ranges>
 #include <span>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
+#include "common/record_log.hpp"
 #include "rt/hooks.hpp"
 #include "rt/world.hpp"
 #include "scroll/record.hpp"
@@ -69,26 +69,38 @@ struct LoggingPreset {
 
 struct ScrollStats {
   std::uint64_t records = 0;
-  /// Serialized size of all records (the bytes save() would write),
-  /// computed by ScrollRecord::encoded_size() arithmetic without
-  /// serializing.
+  /// Bytes of the kept records, length prefixes included: what save()
+  /// writes after its header.
   std::uint64_t bytes = 0;
   std::array<std::uint64_t, 8> by_kind{};
 };
 
 class Scroll final : public rt::RuntimeObserver {
+  /// What the encoder and a decoder carry from one record to the next
+  /// (the deltas' bases), starting from a default Codec.
+  struct Codec {
+    std::uint64_t seq = 0;  ///< the seq a record has unless it stores one
+    LamportTime lamport = 0;
+    MsgId msg = 0;
+    VirtualTime at = 0;
+
+    /// Appends `r`, with `text` and `payload` for r.text and r.payload.
+    void put(RecordLog& log, const ScrollRecord& r, std::string_view text,
+             std::span<const std::byte> payload);
+    /// Decodes one record; throws SerializationError on a malformed one.
+    void get(std::span<const std::byte> rec, ScrollRecord& out);
+    /// The fields after header byte `h`, but for text and payload bytes,
+    /// in either direction.
+    template <typename IO, typename Record>
+    void fields(IO& io, Record& r, std::uint8_t h, std::uint32_t& f);
+  };
+
  public:
-  /// Records are stored in chunks that double from 2^6 entries up to
-  /// this cap, so a short run maps little and appending never moves a kept
-  /// entry.
-  static constexpr unsigned kMaxChunkLog2 = 14;
-  static constexpr std::size_t kMaxChunkRecords = std::size_t{1}
-                                                  << kMaxChunkLog2;
+  /// Version of the save() stream; load() refuses any other.
+  static constexpr std::uint64_t kStreamVersion = 2;
 
   explicit Scroll(LoggingPreset preset = LoggingPreset::nondet_only())
       : preset_(preset) {}
-  Scroll(const Scroll& o);
-  Scroll& operator=(const Scroll& o);
 
   const LoggingPreset& preset() const { return preset_; }
 
@@ -107,21 +119,25 @@ class Scroll final : public rt::RuntimeObserver {
                SpecOp op) override;
 
   // --- access ---------------------------------------------------------------
-  /// Record `i` in capture order, decoded from its stored entry.
-  ScrollRecord record(std::size_t i) const;
+  /// Decodes the records in capture order. A change to the scroll
+  /// invalidates it.
+  class Cursor {
+   public:
+    /// Decodes the next record into `out`; false past the last.
+    bool next(ScrollRecord& out);
 
-  /// Random-access read view of all records in capture order. Records are
-  /// not stored as ScrollRecords: each element is decoded on access and
-  /// yielded by value.
-  auto records() const {
-    return std::views::iota(std::size_t{0}, size_) |
-           std::views::transform(
-               [this](std::size_t i) { return record(i); });
-  }
+   private:
+    friend class Scroll;
+    explicit Cursor(const RecordLog& log) : records_(log.cursor()) {}
+    RecordLog::Cursor records_;
+    Codec codec_;
+  };
+  Cursor cursor() const { return Cursor(log_); }
 
-  std::size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-  void clear();
+  /// Keep `r` as given, seq included (the taps stamp their own).
+  void append(const ScrollRecord& r) { keep(r, r.text, r.payload); }
+
+  std::size_t size() const { return log_.size(); }
 
   /// Records of one process, in capture order.
   std::vector<ScrollRecord> for_process(ProcessId pid) const;
@@ -134,91 +150,36 @@ class Scroll final : public rt::RuntimeObserver {
   std::vector<ScrollRecord> total_order() const;
 
   /// Retained/serialized sizes (the Fig. 1 cost metric).
-  ScrollStats stats() const { return stats_; }
+  ScrollStats stats() const {
+    return {log_.size(), log_.record_bytes(), by_kind_};
+  }
 
-  /// Bytes the record store holds allocated: every chunk's full capacity
-  /// plus the byte arena's capacity.
-  std::size_t resident_bytes() const;
+  /// Bytes the record log holds allocated: every chunk's full capacity.
+  std::size_t resident_bytes() const { return log_.resident_bytes(); }
 
   /// Human-readable trace (bug-report appendix).
   std::string render(std::size_t max_records = 200) const;
 
+  /// Version, preset, next seq, record count, then the log's records.
   void save(BinaryWriter& w) const;
+  /// Decodes and checks every record; on a malformed stream, throws
+  /// SerializationError and keeps what the scroll held.
   void load(BinaryReader& r);
 
-  /// Truncate to the first `n` records (used to cut a scroll at a
-  /// checkpoint when assembling an investigation context).
-  void truncate(std::size_t n);
-
  private:
-  /// `len` bytes at offset `off` of arena_.
-  struct Blob {
-    std::uint64_t off;
-    std::uint64_t len;
-  };
-
-  /// One kept record. The header is common to every kind; the body holds
-  /// the fields the kind's tap sets, with text and payload bytes in
-  /// arena_. A loaded record that sets a field its kind does not own is
-  /// kept `wide`: its whole save() encoding goes into arena_, so load()
-  /// round-trips any stream.
-  struct Entry {
-    RecordKind kind;
-    std::uint8_t spec_op;
-    bool wide;
-    ProcessId pid;
-    std::uint64_t seq;
-    LamportTime lamport;
-    union Body {
-      Body() {}
-      rt::EventDesc event;  ///< kEvent
-      struct {
-        MsgId msg;
-        ProcessId peer;
-        std::uint32_t tag;
-        std::uint64_t digest;
-        Blob payload;
-      } io;  ///< kSend / kDeliver
-      struct {
-        std::uint64_t value;  ///< the outcome, or the spec id of a kSpec
-        Blob text;
-      } scalar;   ///< every other kind
-      Blob wide;  ///< save() bytes of a wide record
-    } body;
-  };
-  static_assert(sizeof(Entry) <= 64, "a Scroll entry must fit 64 bytes");
-
-  /// Chunk k holds 2^min(kFirstChunkLog2 + k, kMaxChunkLog2) entries.
-  static constexpr unsigned kFirstChunkLog2 = 6;
-  static std::size_t chunk_records(std::size_t k);
-  /// Chunk index and offset in it of entry `i`.
-  static std::pair<std::size_t, std::size_t> locate(std::size_t i);
-
-  const Entry& entry(std::size_t i) const;
-  static Entry head(RecordKind kind, ProcessId pid, LamportTime lamport);
-  Blob store(std::span<const std::byte> bytes);
-  Blob store(std::string_view text);
-  std::span<const std::byte> bytes_of(Blob b) const;
-  /// The arena bytes a non-event entry owns: a wide record's encoding, a
-  /// send or deliver's payload, or the text of the other kinds.
-  static Blob blob_of(const Entry& e);
-  /// Stamp the next seq on a tap's entry and keep it.
-  void push(Entry e);
+  /// A tap's record: the next seq, `pid` and its lamport.
+  ScrollRecord stamp(RecordKind kind, ProcessId pid, const rt::World& w);
   void push_io(RecordKind kind, ProcessId pid, ProcessId peer,
                const rt::World& w, const net::Message& msg);
-  /// Append `e` and add it to stats_.
-  void keep(const Entry& e);
-  /// Keep a loaded record, compact when its kind's body holds it all.
-  void keep(const ScrollRecord& rec);
-  /// Add one kept entry to stats_.
-  void account(const Entry& e);
+  void keep(const ScrollRecord& r, std::string_view text = {},
+            std::span<const std::byte> payload = {});
+  void keep_value(RecordKind kind, ProcessId pid, const rt::World& w,
+                  std::uint64_t value, std::string_view text = {});
 
   LoggingPreset preset_;
-  std::vector<std::unique_ptr<Entry[]>> chunks_;
-  std::size_t size_ = 0;
-  std::size_t capacity_ = 0;
-  std::vector<std::byte> arena_;
-  ScrollStats stats_;
+  RecordLog log_;
+  Codec encoder_;
+  std::array<std::uint64_t, 8> by_kind_{};
   std::uint64_t next_seq_ = 0;
 };
 

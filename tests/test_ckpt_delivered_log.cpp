@@ -1,8 +1,9 @@
-// The delivered-message log: one compact record per delivery in chunks
-// that never move.
+// The delivered-message log: one compact record per delivery in the
+// record log (common/record_log.hpp; its store-level tests are in
+// test_common_record_log.cpp).
 //
-// Round trips every message field, evicts oldest first and frees drained
-// chunks, compacts in place on a rollback's filter, and stays near one
+// Round trips every message field, keeps a ring of its capacity, marks
+// per destination the newest delivery it evicted, and stays near one
 // record's bytes per delivery on a protect-sized kv run. This binary
 // replaces the global operator new with a counting one (test binaries are
 // per file, so the replacement is scoped to this file) to check that
@@ -103,13 +104,13 @@ TEST(DeliveredLog, RoundTripsEveryField) {
   wide.control = true;
   sent.push_back(wide);
   // Larger than the chunk cap: the record gets a chunk of its own size.
-  sent.push_back(make_message(11, DeliveredLog::kMaxChunkBytes + 5));
+  sent.push_back(make_message(11, RecordLog::kMaxChunkBytes + 5));
   sent.push_back(make_message(12));
 
   DeliveredLog log(16);
   for (std::size_t i = 0; i < sent.size(); ++i) log.append(sent[i], 40 + i);
   ASSERT_EQ(log.size(), sent.size());
-  EXPECT_GT(log.largest_chunk_bytes(), DeliveredLog::kMaxChunkBytes);
+  EXPECT_GT(log.largest_chunk_bytes(), RecordLog::kMaxChunkBytes);
 
   std::vector<std::uint64_t> stamps;
   std::vector<std::uint64_t> own_after;
@@ -129,18 +130,16 @@ TEST(DeliveredLog, RoundTripsEveryField) {
   }
 }
 
-TEST(DeliveredLog, EvictsOldestFirstAndFreesDrainedChunks) {
+TEST(DeliveredLog, KeepsARingOfItsCapacity) {
   DeliveredLog log(100);
   for (std::uint64_t i = 0; i < 50000; ++i) log.append(make_message(i), i);
   EXPECT_EQ(log.size(), 100u);
   const std::vector<net::Message> kept = decode_all(log);
   ASSERT_EQ(kept.size(), 100u);
   for (std::size_t k = 0; k < kept.size(); ++k) {
-    EXPECT_EQ(kept[k].tag, 50000 - 100 + k);
+    SCOPED_TRACE(k);
+    expect_same(kept[k], make_message(50000 - 100 + k));
   }
-  // 50000 records of ~60 B were written, but drained chunks were freed:
-  // what stays is the chunk being filled and the one holding the oldest.
-  EXPECT_LE(log.resident_bytes(), 2 * DeliveredLog::kMaxChunkBytes);
 
   DeliveredLog none(0);
   none.append(make_message(1), 1);
@@ -148,41 +147,30 @@ TEST(DeliveredLog, EvictsOldestFirstAndFreesDrainedChunks) {
   EXPECT_EQ(none.resident_bytes(), 0u);
 }
 
-TEST(DeliveredLog, RetainIfCompactsInPlaceAndFreesTail) {
-  DeliveredLog log(1 << 16);
-  for (std::uint64_t i = 0; i < 40000; ++i) log.append(make_message(i), i);
-  const std::size_t full = log.resident_bytes();
+// Per destination, the mark is the largest dst_own_after the ring evicted;
+// a rollback lowers it to the destination's cut, and clear() forgets it.
+TEST(DeliveredLog, MarksTheNewestEvictedDeliveryPerDestination) {
+  DeliveredLog log(8);
+  // Message i goes to (i + 1) % 4 with dst_own_after 10 * i.
+  for (std::uint64_t i = 0; i < 8; ++i) log.append(make_message(i), 10 * i);
+  for (ProcessId p = 0; p < 5; ++p) EXPECT_EQ(log.evicted_mark(p), 0u);
 
-  // Keep every third record: the kept ones move down, in order, and the
-  // chunks left empty at the tail are freed.
-  log.retain_if([](const DeliveredLog::View& v) {
-    return v.decode().tag % 3 == 0;
-  });
-  EXPECT_LT(log.resident_bytes(), full);
-  std::vector<net::Message> kept = decode_all(log);
-  ASSERT_EQ(kept.size(), log.size());
-  ASSERT_EQ(kept.size(), (40000 + 2) / 3);
-  for (std::size_t k = 0; k < kept.size(); ++k) {
-    SCOPED_TRACE(k);
-    expect_same(kept[k], make_message(3 * k));
-  }
+  for (std::uint64_t i = 8; i < 14; ++i) log.append(make_message(i), 10 * i);
+  // Evicted: messages 0..5, to destinations 1, 2, 3, 0, 1, 2.
+  EXPECT_EQ(log.evicted_mark(0), 30u);
+  EXPECT_EQ(log.evicted_mark(1), 40u);
+  EXPECT_EQ(log.evicted_mark(2), 50u);
+  EXPECT_EQ(log.evicted_mark(3), 20u);
+  EXPECT_EQ(log.evicted_mark(4), 0u);  // never a destination
 
-  // Appending continues after the compacted records.
-  log.append(make_message(40000), 0);
-  kept = decode_all(log);
-  ASSERT_EQ(kept.size(), (40000 + 2) / 3 + 1);
-  EXPECT_EQ(kept.back().tag, 40000u);
-
-  log.retain_if([](const DeliveredLog::View&) { return false; });
-  EXPECT_TRUE(log.empty());
-  EXPECT_TRUE(decode_all(log).empty());
-  EXPECT_LE(log.resident_bytes(), DeliveredLog::kFirstChunkBytes);
-  log.append(make_message(1), 1);
-  ASSERT_EQ(decode_all(log).size(), 1u);
+  log.rolled_back(2, 45);
+  log.rolled_back(3, 45);
+  log.rolled_back(9, 1);  // never a destination: no effect
+  EXPECT_EQ(log.evicted_mark(2), 45u);
+  EXPECT_EQ(log.evicted_mark(3), 20u);
 
   log.clear();
-  EXPECT_TRUE(log.empty());
-  EXPECT_EQ(log.resident_bytes(), 0u);
+  for (ProcessId p = 0; p < 4; ++p) EXPECT_EQ(log.evicted_mark(p), 0u);
 }
 
 TEST(DeliveredLog, RetainIfAfterEvictionKeepsTheRing) {
@@ -234,7 +222,7 @@ TEST(TimeMachineLog, ResidentBytesStayNearOneRecordPerDelivery) {
   const std::size_t records = tm.delivered_log().size();
   EXPECT_EQ(records, w->network().stats().delivered);
   EXPECT_GT(records, 50000u);
-  EXPECT_LE(tm.log_resident_bytes(),
+  EXPECT_LE(tm.delivered_log().resident_bytes(),
             96 * records + tm.delivered_log().largest_chunk_bytes());
 }
 
@@ -255,10 +243,10 @@ TEST(TimeMachineLog, OnDeliverAllocatesOnlyWhenAChunkFills) {
   std::uint64_t chunk_calls = 0;
   std::uint64_t stray = 0;
   for (int i = 0; i < 100000; ++i) {
-    const std::size_t resident = tm.log_resident_bytes();
+    const std::size_t resident = tm.delivered_log().resident_bytes();
     const std::uint64_t before = allocations();
     tm.on_deliver(*w, msg);
-    if (tm.log_resident_bytes() != resident) {
+    if (tm.delivered_log().resident_bytes() != resident) {
       ++chunk_calls;
     } else {
       stray += allocations() - before;

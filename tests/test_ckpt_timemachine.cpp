@@ -207,29 +207,48 @@ TEST(TimeMachine, DetachStopsCheckpointing) {
 //
 // A reference observer keeps what the delivered-message log must
 // reproduce: a full copy of every delivered message and the receiver's own
-// clock component after it, in a ring of the log's capacity. A rollback
-// must re-inject exactly the messages it predicts, in log order.
+// clock component after it. It keeps every delivery, and marks evicted the
+// ones a ring of the log's capacity would have dropped. A rollback must
+// re-inject exactly the crossings it still holds, in log order; a crossing
+// it marked evicted is lost, and the rollback must report that.
 
 class ReferenceLog final : public rt::RuntimeObserver {
  public:
   explicit ReferenceLog(std::size_t capacity) : capacity_(capacity) {}
 
   void on_deliver(const rt::World& w, const net::Message& msg) override {
-    records_.push_back({msg, w.vclock_of(msg.dst)[msg.dst]});
-    if (records_.size() > capacity_) records_.pop_front();
+    records_.push_back({msg, w.vclock_of(msg.dst)[msg.dst], false});
+    if (++held_ > capacity_) {
+      auto oldest = std::find_if(records_.begin(), records_.end(),
+                                 [](const Record& r) { return !r.evicted; });
+      oldest->evicted = true;
+      --held_;
+    }
   }
 
-  /// The messages a rollback to `cut` re-injects, in log order; forgets
-  /// every delivery the rollback undoes.
-  std::vector<net::Message> roll_back(const std::vector<VectorClock>& cut) {
-    std::vector<net::Message> out;
+  struct Rollback {
+    std::vector<net::Message> reinjected;  ///< in log order
+    std::size_t lost = 0;  ///< evicted crossings: cannot be re-injected
+  };
+
+  /// What a rollback to `cut` re-injects and loses; forgets every delivery
+  /// the rollback undoes.
+  Rollback roll_back(const std::vector<VectorClock>& cut) {
+    Rollback out;
     std::deque<Record> keep;
     for (Record& r : records_) {
       const net::Message& m = r.msg;
       if (r.dst_own_after <= cut[m.dst][m.dst]) {
         keep.push_back(std::move(r));
-      } else if (m.vclock[m.src] <= cut[m.src][m.src]) {
-        out.push_back(m);
+        continue;
+      }
+      if (!r.evicted) --held_;
+      if (m.vclock[m.src] <= cut[m.src][m.src]) {
+        if (r.evicted) {
+          ++out.lost;
+        } else {
+          out.reinjected.push_back(m);
+        }
       }
     }
     records_ = std::move(keep);
@@ -240,8 +259,10 @@ class ReferenceLog final : public rt::RuntimeObserver {
   struct Record {
     net::Message msg;
     std::uint64_t dst_own_after;
+    bool evicted;
   };
   std::size_t capacity_;
+  std::size_t held_ = 0;  ///< records not marked evicted
   std::deque<Record> records_;
 };
 
@@ -260,10 +281,15 @@ void expect_same_message(const net::Message& got, const net::Message& want,
   EXPECT_EQ(got.content_digest(), want.content_digest()) << "message " << i;
 }
 
+constexpr std::size_t kFullLog = TimeMachineOptions{}.delivered_log_capacity;
+
 /// Rolls `w` back at a random (pid, index), through rollback_pinned when
-/// `pinned` is set, and checks the drops and re-injections against `ref`.
+/// `pinned` is set, and checks the drops, the re-injections and the
+/// report of lost crossings against `ref`; adds the crossings `ref` found
+/// lost to `lost`.
 void rollback_against_reference(rt::World& w, TimeMachine& tm,
-                                ReferenceLog& ref, Rng& rng, bool pinned) {
+                                ReferenceLog& ref, Rng& rng, bool pinned,
+                                std::size_t& lost) {
   const std::size_t n = w.size();
   std::unordered_set<MsgId> before;
   std::vector<net::Message> in_flight;
@@ -295,7 +321,8 @@ void rollback_against_reference(rt::World& w, TimeMachine& tm,
   for (const net::Message& m : in_flight) {
     if (m.vclock[m.src] > cut[m.src][m.src]) ++dropped;
   }
-  const std::vector<net::Message> want = ref.roll_back(cut);
+  const ReferenceLog::Rollback ref_rl = ref.roll_back(cut);
+  const std::vector<net::Message>& want = ref_rl.reinjected;
 
   // Re-injected messages take fresh ids, so they are the pending messages
   // not pending before, in id order.
@@ -310,13 +337,20 @@ void rollback_against_reference(rt::World& w, TimeMachine& tm,
 
   EXPECT_EQ(rl.dropped, dropped);
   EXPECT_EQ(rl.reinjected, want.size());
+  // A rollback that loses a crossing reports it; one the log fully backs
+  // reports nothing behind it (the full log never evicts).
+  if (ref_rl.lost > 0) {
+    EXPECT_GT(rl.behind_log, 0u) << ref_rl.lost << " crossing(s) lost";
+  }
+  if (tm.options().delivered_log_capacity == kFullLog) {
+    EXPECT_EQ(rl.behind_log, 0u);
+  }
+  lost += ref_rl.lost;
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
     expect_same_message(*got[i], want[i], i);
   }
 }
-
-constexpr std::size_t kFullLog = TimeMachineOptions{}.delivered_log_capacity;
 
 struct OracleCase {
   bool kv = false;
@@ -345,10 +379,16 @@ std::unique_ptr<rt::World> make_oracle_world(const OracleCase& c) {
   return make_counter_world(4, 2, CounterConfig{3}, wo);
 }
 
+struct OracleRun {
+  std::uint64_t reinjected = 0;  ///< messages the rollbacks re-injected
+  std::size_t lost = 0;          ///< crossings the reference found lost
+  std::uint64_t behind_log = 0;  ///< TimeMachineStats::destinations_behind_log
+};
+
 // Three rollbacks per run, alternating rollback_to and rollback_pinned, so
 // later ones read a log that earlier ones compacted; the run then
-// finishes. Returns how many messages the rollbacks re-injected.
-std::uint64_t run_oracle(const OracleCase& c) {
+// finishes.
+OracleRun run_oracle(const OracleCase& c) {
   auto w = make_oracle_world(c);
   TimeMachineOptions o;
   o.cic = true;
@@ -358,11 +398,12 @@ std::uint64_t run_oracle(const OracleCase& c) {
   w->add_observer(&ref);
   tm.attach();
 
+  OracleRun run;
   Rng rng(c.seed);
   for (int round = 0; round < 3; ++round) {
     w->run(20 + rng.next_below(40));
     if (w->all_halted()) break;
-    rollback_against_reference(*w, tm, ref, rng, round % 2 == 1);
+    rollback_against_reference(*w, tm, ref, rng, round % 2 == 1, run.lost);
     if (::testing::Test::HasFatalFailure()) break;
   }
   // A ring smaller than the run forgets deliveries that crossed the line,
@@ -381,7 +422,9 @@ std::uint64_t run_oracle(const OracleCase& c) {
     }
   }
   w->remove_observer(&ref);
-  return tm.stats().messages_reinjected;
+  run.reinjected = tm.stats().messages_reinjected;
+  run.behind_log = tm.stats().destinations_behind_log;
+  return run;
 }
 
 TEST_P(ReinjectionOracle, ReinjectsWhatFullCopiesPredict) {
@@ -410,15 +453,29 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // The oracle is only as strong as its runs: across seeds, rollbacks must
-// actually re-inject, with the full log and with the eight-record ring.
+// actually re-inject, with the full log and with the eight-record ring,
+// and the ring's rollbacks must lose crossings (so that their report is
+// checked) while the full log's lose none and report none.
 TEST(ReinjectionOracleRuns, ReinjectSomeMessages) {
   for (std::size_t cap : {kFullLog, std::size_t{8}}) {
     for (bool kv : {false, true}) {
-      std::uint64_t reinjected = 0;
+      OracleRun total;
       for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-        reinjected += run_oracle({kv, seed, cap});
+        const OracleRun run = run_oracle({kv, seed, cap});
+        total.reinjected += run.reinjected;
+        total.lost += run.lost;
+        total.behind_log += run.behind_log;
       }
-      EXPECT_GT(reinjected, 0u) << (kv ? "kv" : "counter") << " cap " << cap;
+      SCOPED_TRACE(std::string(kv ? "kv" : "counter") + " cap " +
+                   std::to_string(cap));
+      EXPECT_GT(total.reinjected, 0u);
+      if (cap == kFullLog) {
+        EXPECT_EQ(total.lost, 0u);
+        EXPECT_EQ(total.behind_log, 0u);
+      } else {
+        EXPECT_GT(total.lost, 0u);
+        EXPECT_GT(total.behind_log, 0u);
+      }
     }
   }
 }

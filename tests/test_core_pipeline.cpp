@@ -327,6 +327,45 @@ TEST(FixdPipeline, StaleReadUnderPartitionEscalatesToLineHeal) {
   inj.detach(*w);
 }
 
+// The same stale read with a delivered-message log of two records: the
+// line rung's rollback reaches behind deliveries the ring evicted, so it
+// may have lost a crossing. The rung refuses to resume there and the
+// ladder escalates to a restart, which completes the run.
+TEST(FixdPipeline, LineBehindTheDeliveredLogEscalates) {
+  auto w = apps::make_kv_partition_world(2, 1);
+  fault::FaultInjector inj;
+  fault::FaultSpec spec;
+  spec.kind = fault::FaultKind::kPartition;
+  spec.group_a = {0};
+  spec.group_b = {1};
+  spec.symmetric = false;
+  inj.add(spec);
+  inj.attach(*w);
+
+  FixdOptions o;
+  o.install_invariants = apps::install_kv_partition_invariants;
+  o.investigate.max_states = 1500;
+  o.investigate.max_depth = 30;
+  o.line_budget = 2;
+  o.tm.delivered_log_capacity = 2;
+  FixdController fixd(*w, o);
+  FixdReport rep = fixd.run_protected();
+
+  EXPECT_TRUE(rep.completed) << rep.render();
+  bool line_refused = false;
+  for (const RungOutcome& ro : rep.ladder) {
+    if (ro.rung != RecoveryRung::kRecoveryLine) continue;
+    EXPECT_FALSE(ro.ok) << rep.render();
+    if (ro.detail == "line reaches behind the delivered log") {
+      line_refused = true;
+    }
+  }
+  EXPECT_TRUE(line_refused) << rep.render();
+  EXPECT_GE(rep.restarts, 1u) << rep.render();
+  EXPECT_GT(fixd.time_machine().stats().destinations_behind_log, 0u);
+  inj.detach(*w);
+}
+
 TEST(FixdPipeline, PhaseTimingsArePopulated) {
   auto w = make_counter_world(3, 1, CounterConfig{4});
   heal::PatchRegistry patches;

@@ -12,6 +12,18 @@ namespace {
 using apps::CounterConfig;
 using apps::make_counter_world;
 
+// A trail's events cross the service boundary: an event kind byte out of
+// range must throw, not become an EventKind no switch handles.
+TEST(EventDesc, LoadRejectsAnOutOfRangeKind) {
+  const EventDesc ev{EventKind::kTimer, 2, 0, 7, 9};
+  std::vector<std::byte> bytes = to_bytes(ev);
+  EXPECT_EQ(from_bytes<EventDesc>(bytes), ev);
+  for (std::uint8_t kind : {3, 255}) {
+    bytes[0] = static_cast<std::byte>(kind);
+    EXPECT_THROW(from_bytes<EventDesc>(bytes), SerializationError) << +kind;
+  }
+}
+
 TEST(FifoScheduler, PicksEarliestDeterministically) {
   FifoScheduler s;
   std::vector<EventDesc> enabled = {

@@ -1,5 +1,13 @@
-// The Scroll: recording presets, replay, divergence detection, black boxes.
+// The Scroll: recording presets, replay, divergence detection, black boxes,
+// and its record encoding (round trips, malformed streams, footprint).
+// This binary replaces the global operator new with a counting one (test
+// binaries are per file, so the replacement is scoped to this file) to
+// check that the taps allocate only when the record log fills a chunk.
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
 
 #include "apps/kv_store.hpp"
 #include "apps/leader_election.hpp"
@@ -8,11 +16,43 @@
 #include "scroll/replay.hpp"
 #include "scroll/scroll.hpp"
 
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+}  // namespace
+
+// Out of line, so GCC does not pair an inlined malloc() or free() with
+// the standard operator delete or new and warn of a mismatch.
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+// std::stable_sort's buffer comes from here: it must pair with the free()
+// below too.
+[[gnu::noinline]] void* operator new(std::size_t n,
+                                     const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n == 0 ? 1 : n);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+
 namespace fixd::scroll {
 namespace {
 
 using apps::CounterConfig;
 using apps::make_counter_world;
+
+/// Every record of `s`, in capture order.
+std::vector<ScrollRecord> records_of(const Scroll& s) {
+  std::vector<ScrollRecord> out;
+  Scroll::Cursor c = s.cursor();
+  ScrollRecord r;
+  while (c.next(r)) out.push_back(r);
+  return out;
+}
 
 TEST(Scroll, NondetPresetRecordsScheduleOnly) {
   auto w = make_counter_world(3, 2, CounterConfig{2});
@@ -20,7 +60,7 @@ TEST(Scroll, NondetPresetRecordsScheduleOnly) {
   w->add_observer(&s);
   w->run();
   EXPECT_GT(s.size(), 0u);
-  for (const auto& r : s.records()) {
+  for (const auto& r : records_of(s)) {
     EXPECT_NE(r.kind, RecordKind::kSend);
     EXPECT_NE(r.kind, RecordKind::kDeliver);
     EXPECT_TRUE(r.payload.empty());
@@ -90,33 +130,34 @@ TEST(Scroll, DivergenceDetectedOnMutatedScroll) {
   w1->remove_observer(&rec);
 
   // The first send or deliver record past the middle of the run.
-  std::size_t victim = rec.size() / 2;
-  while (victim < rec.size() && rec.record(victim).kind != RecordKind::kSend &&
-         rec.record(victim).kind != RecordKind::kDeliver) {
+  const std::vector<ScrollRecord> recs = records_of(rec);
+  std::size_t victim = recs.size() / 2;
+  while (victim < recs.size() && recs[victim].kind != RecordKind::kSend &&
+         recs[victim].kind != RecordKind::kDeliver) {
     ++victim;
   }
-  ASSERT_LT(victim, rec.size());
+  ASSERT_LT(victim, recs.size());
 
   // Flip one bit of its digest in the saved bytes. Records follow the
-  // stream header back to back; inside a record the digest comes after
-  // kind, seq, pid, lamport, event, msg, peer and tag.
+  // stream header back to back, each behind its length; a send or deliver
+  // of the digests preset ends with its 8 digest bytes.
   BinaryWriter bw;
   rec.save(bw);
   std::vector<std::byte> bytes = bw.bytes();
   std::size_t off = bytes.size() - rec.stats().bytes;
-  for (std::size_t i = 0; i < victim; ++i) {
-    off += rec.record(i).encoded_size();
+  for (std::size_t i = 0;; ++i) {
+    BinaryReader frame(std::span<const std::byte>(bytes).subspan(off));
+    const std::uint64_t len = frame.read_varint();
+    off += frame.position() + len;
+    if (i == victim) break;
   }
-  const ScrollRecord target = rec.record(victim);
-  off += 1 + varint_size(target.seq) + 4 + varint_size(target.lamport) +
-         rt::EventDesc::kEncodedSize + varint_size(target.msg) + 4 + 4;
-  bytes[off] ^= std::byte{0x01};
+  bytes[off - 8] ^= std::byte{0x01};
 
   Scroll tampered;
   BinaryReader br(bytes);
   tampered.load(br);
   ASSERT_EQ(tampered.size(), rec.size());
-  EXPECT_EQ(tampered.record(victim).digest, target.digest ^ 1);
+  EXPECT_EQ(records_of(tampered)[victim].digest, recs[victim].digest ^ 1);
 
   auto diff = ReplayEngine::compare(rec, tampered);
   ASSERT_TRUE(diff.has_value());
@@ -127,6 +168,7 @@ TEST(Scroll, LoadRejectsCountTheStreamCannotHold) {
   for (std::uint64_t count :
        {std::uint64_t{1} << 40, std::uint64_t{1} << 58}) {
     BinaryWriter bw;
+    bw.write_varint(Scroll::kStreamVersion);
     for (int i = 0; i < 9; ++i) bw.write_bool(true);
     bw.write_varint(0);      // next seq
     bw.write_varint(count);  // records that never follow
@@ -148,17 +190,30 @@ TEST(Scroll, SaveLoadRoundTrip) {
   s2.load(br);
   ASSERT_EQ(s2.size(), s.size());
   EXPECT_EQ(s2.stats().bytes, s.stats().bytes);
+  const std::vector<ScrollRecord> a = records_of(s);
+  const std::vector<ScrollRecord> b = records_of(s2);
   for (std::size_t i = 0; i < s.size(); ++i) {
-    EXPECT_TRUE(s.records()[i].matches(s2.records()[i])) << i;
+    EXPECT_EQ(a[i], b[i]) << i;
   }
 }
 
-// Sum of the bytes save() writes for every kept record. stats().bytes must
-// equal it: the Scroll sizes records arithmetically, without serializing.
-std::uint64_t saved_bytes(const Scroll& s) {
-  std::uint64_t n = 0;
-  for (const auto& r : s.records()) n += to_bytes(r).size();
-  return n;
+// Bytes of a save() stream before its first record: version, the nine
+// preset flags, next seq and record count.
+std::size_t header_bytes(const std::vector<std::byte>& stream) {
+  BinaryReader r(stream);
+  r.read_varint();
+  for (int i = 0; i < 9; ++i) r.read_bool();
+  r.read_varint();
+  r.read_varint();
+  return r.position();
+}
+
+// stats().bytes is the log's record bytes: what save() writes after its
+// header.
+void expect_stats_match_stream(const Scroll& s) {
+  const std::vector<std::byte> stream = to_bytes(s);
+  EXPECT_EQ(s.stats().bytes, stream.size() - header_bytes(stream));
+  EXPECT_EQ(s.stats().records, s.size());
 }
 
 // 0, both sides of every varint width step (2^7k - 1, 2^7k), 2^63 and the
@@ -178,7 +233,8 @@ std::vector<std::uint64_t> varint_edges() {
 // Every RecordKind with seq, lamport and msg at the varint width edges, and
 // with empty, short and long (two-byte length prefix) text and payload. Each
 // combination comes twice: once setting only the fields the record's kind
-// carries, at the same edge values, and once setting every field.
+// carries, at the same edge values, and once setting every field. spec_op
+// takes each of the four SpecOp values.
 std::vector<ScrollRecord> edge_records() {
   std::vector<ScrollRecord> out;
   for (std::uint8_t k = 0; k < 8; ++k) {
@@ -192,7 +248,7 @@ std::vector<ScrollRecord> edge_records() {
         own.seq = v;
         own.lamport = v;
         own.pid = v32;
-        own.spec_op = static_cast<std::uint8_t>(v);
+        own.spec_op = static_cast<std::uint8_t>(v % 4);
         switch (kind) {
           case RecordKind::kEvent:
             own.event = {rt::EventKind::kTimer, v32, v, v, v};
@@ -233,21 +289,12 @@ std::vector<ScrollRecord> edge_records() {
   return out;
 }
 
-// A stream in Scroll::save's layout (preset flags, next seq, count,
-// records) carrying `recs`.
-std::vector<std::byte> scroll_stream(const LoggingPreset& preset,
-                                     std::uint64_t next_seq,
-                                     std::span<const ScrollRecord> recs) {
-  BinaryWriter bw;
-  for (bool b : {preset.schedule, preset.rng, preset.time_reads,
-                 preset.env_reads, preset.sends, preset.delivers,
-                 preset.payloads, preset.annotations, preset.spec_events}) {
-    bw.write_bool(b);
-  }
-  bw.write_varint(next_seq);
-  bw.write_varint(recs.size());
-  for (const auto& r : recs) r.save(bw);
-  return bw.take();
+// A scroll keeping `recs` as given.
+Scroll scroll_of(const LoggingPreset& preset,
+                 std::span<const ScrollRecord> recs) {
+  Scroll s(preset);
+  for (const auto& r : recs) s.append(r);
+  return s;
 }
 
 Scroll load_stream(const std::vector<std::byte>& bytes) {
@@ -257,24 +304,36 @@ Scroll load_stream(const std::vector<std::byte>& bytes) {
   return s;
 }
 
-void expect_same_stats(const ScrollStats& a, const ScrollStats& b) {
-  EXPECT_EQ(a.records, b.records);
-  EXPECT_EQ(a.bytes, b.bytes);
-  EXPECT_EQ(a.by_kind, b.by_kind);
+void expect_same_record(const ScrollRecord& got, const ScrollRecord& want) {
+  EXPECT_EQ(got.kind, want.kind);
+  EXPECT_EQ(got.seq, want.seq);
+  EXPECT_EQ(got.pid, want.pid);
+  EXPECT_EQ(got.lamport, want.lamport);
+  EXPECT_EQ(got.event.kind, want.event.kind);
+  EXPECT_EQ(got.event.pid, want.event.pid);
+  EXPECT_EQ(got.event.msg, want.event.msg);
+  EXPECT_EQ(got.event.timer, want.event.timer);
+  EXPECT_EQ(got.event.at, want.event.at);
+  EXPECT_EQ(got.msg, want.msg);
+  EXPECT_EQ(got.peer, want.peer);
+  EXPECT_EQ(got.tag, want.tag);
+  EXPECT_EQ(got.digest, want.digest);
+  EXPECT_EQ(got.value, want.value);
+  EXPECT_EQ(got.text, want.text);
+  EXPECT_EQ(got.payload, want.payload);
+  EXPECT_EQ(got.spec, want.spec);
+  EXPECT_EQ(got.spec_op, want.spec_op);
 }
 
 TEST(Scroll, StatsBytesEqualSerializedSize) {
   for (const LoggingPreset& preset :
        {LoggingPreset::nondet_only(), LoggingPreset::digests(),
         LoggingPreset::full()}) {
-    // Loaded records: a stream carrying the hand-built edge records.
+    // Kept as given, and loaded: the hand-built edge records.
     const std::vector<ScrollRecord> recs = edge_records();
-    for (const auto& r : recs) {
-      EXPECT_EQ(r.encoded_size(), to_bytes(r).size()) << r.to_string();
-    }
-    Scroll loaded = load_stream(scroll_stream(preset, recs.size(), recs));
+    Scroll appended = scroll_of(preset, recs);
+    Scroll loaded = load_stream(to_bytes(appended));
     ASSERT_EQ(loaded.size(), recs.size());
-    EXPECT_EQ(loaded.stats().bytes, saved_bytes(loaded));
 
     // Live records: every tap, with message ids at the varint edges.
     auto w = make_counter_world(3, 2, CounterConfig{2});
@@ -309,39 +368,30 @@ TEST(Scroll, StatsBytesEqualSerializedSize) {
                         preset.sends;
       EXPECT_EQ(live.stats().by_kind[k] > 0, kept) << "kind " << k;
     }
-    EXPECT_EQ(live.stats().bytes, saved_bytes(live));
 
-    for (Scroll* s : {&loaded, &live}) {
-      // Round trip: the reloaded scroll re-derives the same figure.
-      BinaryWriter sw;
-      s->save(sw);
-      Scroll again;
-      BinaryReader sr(sw.bytes());
-      again.load(sr);
+    for (Scroll* s : {&appended, &loaded, &live}) {
+      expect_stats_match_stream(*s);
+      // Round trip: the reloaded scroll holds the same bytes and figures.
+      const Scroll again = load_stream(to_bytes(*s));
+      EXPECT_EQ(to_bytes(again), to_bytes(*s));
       EXPECT_EQ(again.stats().bytes, s->stats().bytes);
-      EXPECT_EQ(again.stats().bytes, saved_bytes(again));
-
-      s->truncate(s->size() / 2 + 1);
-      EXPECT_EQ(s->stats().records, s->size());
-      EXPECT_EQ(s->stats().bytes, saved_bytes(*s));
+      EXPECT_EQ(again.stats().by_kind, s->stats().by_kind);
     }
   }
 }
 
-// Property: the record store keeps every field of every record it loads.
-// For every cut, truncate() is the same scroll as loading only the records
-// before the cut, a truncated copy leaves its source alone, and appending
-// after a truncate records as after a load.
-TEST(Scroll, StoreRoundTripsAndTruncatesLikeALoad) {
+// Property: the encoding keeps every field of every record. The edge set
+// and twenty copies of it (more than 20k records over many chunks) round
+// trip through save() and load() field by field, the reload saves the same
+// bytes, and appending after a load records as after keeping the records.
+TEST(Scroll, EdgeRecordsRoundTripFieldByField) {
   const LoggingPreset preset = LoggingPreset::full();
   const std::vector<ScrollRecord> edges = edge_records();
-  // Twenty copies of the edge set: more than 20k records, spanning the
-  // growing chunks of 64 .. 8192 records and the first capped one.
   std::vector<ScrollRecord> many;
   for (int rep = 0; rep < 20; ++rep) {
     many.insert(many.end(), edges.begin(), edges.end());
   }
-  ASSERT_GT(many.size(), 16320u + 64);
+  ASSERT_GT(many.size(), 20000u);
 
   auto w = make_counter_world(2, 2, CounterConfig{1});
   auto append = [&w](Scroll& s) {
@@ -352,49 +402,114 @@ TEST(Scroll, StoreRoundTripsAndTruncatesLikeALoad) {
     m.tag = 3;
     m.payload.assign(5, std::byte{7});
     s.on_send(*w, m);
-    s.on_annotation(*w, 1, "after the cut");
+    s.on_annotation(*w, 1, "after the load");
     s.on_rng(*w, 0, 42);
   };
 
   const std::vector<ScrollRecord>* sets[] = {&edges, &many};
   for (const auto* recs : sets) {
-    const std::uint64_t next_seq = 1000;
-    const std::vector<std::byte> stream =
-        scroll_stream(preset, next_seq, *recs);
-    const Scroll loaded = load_stream(stream);
+    const Scroll kept = scroll_of(preset, *recs);
+    const std::vector<std::byte> stream = to_bytes(kept);
+    Scroll loaded = load_stream(stream);
     ASSERT_EQ(loaded.size(), recs->size());
     EXPECT_EQ(to_bytes(loaded), stream);
-    for (std::size_t i = 0; i < recs->size(); ++i) {
-      ASSERT_EQ(loaded.record(i), (*recs)[i]) << i;
+    EXPECT_GT(loaded.resident_bytes(), 0u);
+    const std::vector<ScrollRecord> got = records_of(loaded);
+    ASSERT_EQ(got.size(), recs->size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      SCOPED_TRACE(i);
+      expect_same_record(got[i], (*recs)[i]);
+      ASSERT_EQ(got[i], (*recs)[i]) << got[i].to_string();
     }
 
-    // Every cut of the edge set; around each chunk boundary of the large
-    // set.
-    std::vector<std::size_t> cuts;
-    if (recs == &edges) {
-      for (std::size_t k = 0; k <= recs->size(); ++k) cuts.push_back(k);
-    } else {
-      for (std::size_t b = 64; b < recs->size(); b = 2 * b + 64) {
-        cuts.insert(cuts.end(), {b - 1, b, b + 1});
-      }
-      cuts.push_back(recs->size());
-    }
-    for (std::size_t k : cuts) {
-      const Scroll want = load_stream(scroll_stream(
-          preset, next_seq, std::span(recs->data(), k)));
-      Scroll cut = loaded;
-      cut.truncate(k);
-      ASSERT_EQ(cut.size(), k);
-      expect_same_stats(cut.stats(), want.stats());
-      ASSERT_EQ(to_bytes(cut), to_bytes(want)) << "cut " << k;
+    Scroll kept_more = kept;
+    append(loaded);
+    append(kept_more);
+    EXPECT_EQ(to_bytes(loaded), to_bytes(kept_more));
+  }
+}
 
-      Scroll want_more = want;
-      append(cut);
-      append(want_more);
-      ASSERT_EQ(to_bytes(cut), to_bytes(want_more)) << "cut " << k;
+// load() decodes and checks every record: a stream of another version, a
+// truncated stream or record, an out-of-range record kind, event kind or
+// spec op, and trailing bytes in a record all throw SerializationError,
+// and the scroll loaded into keeps what it held.
+TEST(Scroll, LoadRejectsMalformedStreams) {
+  Scroll good(LoggingPreset::digests());
+  ScrollRecord ev;
+  ev.kind = RecordKind::kEvent;
+  ev.pid = 1;
+  ev.lamport = 1;
+  ev.event = {rt::EventKind::kStart, 1, 0, 0, 7};
+  good.append(ev);
+  ScrollRecord spec;
+  spec.kind = RecordKind::kSpec;
+  spec.seq = 1;
+  spec.pid = 1;
+  spec.lamport = 2;
+  spec.spec = 3;
+  spec.spec_op = 2;
+  good.append(spec);
+  const std::vector<std::byte> stream = to_bytes(good);
+  ASSERT_EQ(load_stream(stream).size(), 2u);
+
+  // The first record's length is one byte; its header byte follows: the
+  // record kind in bits 0-3, the event kind in bits 6-7 (a start event
+  // stores the same fields as any other event kind would). The spec
+  // record comes last and ends with its spec op.
+  const std::size_t header = header_bytes(stream);
+  ASSERT_LT(static_cast<std::uint8_t>(stream[header]), 0x80);
+  const std::size_t first = header + 1;
+
+  struct Bad {
+    std::vector<std::byte> bytes;
+    const char* why;  ///< in the error message
+  };
+  std::vector<Bad> bad;
+  for (std::uint64_t version : {std::uint64_t{1}, Scroll::kStreamVersion + 1}) {
+    std::vector<std::byte> b = stream;
+    b[0] = static_cast<std::byte>(version);
+    bad.push_back({b, "version"});
+  }
+  for (std::size_t n = 0; n < stream.size(); ++n) {
+    bad.push_back({{stream.begin(), stream.begin() + n}, ""});
+  }
+  for (std::uint8_t kind : {8, 9, 15}) {
+    std::vector<std::byte> b = stream;
+    b[first] = (b[first] & std::byte{0xf0}) | static_cast<std::byte>(kind);
+    bad.push_back({b, "kind"});
+  }
+  {
+    std::vector<std::byte> b = stream;
+    b[first] |= std::byte{0xc0};  // event kind 3
+    bad.push_back({b, "event kind 3"});
+  }
+  for (std::uint8_t op : {4, 255}) {
+    std::vector<std::byte> b = stream;
+    b.back() = static_cast<std::byte>(op);
+    bad.push_back({b, "spec op"});
+  }
+  {
+    // The first record one byte longer than its fields: its length grows
+    // by one, and a byte is inserted at its end.
+    std::vector<std::byte> b = stream;
+    const auto len = static_cast<std::uint8_t>(b[header]);
+    b[header] = static_cast<std::byte>(len + 1);
+    b.insert(b.begin() + static_cast<std::ptrdiff_t>(first + len),
+             std::byte{0});
+    bad.push_back({b, "trailing"});
+  }
+
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    Scroll s = good;
+    BinaryReader br(bad[i].bytes);
+    try {
+      s.load(br);
+      ADD_FAILURE() << "stream " << i << " loaded";
+    } catch (const SerializationError& e) {
+      EXPECT_NE(std::string(e.what()).find(bad[i].why), std::string::npos)
+          << "stream " << i << ": " << e.what();
     }
-    EXPECT_EQ(loaded.size(), recs->size());
-    EXPECT_EQ(to_bytes(loaded), stream);
+    EXPECT_EQ(to_bytes(s), stream) << "stream " << i;
   }
 }
 
@@ -408,18 +523,22 @@ TEST(Scroll, CopyAndAssignAreIndependent) {
 
   Scroll copy = s;
   EXPECT_EQ(to_bytes(copy), before);
-  copy.truncate(copy.size() / 3);
   copy.on_annotation(*w, 0, "copy only");
   Scroll assigned;
   assigned = copy;
   EXPECT_EQ(to_bytes(assigned), to_bytes(copy));
-  expect_same_stats(assigned.stats(), copy.stats());
+  EXPECT_EQ(assigned.stats().bytes, copy.stats().bytes);
+  EXPECT_EQ(assigned.stats().by_kind, copy.stats().by_kind);
   EXPECT_EQ(to_bytes(s), before);
+
+  s.on_rng(*w, 1, 7);
+  EXPECT_EQ(to_bytes(assigned), to_bytes(copy));
+  EXPECT_EQ(records_of(s).back().value, 7u);
+  EXPECT_EQ(records_of(copy).back().text, "copy only");
 }
 
-// The store's resident bytes: 64 per record, the arena, and at most one
-// partly filled chunk. The run spans several capped chunks and still
-// replays exactly.
+// The record log's resident bytes: at most 16 per record plus one chunk.
+// The run spans many chunks and still replays exactly.
 TEST(Scroll, ResidentBytesStayNearOneEntryPerRecord) {
   apps::KvConfig cfg;
   cfg.total_ops = 9000;
@@ -430,15 +549,60 @@ TEST(Scroll, ResidentBytesStayNearOneEntryPerRecord) {
   w->run();
   w->remove_observer(&s);
   ASSERT_GE(s.size(), 100000u);
-  std::size_t arena = 0;
-  for (const auto& r : s.records()) arena += r.text.size() + r.payload.size();
-  EXPECT_LE(s.resident_bytes(),
-            64 * s.size() + arena + 64 * Scroll::kMaxChunkRecords);
+  EXPECT_LE(s.resident_bytes(), 16 * s.size() + RecordLog::kMaxChunkBytes);
 
   auto fresh = apps::make_kv_world(4, 2, cfg);
   ReplayReport rep = ReplayEngine::replay(*fresh, s);
   EXPECT_TRUE(rep.ok) << rep.to_string();
   EXPECT_EQ(rep.final_digest, w->digest());
+}
+
+// Every tap writes its record straight into the log: it allocates only in
+// a call that adds a chunk, under the digests and the full preset alike.
+TEST(Scroll, TapsAllocateOnlyWhenAChunkFills) {
+  auto w = make_counter_world(3, 2, CounterConfig{1});
+  const std::string key = "an environment key longer than a short string";
+  const std::string note = "an annotation longer than a short string";
+  for (const LoggingPreset& preset :
+       {LoggingPreset::digests(), LoggingPreset::full()}) {
+    Scroll s(preset);
+    net::Message m;
+    m.src = 0;
+    m.dst = 1;
+    m.tag = 3;
+    m.payload.assign(24, std::byte{7});
+    rt::EventDesc ev{rt::EventKind::kDeliver, 1, 0, 0, 5};
+    auto tap_all = [&](std::uint64_t i) {
+      m.id = i;
+      ev.msg = i;
+      ev.at = 5 + i;
+      s.on_event(*w, ev);
+      s.on_send(*w, m);
+      s.on_deliver(*w, m);
+      s.on_rng(*w, 0, i * 0x9e3779b97f4a7c15ull);
+      s.on_time_read(*w, 0, i);
+      s.on_env_read(*w, 1, key, i);
+      s.on_annotation(*w, 2, note);
+      s.on_spec(*w, 0, i, rt::RuntimeObserver::SpecOp::kCommit);
+    };
+    for (std::uint64_t i = 0; i < 100; ++i) tap_all(i);  // warm-up
+
+    std::uint64_t chunk_calls = 0;
+    std::uint64_t stray = 0;
+    for (std::uint64_t i = 100; i < 20000; ++i) {
+      const std::size_t resident = s.resident_bytes();
+      const std::uint64_t before =
+          g_allocations.load(std::memory_order_relaxed);
+      tap_all(i);
+      if (s.resident_bytes() != resident) {
+        ++chunk_calls;
+      } else {
+        stray += g_allocations.load(std::memory_order_relaxed) - before;
+      }
+    }
+    EXPECT_EQ(stray, 0u);
+    EXPECT_GT(chunk_calls, 0u);
+  }
 }
 
 TEST(Scroll, TotalOrderIsLamportMonotone) {
@@ -453,19 +617,22 @@ TEST(Scroll, TotalOrderIsLamportMonotone) {
   }
 }
 
-TEST(Scroll, PerProcessViewAndTruncate) {
+TEST(Scroll, PerProcessViewKeepsCaptureOrder) {
   auto w = make_counter_world(3, 2, CounterConfig{2});
   Scroll s(LoggingPreset::digests());
   w->add_observer(&s);
   w->run();
   auto p1 = s.for_process(1);
-  for (const auto& r : p1) EXPECT_EQ(r.pid, 1u);
   EXPECT_GT(p1.size(), 0u);
-
-  std::size_t cut = s.size() / 2;
-  s.truncate(cut);
-  EXPECT_EQ(s.size(), cut);
-  EXPECT_EQ(s.stats().records, cut);
+  for (std::size_t i = 0; i < p1.size(); ++i) {
+    EXPECT_EQ(p1[i].pid, 1u);
+    if (i > 0) {
+      EXPECT_LT(p1[i - 1].seq, p1[i].seq);
+    }
+  }
+  std::size_t want = 0;
+  for (const auto& r : records_of(s)) want += r.pid == 1 ? 1 : 0;
+  EXPECT_EQ(p1.size(), want);
 }
 
 TEST(Scroll, RenderProducesReadableTrace) {

@@ -7,7 +7,9 @@
 // timeout-fault scenario where recovery is a TimeoutTuner configuration
 // heal rather than a registry code swap (docs/ROBUSTNESS.md).
 //
-// Emits BENCH_fault.json (archived by the scheduled perf workflow).
+// Emits BENCH_fault.json (archived by the scheduled perf workflow). Exits 1
+// when a row does not complete, or heals through a rung other than the one
+// it documents (CI runs it).
 #include <cstdio>
 #include <vector>
 
@@ -24,6 +26,14 @@ namespace {
 
 using namespace fixd;
 
+/// The ladder rung a row documents.
+enum class Heals {
+  kCodeFix,      ///< one registry patch or one restart (either may land)
+  kTimeoutHeal,  ///< the timeout tuner, with no restart
+  kLineHeal,     ///< the recovery-line rung, with no restart
+  kRestart,      ///< the §3.4 restart
+};
+
 struct Case {
   const char* name;
   std::function<std::unique_ptr<rt::World>()> make;
@@ -34,6 +44,7 @@ struct Case {
   std::function<void(core::FixdOptions&)> tweak;
   /// Environment misbehaviour driving the fault (attached before the run).
   std::function<void(fault::FaultInjector&)> inject;
+  Heals heals = Heals::kCodeFix;
 };
 
 struct Row {
@@ -51,7 +62,21 @@ struct Row {
   std::uint64_t tuner_states = 0;
   std::uint64_t healed_value = 0;
   std::size_t line_heals = 0;  ///< successful kRecoveryLine rungs
+  Heals expect = Heals::kCodeFix;
 };
+
+/// Did the row complete through the rung it documents?
+bool heals_as_documented(const Row& r) {
+  if (!r.completed) return false;
+  switch (r.expect) {
+    case Heals::kCodeFix: return r.heals + r.restarts == 1;
+    case Heals::kTimeoutHeal:
+      return r.heals == 1 && r.timeout_heals == 1 && r.restarts == 0;
+    case Heals::kLineHeal: return r.line_heals == 1 && r.restarts == 0;
+    case Heals::kRestart: return r.restarts == 1;
+  }
+  return false;
+}
 
 Row run_case(const Case& c) {
   auto w = c.make();
@@ -74,6 +99,7 @@ Row run_case(const Case& c) {
 
   Row row;
   row.name = c.name;
+  row.expect = c.heals;
   row.completed = rep.completed;
   row.faults = rep.faults_detected;
   row.phases = rep.phases;
@@ -198,6 +224,7 @@ int main() {
         delay.delay_max = 20;
         inj.add(delay);
       },
+      Heals::kTimeoutHeal,
   };
   rows.push_back(run_case(lag));
 
@@ -227,6 +254,7 @@ int main() {
         cut.symmetric = false;  // the split-brain shape; never self-heals
         inj.add(cut);
       },
+      Heals::kLineHeal,
   };
   rows.push_back(run_case(split));
 
@@ -259,6 +287,7 @@ int main() {
         cr.restart_max = 25;
         inj.add(cr);
       },
+      Heals::kRestart,
   };
   rows.push_back(run_case(crash_restart));
 
@@ -301,6 +330,18 @@ int main() {
       "recovers by timeout tuning: heals==timeout_heals==1, restarts==0.\n"
       "The elect-split row recovers by the ladder's line rung\n"
       "(line_heals==1, restarts==0); the kv-lag(restart) row by the §3.4\n"
-      "restart (restarts==1).\n");
-  return 0;
+      "restart (restarts==1); each code-bug row by one patch or one restart\n"
+      "(heals+restarts==1).\n");
+  bool ok = true;
+  for (const Row& r : rows) {
+    if (heals_as_documented(r)) continue;
+    std::fprintf(stderr,
+                 "FAIL: %s %s (heals=%zu timeout_heals=%zu line_heals=%zu "
+                 "restarts=%zu)\n",
+                 r.name, r.completed ? "healed through another rung"
+                                     : "did not complete",
+                 r.heals, r.timeout_heals, r.line_heals, r.restarts);
+    ok = false;
+  }
+  return ok ? 0 : 1;
 }

@@ -11,7 +11,7 @@ CheckpointStore::CheckpointStore(std::size_t capacity) : capacity_(capacity) {
   if (capacity_ < 2) {
     throw ConfigError("checkpoint store capacity " +
                       std::to_string(capacity_) +
-                      " leaves no slot beside the pinned initial checkpoint; "
+                      " leaves no slot beside the pinned front checkpoint; "
                       "the minimum is 2");
   }
 }
@@ -23,16 +23,9 @@ CheckpointId CheckpointStore::push(
   sc.id = next_id_++;
   sc.reason = reason;
   sc.data = std::move(data);
-  if (entries_.size() >= capacity_) {
-    // Keep the initial checkpoint pinned at slot 0; rotate the rest.
-    // Both paths are O(1) on the deque: evicting slot 1 shifts only the
-    // pinned front entry, evicting slot 0 is a pop_front.
-    if (entries_.front().reason == CkptReason::kInitial) {
-      entries_.erase(entries_.begin() + 1);
-    } else {
-      entries_.pop_front();
-    }
-  }
+  if (!dropped_.empty()) dropped_.pop_back();
+  // Keep the front pinned; evicting slot 1 shifts only the front entry.
+  if (full()) entries_.erase(entries_.begin() + 1);
   entries_.push_back(std::move(sc));
   ++total_pushed_;
   return entries_.back().id;
@@ -69,6 +62,14 @@ std::uint64_t CheckpointStore::retained_bytes() const {
 void CheckpointStore::truncate_after(std::size_t index) {
   FIXD_CHECK_MSG(index < entries_.size(), "truncate_after out of range");
   entries_.resize(index + 1);
+}
+
+void CheckpointStore::drop_before(std::size_t index) {
+  FIXD_CHECK_MSG(index < entries_.size(), "drop_before out of range");
+  for (std::size_t i = 0; i < index; ++i) {
+    dropped_.push_back(std::move(entries_[i].data));
+  }
+  entries_.erase(entries_.begin(), entries_.begin() + index);
 }
 
 }  // namespace fixd::ckpt

@@ -1,15 +1,19 @@
 // Checkpoint storage: per-process histories of captured states.
 //
 // Each process accumulates checkpoints (initial, periodic, communication-
-// induced, speculation-entry, manual). The store is a pinned-initial ring:
-// the initial checkpoint is never evicted (the recovery-line solver's
-// backstop), newer ones rotate within the capacity budget.
+// induced, speculation-entry, manual). The front entry is pinned: under the
+// Time Machine it is the process's checkpoint on the horizon, the oldest
+// consistent line any rollback may reach (the initial checkpoint until the
+// horizon first advances). A push into a full store evicts the oldest entry
+// behind the front; the Time Machine advances the horizon first, so that
+// eviction happens only when the horizon cannot move this process.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "rt/world.hpp"
 
@@ -34,11 +38,11 @@ struct StoredCheckpoint {
 
 class CheckpointStore {
  public:
-  /// `capacity` counts the pinned initial checkpoint, so it must leave at
+  /// `capacity` counts the pinned front checkpoint, so it must leave at
   /// least one rotating slot: below 2 throws ConfigError.
   explicit CheckpointStore(std::size_t capacity = 64);
 
-  /// Append a checkpoint; evicts the oldest non-initial entry if full.
+  /// Append a checkpoint; evicts the oldest entry behind the front if full.
   CheckpointId push(CkptReason reason,
                     std::shared_ptr<const rt::ProcessCheckpoint> data);
 
@@ -49,14 +53,19 @@ class CheckpointStore {
   }
 
   std::size_t size() const { return entries_.size(); }
-  bool empty() const { return entries_.empty(); }
+  bool full() const { return entries_.size() >= capacity_; }
 
   /// Entries oldest-to-newest (ascending id: ids are monotonic and
-  /// eviction only removes from the front region). A deque so that the
-  /// ring's steady-state eviction (pop the oldest rotating entry) is O(1)
-  /// instead of a middle-of-vector erase shifting every retained
-  /// checkpoint.
+  /// eviction only removes from the front region). A deque so that
+  /// evicting slot 1 and dropping a run of front entries are O(1) per
+  /// entry instead of shifting every retained checkpoint.
   const std::deque<StoredCheckpoint>& entries() const { return entries_; }
+
+  /// Entry `index`'s vector clock, unchecked: a store reads as one row of
+  /// the recovery-line solver's history, in place.
+  const VectorClock& operator[](std::size_t index) const {
+    return entries_[index].data->vclock;
+  }
 
   const StoredCheckpoint& latest() const;
   const StoredCheckpoint& at(std::size_t index) const;
@@ -73,10 +82,18 @@ class CheckpointStore {
   /// Drop every checkpoint newer than `index` (after a rollback the undone
   /// future must not be restorable).
   void truncate_after(std::size_t index);
+  /// Drop every checkpoint older than `index`, which becomes the front (the
+  /// horizon advanced past them). They are released one per later push,
+  /// the rhythm of a ring's eviction: freeing half a store at once leaves
+  /// the allocator's caches cold for the captures that follow. Live and
+  /// dropped entries together never exceed the capacity.
+  void drop_before(std::size_t index);
 
  private:
   std::size_t capacity_;
   std::deque<StoredCheckpoint> entries_;
+  /// Dropped by drop_before() and not yet released.
+  std::vector<std::shared_ptr<const rt::ProcessCheckpoint>> dropped_;
   CheckpointId next_id_ = 0;
   std::uint64_t total_pushed_ = 0;
 };

@@ -1,15 +1,9 @@
 #include "ckpt/delivered_log.hpp"
 
-#include <algorithm>
-
 namespace fixd::ckpt {
 
 void DeliveredLog::append(const net::Message& msg,
                           std::uint64_t dst_own_after) {
-  if (capacity_ == 0) return;
-  // A mark slot per destination, made on its first delivery, so that
-  // evicting never allocates.
-  if (msg.dst >= evicted_mark_.size()) evicted_mark_.resize(msg.dst + 1, 0);
   const std::size_t n = msg.vclock.size();
   const std::uint64_t send_stamp = msg.vclock[msg.src];
 
@@ -41,14 +35,6 @@ void DeliveredLog::append(const net::Message& msg,
   p = put_varint(p, msg.spec_taints.size());
   for (SpecId s : msg.spec_taints) p = put_varint(p, s);
   *p = static_cast<std::byte>(msg.control ? 1 : 0);
-
-  if (records_.size() > capacity_) {
-    std::span<const std::byte> oldest;
-    records_.cursor().next(oldest);
-    const Head h = parse(oldest).head;
-    evicted_mark_[h.dst] = std::max(evicted_mark_[h.dst], h.dst_own_after);
-    records_.pop_front();
-  }
 }
 
 DeliveredLog::View DeliveredLog::parse(std::span<const std::byte> rec) {

@@ -12,16 +12,14 @@
 //         vclock size and entries, taint count and taints, control
 //
 // The message id is not stored: SimNetwork::reinject assigns a new one.
-// The log is a ring of `capacity` records, evicting the oldest, and marks
-// per destination the newest delivery it evicted, so that a rollback
-// reaching behind the ring is counted, never silent.
+// The log has no capacity of its own: the Time Machine drops the records
+// at or behind its horizon, which no rollback can undo, and keeps every
+// delivery after it.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "common/record_log.hpp"
 #include "net/message.hpp"
@@ -47,9 +45,7 @@ class DeliveredLog {
     net::Message decode() const;
   };
 
-  explicit DeliveredLog(std::size_t capacity) : capacity_(capacity) {}
-
-  /// Log one delivery; evicts the oldest record when over capacity.
+  /// Log one delivery.
   void append(const net::Message& msg, std::uint64_t dst_own_after);
 
   /// Visit every record oldest first; drop those for which `keep(view)`
@@ -61,24 +57,9 @@ class DeliveredLog {
         [&](std::span<const std::byte> rec) { return keep(parse(rec)); });
   }
 
-  /// The largest dst_own_after of a delivery to `dst` the ring evicted and
-  /// no rollback has undone since (0 when none). A rollback that puts
-  /// `dst`'s own clock below it may need a delivery the log no longer
-  /// holds.
-  std::uint64_t evicted_mark(ProcessId dst) const {
-    return dst < evicted_mark_.size() ? evicted_mark_[dst] : 0;
-  }
-  /// A rollback put `dst`'s own clock back to `own`: evicted deliveries
-  /// after it are undone, so the mark falls to at most `own`.
-  void rolled_back(ProcessId dst, std::uint64_t own) {
-    if (dst < evicted_mark_.size()) {
-      evicted_mark_[dst] = std::min(evicted_mark_[dst], own);
-    }
-  }
-
   std::size_t size() const { return records_.size(); }
   bool empty() const { return records_.empty(); }
-  void clear() { *this = DeliveredLog(capacity_); }
+  void clear() { records_.clear(); }
 
   /// Bytes the log holds allocated: every chunk's full capacity.
   std::size_t resident_bytes() const { return records_.resident_bytes(); }
@@ -90,9 +71,7 @@ class DeliveredLog {
  private:
   static View parse(std::span<const std::byte> rec);
 
-  std::size_t capacity_;
   RecordLog records_;
-  std::vector<std::uint64_t> evicted_mark_;  ///< by destination
 };
 
 }  // namespace fixd::ckpt

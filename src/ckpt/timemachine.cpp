@@ -7,9 +7,7 @@
 namespace fixd::ckpt {
 
 TimeMachine::TimeMachine(rt::World& world, TimeMachineOptions opts)
-    : world_(world),
-      opts_(opts),
-      delivered_log_(opts.delivered_log_capacity) {}
+    : world_(world), opts_(opts) {}
 
 TimeMachine::~TimeMachine() {
   if (attached_) detach();
@@ -46,6 +44,7 @@ void TimeMachine::reset() {
 
 CheckpointId TimeMachine::take_checkpoint(ProcessId pid, CkptReason reason) {
   FIXD_CHECK_MSG(pid < stores_.size(), "take_checkpoint: bad pid");
+  if (stores_[pid].full()) advance_horizon();
   // COW captures go through the world's capture cache: checkpointing a
   // process that is clean since its last capture stores a shared pointer.
   std::shared_ptr<const rt::ProcessCheckpoint> data =
@@ -105,18 +104,35 @@ void TimeMachine::on_deliver(const rt::World& w, const net::Message& msg) {
   delivered_log_.append(msg, w.vclock_of(msg.dst)[msg.dst]);
 }
 
-std::vector<std::vector<VectorClock>> TimeMachine::clock_history() const {
-  std::vector<std::vector<VectorClock>> hist(stores_.size());
-  for (std::size_t p = 0; p < stores_.size(); ++p) {
-    for (const auto& e : stores_[p].entries()) {
-      hist[p].push_back(e.data->vclock);
-    }
+void TimeMachine::advance_horizon() {
+  const std::size_t n = stores_.size();
+  std::vector<std::ptrdiff_t> cap(n);
+  for (std::size_t p = 0; p < n; ++p) {
+    cap[p] = static_cast<std::ptrdiff_t>(stores_[p].size() / 2);
   }
-  return hist;
+  const LineResult line = RecoveryLineSolver::solve_pinned(stores_, cap);
+  bool moved = false;
+  for (std::size_t p = 0; p < n; ++p) {
+    if (line.index[p] == 0) continue;
+    stores_[p].drop_before(line.index[p]);
+    moved = true;
+  }
+  if (!moved) return;
+  ++stats_.horizon_advances;
+
+  // A delivery at or behind the receiver's horizon checkpoint can never be
+  // undone, so no rollback will re-inject it.
+  std::vector<std::uint64_t> own(n);
+  for (std::size_t p = 0; p < n; ++p) {
+    own[p] = stores_[p].entries().front().data->vclock[p];
+  }
+  delivered_log_.retain_if([&](const DeliveredLog::View& rec) {
+    return rec.head.dst_own_after > own[rec.head.dst];
+  });
 }
 
 RecoveryLine TimeMachine::compute_line() const {
-  return line_of(RecoveryLineSolver::solve(clock_history()));
+  return line_of(RecoveryLineSolver::solve(stores_));
 }
 
 RecoveryLine TimeMachine::line_of(LineResult line) const {
@@ -147,8 +163,7 @@ RecoveryLine TimeMachine::rollback_pinned(
     const std::vector<std::ptrdiff_t>& pinned) {
   FIXD_CHECK_MSG(pinned.size() == stores_.size(),
                  "rollback_pinned: pin vector size mismatch");
-  RecoveryLine rl =
-      line_of(RecoveryLineSolver::solve_pinned(clock_history(), pinned));
+  RecoveryLine rl = line_of(RecoveryLineSolver::solve_pinned(stores_, pinned));
   execute_line(rl);
   return rl;
 }
@@ -182,15 +197,8 @@ void TimeMachine::execute_line(RecoveryLine& rl) {
   // 3. Re-inject logged messages that crossed the line: sent before the
   //    sender's cut, delivered after the receiver's cut. Without this the
   //    rollback would lose them (the classic in-transit message problem).
-  //    Only the records re-injected are decoded. A receiver cut behind a
-  //    delivery the log has evicted may need one it no longer holds: such
-  //    a rollback is counted, never silent.
-  for (ProcessId pid = 0; pid < n; ++pid) {
-    const std::uint64_t own = (*cut[pid])[pid];
-    if (own < delivered_log_.evicted_mark(pid)) ++rl.behind_log;
-    delivered_log_.rolled_back(pid, own);
-  }
-  stats_.destinations_behind_log += rl.behind_log;
+  //    Only the records re-injected are decoded. The line is at or after
+  //    the horizon, and the log holds every delivery after it.
   delivered_log_.retain_if([&](const DeliveredLog::View& rec) {
     const DeliveredLog::Head& h = rec.head;
     if (h.dst_own_after <= (*cut[h.dst])[h.dst]) return true;

@@ -8,9 +8,17 @@
 //     record each in a DeliveredLog) so that a rollback can re-inject
 //     messages that were in flight across the recovery line,
 //   - computes consistent recovery lines over the checkpoint histories
-//     (RecoveryLineSolver) and performs the actual rollback: restore each
-//     process, drop channel traffic sent after the line, re-inject logged
-//     messages delivered after the line.
+//     (RecoveryLineSolver, reading the stores in place) and performs the
+//     actual rollback: restore each process, drop channel traffic sent
+//     after the line, re-inject logged messages delivered after the line.
+//
+// History is bounded by one horizon: a consistent line kept as the front
+// of every CheckpointStore (the initial checkpoints at attach() and
+// reset()). When a store is full, the horizon advances to the latest
+// consistent line with every process capped at half its store, and the
+// delivered log drops every record at or behind it. Every line the solver
+// returns is at or after the horizon, and the log holds every delivery
+// after it, so no rollback loses a message that crossed its line.
 //
 // COW mode keeps checkpoints as shared page tables (cheap); full mode
 // serializes (transmissible). bench/fig2_time_machine measures both.
@@ -36,8 +44,6 @@ struct TimeMachineOptions {
   /// keeps pure senders checkpointed — without it their only checkpoint is
   /// the initial one and every receiver dominoes back to the start.
   bool cic = false;
-  /// Delivered-message log capacity (ring).
-  std::size_t delivered_log_capacity = 1 << 16;
 };
 
 struct TimeMachineStats {
@@ -49,8 +55,7 @@ struct TimeMachineStats {
   std::uint64_t rollbacks = 0;
   std::uint64_t messages_dropped = 0;    ///< sent-after-line channel drops
   std::uint64_t messages_reinjected = 0; ///< logged deliveries re-injected
-  /// Summed RecoveryLine::behind_log over every rollback.
-  std::uint64_t destinations_behind_log = 0;
+  std::uint64_t horizon_advances = 0;    ///< times the horizon moved forward
 };
 
 /// A computed (and possibly executed) recovery line.
@@ -59,10 +64,6 @@ struct RecoveryLine {
   std::vector<CheckpointId> ids;  ///< chosen checkpoint id per process
   std::size_t dropped = 0;
   std::size_t reinjected = 0;
-  /// Processes whose cut lies behind a delivery the log has evicted: a
-  /// message that crossed the line there cannot be re-injected. Nonzero
-  /// means the rollback may have lost messages.
-  std::size_t behind_log = 0;
 };
 
 class TimeMachine final : public rt::StepInterceptor,
@@ -82,12 +83,14 @@ class TimeMachine final : public rt::StepInterceptor,
   const TimeMachineOptions& options() const { return opts_; }
 
   /// Drop all history (stores + delivered-message log) and re-take initial
-  /// checkpoints of the current state. Used after a restart or a dynamic
-  /// update: old-version checkpoints are not valid restore points for the
-  /// new code, so the updated system starts a fresh checkpoint era.
+  /// checkpoints of the current state, which become the horizon. Used
+  /// after a restart or a dynamic update: old-version checkpoints are not
+  /// valid restore points for the new code, so the updated system starts a
+  /// fresh checkpoint era.
   void reset();
 
-  /// Manual checkpoint of one process.
+  /// Manual checkpoint of one process. Advances the horizon first when
+  /// the process's store is full.
   CheckpointId take_checkpoint(ProcessId pid,
                                CkptReason reason = CkptReason::kManual);
 
@@ -117,7 +120,8 @@ class TimeMachine final : public rt::StepInterceptor,
   /// Total retained checkpoint storage (bytes) across processes.
   std::uint64_t retained_bytes() const;
 
-  /// The delivered-message log, oldest delivery first.
+  /// The delivered-message log: every delivery after the horizon, oldest
+  /// first (and none at or behind it).
   const DeliveredLog& delivered_log() const { return delivered_log_; }
 
   // --- rt::StepInterceptor --------------------------------------------------
@@ -135,7 +139,10 @@ class TimeMachine final : public rt::StepInterceptor,
   void on_deliver(const rt::World& w, const net::Message& msg) override;
 
  private:
-  std::vector<std::vector<VectorClock>> clock_history() const;
+  /// Moves every store's front to the latest consistent line with each
+  /// process capped at half its store, and drops the deliveries at or
+  /// behind it from the log.
+  void advance_horizon();
   /// `line` with the checkpoint id each process is restored to.
   RecoveryLine line_of(LineResult line) const;
   void execute_line(RecoveryLine& rl);

@@ -87,17 +87,23 @@ BugReport FixdController::handle_fault(std::size_t attempt, FixdReport& rep) {
 
   // --- Phase: roll back to a consistent line (§3.2) ------------------------
   auto t0 = Clock::now();
-  ProcessId failed =
-      bug.violation.pid == kNoProcess ? 0 : bug.violation.pid;
-  // Latest checkpoint strictly before the violation step, deepened by
-  // `attempt` on retries.
-  const auto& entries = tm_.store(failed).entries();
-  std::size_t idx = 0;
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    if (entries[i].data->step <= bug.violation.step) idx = i;
+  const bool global = bug.violation.pid == kNoProcess;
+  const ProcessId failed = global ? 0 : bug.violation.pid;
+  // Pin the failed process, or every process for a global violation, at
+  // its latest checkpoint strictly before the violation step, deepened by
+  // `attempt` on retries. A checkpoint taken at that step may already hold
+  // the violating state (CIC's send-side one is taken after the event).
+  std::vector<std::ptrdiff_t> pinned(world_.size(), -1);
+  for (ProcessId p = 0; p < world_.size(); ++p) {
+    if (!global && p != failed) continue;
+    const auto& entries = tm_.store(p).entries();
+    std::size_t idx = 0;
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      if (entries[i].data->step < bug.violation.step) idx = i;
+    }
+    pinned[p] = static_cast<std::ptrdiff_t>(idx > attempt ? idx - attempt : 0);
   }
-  idx = (idx > attempt) ? idx - attempt : 0;
-  bug.line = tm_.rollback_to(failed, idx);
+  bug.line = tm_.rollback_pinned(pinned);
 
   // Work retained = events whose effects survive the rollback.
   std::uint64_t retained = 0;
@@ -329,13 +335,15 @@ bool FixdController::recover_via_line(const BugReport& bug,
   // channel (a unilateral leader declaration on the starved side of a cut)
   // is causally consistent with any peer state, so a single-process pin
   // would leave it standing. The failed process is deepened by one per
-  // prior use of this rung (deterministic backoff).
+  // prior use of this rung (deterministic backoff). An onset older than a
+  // process's horizon checkpoint has no line behind it: the rung refuses
+  // before rolling anything back.
   std::vector<std::ptrdiff_t> pinned(world_.size(), -1);
   std::size_t failed_idx = 0;
   for (ProcessId p = 0; p < world_.size(); ++p) {
     const auto& entries = tm_.store(p).entries();
-    if (entries.empty()) {
-      detail = "no checkpoints for p" + std::to_string(p);
+    if (entries.front().data->at > onset) {
+      detail = "onset behind the horizon";
       return false;
     }
     std::size_t idx = 0;
@@ -349,13 +357,6 @@ bool FixdController::recover_via_line(const BugReport& bug,
     pinned[p] = static_cast<std::ptrdiff_t>(idx);
   }
   ckpt::RecoveryLine line = tm_.rollback_pinned(pinned);
-  const std::size_t idx = failed_idx;
-  if (line.behind_log > 0) {
-    // A crossing the ring evicted may be lost: resuming could wedge the
-    // run, so the ladder escalates instead.
-    detail = "line reaches behind the delivered log";
-    return false;
-  }
 
   // Heal the cut: the resumed run models the partition as over. Collected
   // first, then healed through the model wrappers so the replay key chain
@@ -383,7 +384,7 @@ bool FixdController::recover_via_line(const BugReport& bug,
   world_.recheck_invariants();
   if (world_.has_violation()) {
     detail = "rolled p" + std::to_string(failed) + " to checkpoint " +
-             std::to_string(idx) + " but invariants still fail";
+             std::to_string(failed_idx) + " but invariants still fail";
     return false;
   }
   detail = "rolled back " + std::to_string(line.line.total_rollback()) +
@@ -404,10 +405,7 @@ bool FixdController::recover_via_degrade(const BugReport& bug, FixdReport& rep,
   // events. Restoring one process alone is causally inconsistent in
   // general, but a quarantined process never acts on that state again; it
   // only has to stop tripping the invariant.
-  const auto& entries = tm_.store(victim).entries();
-  if (!entries.empty()) {
-    world_.restore_process(victim, *entries.back().data);
-  }
+  world_.restore_process(victim, *tm_.store(victim).latest().data);
   world_.set_crashed(victim, true);
   world_.clear_violations();
   world_.recheck_invariants();

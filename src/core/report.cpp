@@ -22,11 +22,7 @@ std::string BugReport::render() const {
   os << "recovery line: rollback depth " << line.line.total_rollback()
      << " checkpoints, " << line.line.total_events_undone()
      << " events undone, " << line.dropped << " in-flight messages dropped, "
-     << line.reinjected << " re-injected";
-  if (line.behind_log > 0) {
-    os << ", " << line.behind_log << " process(es) behind the delivered log";
-  }
-  os << "\n";
+     << line.reinjected << " re-injected\n";
   os << "collection: " << collect.control_messages << " control messages, "
      << collect.control_bytes << " bytes, " << collect.checkpoints_collected
      << " checkpoints, " << collect.models_collected << " models\n";

@@ -2,12 +2,12 @@
 // record log (common/record_log.hpp; its store-level tests are in
 // test_common_record_log.cpp).
 //
-// Round trips every message field, keeps a ring of its capacity, marks
-// per destination the newest delivery it evicted, and stays near one
-// record's bytes per delivery on a protect-sized kv run. This binary
-// replaces the global operator new with a counting one (test binaries are
-// per file, so the replacement is scoped to this file) to check that
-// logging a delivery allocates only when a chunk fills.
+// Round trips every message field, keeps every delivery in order, stays
+// near one record's bytes per delivery on a protect-sized kv run, and
+// under the Time Machine holds only the deliveries after its horizon.
+// This binary replaces the global operator new with a counting one (test
+// binaries are per file, so the replacement is scoped to this file) to
+// check that logging a delivery allocates only when a chunk fills.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -107,7 +107,7 @@ TEST(DeliveredLog, RoundTripsEveryField) {
   sent.push_back(make_message(11, RecordLog::kMaxChunkBytes + 5));
   sent.push_back(make_message(12));
 
-  DeliveredLog log(16);
+  DeliveredLog log;
   for (std::size_t i = 0; i < sent.size(); ++i) log.append(sent[i], 40 + i);
   ASSERT_EQ(log.size(), sent.size());
   EXPECT_GT(log.largest_chunk_bytes(), RecordLog::kMaxChunkBytes);
@@ -130,64 +130,41 @@ TEST(DeliveredLog, RoundTripsEveryField) {
   }
 }
 
-TEST(DeliveredLog, KeepsARingOfItsCapacity) {
-  DeliveredLog log(100);
-  for (std::uint64_t i = 0; i < 50000; ++i) log.append(make_message(i), i);
-  EXPECT_EQ(log.size(), 100u);
+TEST(DeliveredLog, KeepsEveryDeliveryInOrder) {
+  DeliveredLog log;
+  for (std::uint64_t i = 0; i < 5000; ++i) log.append(make_message(i), i);
+  EXPECT_EQ(log.size(), 5000u);
   const std::vector<net::Message> kept = decode_all(log);
-  ASSERT_EQ(kept.size(), 100u);
+  ASSERT_EQ(kept.size(), 5000u);
   for (std::size_t k = 0; k < kept.size(); ++k) {
     SCOPED_TRACE(k);
-    expect_same(kept[k], make_message(50000 - 100 + k));
+    expect_same(kept[k], make_message(k));
   }
 
-  DeliveredLog none(0);
-  none.append(make_message(1), 1);
-  EXPECT_TRUE(none.empty());
-  EXPECT_EQ(none.resident_bytes(), 0u);
-}
-
-// Per destination, the mark is the largest dst_own_after the ring evicted;
-// a rollback lowers it to the destination's cut, and clear() forgets it.
-TEST(DeliveredLog, MarksTheNewestEvictedDeliveryPerDestination) {
-  DeliveredLog log(8);
-  // Message i goes to (i + 1) % 4 with dst_own_after 10 * i.
-  for (std::uint64_t i = 0; i < 8; ++i) log.append(make_message(i), 10 * i);
-  for (ProcessId p = 0; p < 5; ++p) EXPECT_EQ(log.evicted_mark(p), 0u);
-
-  for (std::uint64_t i = 8; i < 14; ++i) log.append(make_message(i), 10 * i);
-  // Evicted: messages 0..5, to destinations 1, 2, 3, 0, 1, 2.
-  EXPECT_EQ(log.evicted_mark(0), 30u);
-  EXPECT_EQ(log.evicted_mark(1), 40u);
-  EXPECT_EQ(log.evicted_mark(2), 50u);
-  EXPECT_EQ(log.evicted_mark(3), 20u);
-  EXPECT_EQ(log.evicted_mark(4), 0u);  // never a destination
-
-  log.rolled_back(2, 45);
-  log.rolled_back(3, 45);
-  log.rolled_back(9, 1);  // never a destination: no effect
-  EXPECT_EQ(log.evicted_mark(2), 45u);
-  EXPECT_EQ(log.evicted_mark(3), 20u);
-
   log.clear();
-  for (ProcessId p = 0; p < 4; ++p) EXPECT_EQ(log.evicted_mark(p), 0u);
+  EXPECT_TRUE(log.empty());
+  log.append(make_message(1), 1);
+  EXPECT_EQ(log.size(), 1u);
 }
 
-TEST(DeliveredLog, RetainIfAfterEvictionKeepsTheRing) {
-  // Filter a ring whose head sits mid-chunk, then append until the ring
-  // evicts some of the records the filter kept.
-  DeliveredLog log(500);
+TEST(DeliveredLog, AppendAfterAHorizonTrimKeepsOrder) {
+  // Drop an older run of records the way a horizon advance does (a
+  // per-destination bound, so the kept ones start mid-chunk and interleave
+  // with dropped ones), then append behind them.
+  DeliveredLog log;
   for (std::uint64_t i = 0; i < 3000; ++i) log.append(make_message(i), i);
-  log.retain_if([](const DeliveredLog::View& v) { return v.head.src != 1; });
+  const std::uint64_t horizon[4] = {2500, 2400, 2600, 2450};
+  log.retain_if([&](const DeliveredLog::View& v) {
+    return v.head.dst_own_after > horizon[v.head.dst];
+  });
   std::vector<std::uint64_t> want;
-  for (std::uint64_t i = 2500; i < 3000; ++i) {
-    if (i % 4 != 1) want.push_back(i);
+  for (std::uint64_t i = 0; i < 3000; ++i) {
+    if (i > horizon[(i + 1) % 4]) want.push_back(i);
   }
   for (std::uint64_t i = 3000; i < 3300; ++i) {
     log.append(make_message(i), i);
     want.push_back(i);
   }
-  want.erase(want.begin(), want.end() - 500);
   const std::vector<net::Message> kept = decode_all(log);
   ASSERT_EQ(kept.size(), want.size());
   for (std::size_t k = 0; k < kept.size(); ++k) {
@@ -206,24 +183,49 @@ std::unique_ptr<rt::World> make_protect_world(std::uint64_t seed) {
   return apps::make_kv_world(4, 2, cfg, wo);
 }
 
-// The e2e `protect` workload's world and Time Machine policy: every
-// delivery is logged (60k of them, under the 65536-record ring) at no more
-// than 96 B each plus the chunk being filled. A full Message copy per
-// delivery costs about 245 B.
+/// Logs every delivery into a bare DeliveredLog, as the Time Machine's
+/// observer does, but never drops one.
+class BareLog final : public rt::RuntimeObserver {
+ public:
+  void on_deliver(const rt::World& w, const net::Message& msg) override {
+    log.append(msg, w.vclock_of(msg.dst)[msg.dst]);
+  }
+  DeliveredLog log;
+};
+
+// The e2e `protect` workload's world and Time Machine policy. A bare log
+// fed every delivery (60k of them) keeps no more than 96 B each plus the
+// chunk being filled; a full Message copy per delivery costs about 245 B.
+// The Time Machine's own log holds only the deliveries after its horizon,
+// which checkpoints keep advancing: a few hundred of them.
 TEST(TimeMachineLog, ResidentBytesStayNearOneRecordPerDelivery) {
   auto w = make_protect_world(1);
   TimeMachineOptions o;
   o.cic = true;
   TimeMachine tm(*w, o);
+  BareLog bare;
+  w->add_observer(&bare);
   tm.attach();
   const rt::RunResult res = w->run();
+  w->remove_observer(&bare);
   ASSERT_NE(res.reason, rt::StopReason::kViolation);
 
-  const std::size_t records = tm.delivered_log().size();
+  const std::size_t records = bare.log.size();
   EXPECT_EQ(records, w->network().stats().delivered);
   EXPECT_GT(records, 50000u);
-  EXPECT_LE(tm.delivered_log().resident_bytes(),
-            96 * records + tm.delivered_log().largest_chunk_bytes());
+  EXPECT_LE(bare.log.resident_bytes(),
+            96 * records + bare.log.largest_chunk_bytes());
+
+  EXPECT_GT(tm.stats().horizon_advances, 0u);
+  EXPECT_LT(tm.delivered_log().size(), 1000u);
+  std::size_t behind = 0;
+  DeliveredLog held = tm.delivered_log();  // a copy, to read its records
+  held.retain_if([&](const DeliveredLog::View& v) {
+    const VectorClock& h = tm.store(v.head.dst).entries().front().data->vclock;
+    if (v.head.dst_own_after <= h[v.head.dst]) ++behind;
+    return true;
+  });
+  EXPECT_EQ(behind, 0u);
 }
 
 TEST(TimeMachineLog, OnDeliverAllocatesOnlyWhenAChunkFills) {
@@ -232,7 +234,7 @@ TEST(TimeMachineLog, OnDeliverAllocatesOnlyWhenAChunkFills) {
   cfg.key_space = 8;
   auto w = apps::make_kv_world(3, 2, cfg);
   TimeMachineOptions o;
-  o.delivered_log_capacity = 2000;  // small: eviction frees chunks too
+  o.store_capacity = 4;  // small: horizon advances free chunks too
   TimeMachine tm(*w, o);
   tm.attach();
   w->run(20);
@@ -243,6 +245,11 @@ TEST(TimeMachineLog, OnDeliverAllocatesOnlyWhenAChunkFills) {
   std::uint64_t chunk_calls = 0;
   std::uint64_t stray = 0;
   for (int i = 0; i < 100000; ++i) {
+    // The world does not move, so checkpoints put the horizon at the
+    // logged deliveries' own clocks: every advance drops them all.
+    if (i % 2000 == 0) {
+      for (ProcessId p = 0; p < w->size(); ++p) tm.take_checkpoint(p);
+    }
     const std::size_t resident = tm.delivered_log().resident_bytes();
     const std::uint64_t before = allocations();
     tm.on_deliver(*w, msg);
@@ -253,8 +260,12 @@ TEST(TimeMachineLog, OnDeliverAllocatesOnlyWhenAChunkFills) {
     }
   }
   EXPECT_EQ(stray, 0u);
-  EXPECT_GT(chunk_calls, 0u);  // the ring did turn over chunks
-  EXPECT_EQ(tm.delivered_log().size(), 2000u);
+  EXPECT_GT(chunk_calls, 0u);
+  // The horizon did turn over chunks: the log holds at most the deliveries
+  // of the last two checkpoint rounds, not all 100100.
+  EXPECT_GT(tm.stats().horizon_advances, 10u);
+  EXPECT_LE(tm.delivered_log().size(), 4000u);
+  EXPECT_LT(tm.delivered_log().resident_bytes(), 100 * 4000u);
 }
 
 }  // namespace

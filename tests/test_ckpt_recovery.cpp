@@ -2,6 +2,9 @@
 // and randomized no-orphan properties.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+
 #include "apps/rep_counter.hpp"
 #include "ckpt/recovery.hpp"
 #include "ckpt/timemachine.hpp"
@@ -168,8 +171,52 @@ TEST(CheckpointStore, PinnedInitialSurvivesEviction) {
   EXPECT_EQ(store.total_pushed(), 11u);
 }
 
+// Whatever its reason, the front entry is the pinned one: after
+// drop_before() moves the front up, pushes into a full store evict the
+// oldest entry behind it.
+TEST(CheckpointStore, DropBeforeMovesThePinnedFront) {
+  CheckpointStore store(4);
+  rt::ProcessCheckpoint dummy;
+  for (int i = 0; i < 4; ++i) store.push(CkptReason::kManual, dummy);
+  store.drop_before(2);
+  ASSERT_EQ(store.size(), 2u);
+  EXPECT_EQ(store.entries().front().id, 2u);
+  EXPECT_FALSE(store.full());
+  for (int i = 0; i < 5; ++i) store.push(CkptReason::kCic, dummy);
+  EXPECT_TRUE(store.full());
+  EXPECT_EQ(store.entries().front().id, 2u);
+  EXPECT_EQ(store.entries()[1].id, 6u);
+  EXPECT_EQ(store.latest().id, 8u);
+  EXPECT_EQ(store.find(3), nullptr);
+  EXPECT_THROW(store.drop_before(4), FixdError);
+}
+
+// Dropped checkpoints are released one per later push, so that live and
+// dropped ones together never exceed the capacity.
+TEST(CheckpointStore, DroppedCheckpointsAreReleasedOnePerPush) {
+  CheckpointStore store(4);
+  std::vector<std::weak_ptr<const rt::ProcessCheckpoint>> pushed;
+  auto push = [&] {
+    auto c = std::make_shared<const rt::ProcessCheckpoint>();
+    pushed.push_back(c);
+    store.push(CkptReason::kCic, std::move(c));
+  };
+  for (int i = 0; i < 4; ++i) push();
+  store.drop_before(3);
+  for (int i = 0; i < 3; ++i) EXPECT_FALSE(pushed[i].expired()) << i;
+  push();
+  EXPECT_EQ(std::count_if(pushed.begin(), pushed.begin() + 3,
+                          [](const auto& c) { return c.expired(); }),
+            1);
+  push();
+  push();
+  for (int i = 0; i < 3; ++i) EXPECT_TRUE(pushed[i].expired()) << i;
+  EXPECT_EQ(store.size(), 4u);
+  for (int i = 3; i < 7; ++i) EXPECT_FALSE(pushed[i].expired()) << i;
+}
+
 TEST(CheckpointStore, CapacityBelowTwoIsRejected) {
-  // Two is the pinned initial checkpoint plus one rotating slot; less
+  // Two is the pinned front checkpoint plus one rotating slot; less
   // would leave nothing to evict and the store would grow without bound.
   EXPECT_THROW(CheckpointStore(0), ConfigError);
   EXPECT_THROW(CheckpointStore(1), ConfigError);

@@ -207,33 +207,27 @@ TEST(TimeMachine, DetachStopsCheckpointing) {
 //
 // A reference observer keeps what the delivered-message log must
 // reproduce: a full copy of every delivered message and the receiver's own
-// clock component after it. It keeps every delivery, and marks evicted the
-// ones a ring of the log's capacity would have dropped. A rollback must
-// re-inject exactly the crossings it still holds, in log order; a crossing
-// it marked evicted is lost, and the rollback must report that.
+// clock component after it. It never drops one. A rollback must re-inject
+// exactly the crossings it holds, in log order. A crossing at or behind the
+// Time Machine's horizon would be one the log has dropped, and so lost; the
+// reference counts those, and must find none.
 
 class ReferenceLog final : public rt::RuntimeObserver {
  public:
-  explicit ReferenceLog(std::size_t capacity) : capacity_(capacity) {}
-
   void on_deliver(const rt::World& w, const net::Message& msg) override {
-    records_.push_back({msg, w.vclock_of(msg.dst)[msg.dst], false});
-    if (++held_ > capacity_) {
-      auto oldest = std::find_if(records_.begin(), records_.end(),
-                                 [](const Record& r) { return !r.evicted; });
-      oldest->evicted = true;
-      --held_;
-    }
+    records_.push_back({msg, w.vclock_of(msg.dst)[msg.dst]});
   }
 
   struct Rollback {
     std::vector<net::Message> reinjected;  ///< in log order
-    std::size_t lost = 0;  ///< evicted crossings: cannot be re-injected
+    std::size_t lost = 0;  ///< crossings at or behind the horizon
   };
 
-  /// What a rollback to `cut` re-injects and loses; forgets every delivery
-  /// the rollback undoes.
-  Rollback roll_back(const std::vector<VectorClock>& cut) {
+  /// What a rollback to `cut` re-injects, and how many of those crossings
+  /// lie at or behind `horizon` (per process, its own clock component);
+  /// forgets every delivery the rollback undoes.
+  Rollback roll_back(const std::vector<VectorClock>& cut,
+                     const std::vector<std::uint64_t>& horizon) {
     Rollback out;
     std::deque<Record> keep;
     for (Record& r : records_) {
@@ -242,13 +236,9 @@ class ReferenceLog final : public rt::RuntimeObserver {
         keep.push_back(std::move(r));
         continue;
       }
-      if (!r.evicted) --held_;
       if (m.vclock[m.src] <= cut[m.src][m.src]) {
-        if (r.evicted) {
-          ++out.lost;
-        } else {
-          out.reinjected.push_back(m);
-        }
+        if (r.dst_own_after <= horizon[m.dst]) ++out.lost;
+        out.reinjected.push_back(m);
       }
     }
     records_ = std::move(keep);
@@ -259,10 +249,7 @@ class ReferenceLog final : public rt::RuntimeObserver {
   struct Record {
     net::Message msg;
     std::uint64_t dst_own_after;
-    bool evicted;
   };
-  std::size_t capacity_;
-  std::size_t held_ = 0;  ///< records not marked evicted
   std::deque<Record> records_;
 };
 
@@ -281,16 +268,19 @@ void expect_same_message(const net::Message& got, const net::Message& want,
   EXPECT_EQ(got.content_digest(), want.content_digest()) << "message " << i;
 }
 
-constexpr std::size_t kFullLog = TimeMachineOptions{}.delivered_log_capacity;
+constexpr std::size_t kDefaultStore = TimeMachineOptions{}.store_capacity;
 
 /// Rolls `w` back at a random (pid, index), through rollback_pinned when
-/// `pinned` is set, and checks the drops, the re-injections and the
-/// report of lost crossings against `ref`; adds the crossings `ref` found
-/// lost to `lost`.
+/// `pinned` is set, and checks the drops and the re-injections against
+/// `ref`; adds the crossings `ref` found behind the horizon to `lost`.
 void rollback_against_reference(rt::World& w, TimeMachine& tm,
                                 ReferenceLog& ref, Rng& rng, bool pinned,
                                 std::size_t& lost) {
   const std::size_t n = w.size();
+  std::vector<std::uint64_t> horizon;
+  for (ProcessId p = 0; p < n; ++p) {
+    horizon.push_back(tm.store(p).entries().front().data->vclock[p]);
+  }
   std::unordered_set<MsgId> before;
   std::vector<net::Message> in_flight;
   for (const net::Message* m : w.network().pending()) {
@@ -321,7 +311,7 @@ void rollback_against_reference(rt::World& w, TimeMachine& tm,
   for (const net::Message& m : in_flight) {
     if (m.vclock[m.src] > cut[m.src][m.src]) ++dropped;
   }
-  const ReferenceLog::Rollback ref_rl = ref.roll_back(cut);
+  const ReferenceLog::Rollback ref_rl = ref.roll_back(cut, horizon);
   const std::vector<net::Message>& want = ref_rl.reinjected;
 
   // Re-injected messages take fresh ids, so they are the pending messages
@@ -337,14 +327,7 @@ void rollback_against_reference(rt::World& w, TimeMachine& tm,
 
   EXPECT_EQ(rl.dropped, dropped);
   EXPECT_EQ(rl.reinjected, want.size());
-  // A rollback that loses a crossing reports it; one the log fully backs
-  // reports nothing behind it (the full log never evicts).
-  if (ref_rl.lost > 0) {
-    EXPECT_GT(rl.behind_log, 0u) << ref_rl.lost << " crossing(s) lost";
-  }
-  if (tm.options().delivered_log_capacity == kFullLog) {
-    EXPECT_EQ(rl.behind_log, 0u);
-  }
+  EXPECT_EQ(ref_rl.lost, 0u) << "crossing(s) behind the horizon";
   lost += ref_rl.lost;
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
@@ -355,12 +338,12 @@ void rollback_against_reference(rt::World& w, TimeMachine& tm,
 struct OracleCase {
   bool kv = false;
   std::uint64_t seed = 1;
-  std::size_t log_capacity = kFullLog;
+  std::size_t store_capacity = kDefaultStore;
 };
 
 void PrintTo(const OracleCase& c, std::ostream* os) {
-  *os << (c.kv ? "kv" : "counter") << " seed " << c.seed << " log capacity "
-      << c.log_capacity;
+  *os << (c.kv ? "kv" : "counter") << " seed " << c.seed
+      << " store capacity " << c.store_capacity;
 }
 
 class ReinjectionOracle : public ::testing::TestWithParam<OracleCase> {};
@@ -382,19 +365,19 @@ std::unique_ptr<rt::World> make_oracle_world(const OracleCase& c) {
 struct OracleRun {
   std::uint64_t reinjected = 0;  ///< messages the rollbacks re-injected
   std::size_t lost = 0;          ///< crossings the reference found lost
-  std::uint64_t behind_log = 0;  ///< TimeMachineStats::destinations_behind_log
+  std::uint64_t advances = 0;    ///< TimeMachineStats::horizon_advances
 };
 
 // Three rollbacks per run, alternating rollback_to and rollback_pinned, so
 // later ones read a log that earlier ones compacted; the run then
-// finishes.
+// finishes, which it cannot do if a rollback lost a crossing.
 OracleRun run_oracle(const OracleCase& c) {
   auto w = make_oracle_world(c);
   TimeMachineOptions o;
   o.cic = true;
-  o.delivered_log_capacity = c.log_capacity;
+  o.store_capacity = c.store_capacity;
   TimeMachine tm(*w, o);
-  ReferenceLog ref(c.log_capacity);
+  ReferenceLog ref;
   w->add_observer(&ref);
   tm.attach();
 
@@ -406,9 +389,7 @@ OracleRun run_oracle(const OracleCase& c) {
     rollback_against_reference(*w, tm, ref, rng, round % 2 == 1, run.lost);
     if (::testing::Test::HasFatalFailure()) break;
   }
-  // A ring smaller than the run forgets deliveries that crossed the line,
-  // and the run cannot finish without them: only a full log must.
-  if (!::testing::Test::HasFatalFailure() && c.log_capacity == kFullLog) {
+  if (!::testing::Test::HasFatalFailure()) {
     rt::RunResult res = w->run(200000);
     EXPECT_EQ(res.reason, rt::StopReason::kAllHalted);
     EXPECT_FALSE(w->has_violation());
@@ -423,7 +404,7 @@ OracleRun run_oracle(const OracleCase& c) {
   }
   w->remove_observer(&ref);
   run.reinjected = tm.stats().messages_reinjected;
-  run.behind_log = tm.stats().destinations_behind_log;
+  run.advances = tm.stats().horizon_advances;
   return run;
 }
 
@@ -435,10 +416,12 @@ std::vector<OracleCase> oracle_cases() {
   std::vector<OracleCase> cases;
   for (bool kv : {false, true}) {
     for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-      cases.push_back({kv, seed});
-      // A ring far smaller than the run: only the newest eight deliveries
-      // can be re-injected.
-      cases.push_back({kv, seed, 8});
+      // Stores far smaller than the run: the horizon advances, and the log
+      // drops the deliveries behind it.
+      for (std::size_t cap : {kDefaultStore, std::size_t{2}, std::size_t{3},
+                              std::size_t{8}}) {
+        cases.push_back({kv, seed, cap});
+      }
     }
   }
   return cases;
@@ -448,36 +431,67 @@ INSTANTIATE_TEST_SUITE_P(
     Worlds, ReinjectionOracle, ::testing::ValuesIn(oracle_cases()),
     [](const ::testing::TestParamInfo<OracleCase>& info) {
       return std::string(info.param.kv ? "kv" : "counter") + "_seed" +
-             std::to_string(info.param.seed) + "_cap" +
-             std::to_string(info.param.log_capacity);
+             std::to_string(info.param.seed) + "_store" +
+             std::to_string(info.param.store_capacity);
     });
 
 // The oracle is only as strong as its runs: across seeds, rollbacks must
-// actually re-inject, with the full log and with the eight-record ring,
-// and the ring's rollbacks must lose crossings (so that their report is
-// checked) while the full log's lose none and report none.
+// actually re-inject at every store capacity, the small stores' horizons
+// must advance in every run (so that the log has dropped deliveries by the
+// time a rollback reads it), and no crossing may be lost.
 TEST(ReinjectionOracleRuns, ReinjectSomeMessages) {
-  for (std::size_t cap : {kFullLog, std::size_t{8}}) {
+  for (std::size_t cap : {kDefaultStore, std::size_t{2}, std::size_t{3},
+                          std::size_t{8}}) {
     for (bool kv : {false, true}) {
+      SCOPED_TRACE(std::string(kv ? "kv" : "counter") + " store " +
+                   std::to_string(cap));
       OracleRun total;
       for (std::uint64_t seed = 1; seed <= 8; ++seed) {
         const OracleRun run = run_oracle({kv, seed, cap});
         total.reinjected += run.reinjected;
         total.lost += run.lost;
-        total.behind_log += run.behind_log;
+        if (cap < kDefaultStore) {
+          EXPECT_GE(run.advances, 1u) << "seed " << seed;
+        }
       }
-      SCOPED_TRACE(std::string(kv ? "kv" : "counter") + " cap " +
-                   std::to_string(cap));
       EXPECT_GT(total.reinjected, 0u);
-      if (cap == kFullLog) {
-        EXPECT_EQ(total.lost, 0u);
-        EXPECT_EQ(total.behind_log, 0u);
-      } else {
-        EXPECT_GT(total.lost, 0u);
-        EXPECT_GT(total.behind_log, 0u);
-      }
+      EXPECT_EQ(total.lost, 0u);
     }
   }
+}
+
+// After a long CIC run in small stores, the horizon (every store's front)
+// is a consistent line, no store exceeds its capacity, and the log holds
+// only deliveries after the horizon.
+TEST(TimeMachine, HorizonIsAConsistentLineAheadOfTheLog) {
+  apps::KvConfig cfg;
+  cfg.total_ops = 400;
+  cfg.key_space = 8;
+  auto w = apps::make_kv_world(4, 2, cfg);
+  TimeMachineOptions o;
+  o.cic = true;
+  o.store_capacity = 8;
+  TimeMachine tm(*w, o);
+  tm.attach();
+  w->run(200000);
+  EXPECT_GT(tm.stats().horizon_advances, 10u);
+
+  std::vector<std::vector<VectorClock>> fronts(w->size());
+  for (ProcessId p = 0; p < w->size(); ++p) {
+    EXPECT_LE(tm.store(p).size(), 8u);
+    fronts[p].push_back(tm.store(p).entries().front().data->vclock);
+  }
+  EXPECT_TRUE(RecoveryLineSolver::consistent(
+      fronts, std::vector<std::size_t>(w->size(), 0)));
+
+  std::size_t behind = 0;
+  DeliveredLog held = tm.delivered_log();  // a copy, to read its records
+  held.retain_if([&](const DeliveredLog::View& v) {
+    if (v.head.dst_own_after <= fronts[v.head.dst][0][v.head.dst]) ++behind;
+    return true;
+  });
+  EXPECT_EQ(behind, 0u);
+  EXPECT_LT(tm.delivered_log().size(), w->network().stats().delivered);
 }
 
 }  // namespace

@@ -327,13 +327,8 @@ TEST(FixdPipeline, StaleReadUnderPartitionEscalatesToLineHeal) {
   inj.detach(*w);
 }
 
-// The same stale read with a delivered-message log of two records: the
-// line rung's rollback reaches behind deliveries the ring evicted, so it
-// may have lost a crossing. The rung refuses to resume there and the
-// ladder escalates to a restart, which completes the run.
-TEST(FixdPipeline, LineBehindTheDeliveredLogEscalates) {
+std::unique_ptr<rt::World> make_partitioned_kv(fault::FaultInjector& inj) {
   auto w = apps::make_kv_partition_world(2, 1);
-  fault::FaultInjector inj;
   fault::FaultSpec spec;
   spec.kind = fault::FaultKind::kPartition;
   spec.group_a = {0};
@@ -341,14 +336,27 @@ TEST(FixdPipeline, LineBehindTheDeliveredLogEscalates) {
   spec.symmetric = false;
   inj.add(spec);
   inj.attach(*w);
+  return w;
+}
 
+FixdOptions small_store_line_options() {
   FixdOptions o;
   o.install_invariants = apps::install_kv_partition_invariants;
   o.investigate.max_states = 1500;
   o.investigate.max_depth = 30;
   o.line_budget = 2;
-  o.tm.delivered_log_capacity = 2;
-  FixdController fixd(*w, o);
+  o.tm.store_capacity = 2;
+  return o;
+}
+
+// The same stale read with stores of two checkpoints: the horizon keeps
+// up with the run, so the partition onset lies behind it and no line can
+// reach back there. The line rung refuses before rolling anything back,
+// and the ladder escalates to a restart, which completes the run.
+TEST(FixdPipeline, OnsetBehindTheHorizonEscalates) {
+  fault::FaultInjector inj;
+  auto w = make_partitioned_kv(inj);
+  FixdController fixd(*w, small_store_line_options());
   FixdReport rep = fixd.run_protected();
 
   EXPECT_TRUE(rep.completed) << rep.render();
@@ -356,14 +364,88 @@ TEST(FixdPipeline, LineBehindTheDeliveredLogEscalates) {
   for (const RungOutcome& ro : rep.ladder) {
     if (ro.rung != RecoveryRung::kRecoveryLine) continue;
     EXPECT_FALSE(ro.ok) << rep.render();
-    if (ro.detail == "line reaches behind the delivered log") {
-      line_refused = true;
-    }
+    if (ro.detail == "onset behind the horizon") line_refused = true;
   }
   EXPECT_TRUE(line_refused) << rep.render();
   EXPECT_GE(rep.restarts, 1u) << rep.render();
-  EXPECT_GT(fixd.time_machine().stats().destinations_behind_log, 0u);
+  EXPECT_GT(fixd.time_machine().stats().horizon_advances, 0u);
   inj.detach(*w);
+}
+
+// The refused rung leaves the world as it found it: with no restart to
+// follow, the run ends in the same state as one whose line rung is off.
+TEST(FixdPipeline, RefusedLineRungLeavesTheWorldUnchanged) {
+  std::uint64_t digest[2] = {0, 0};
+  for (std::size_t budget : {0, 2}) {
+    fault::FaultInjector inj;
+    auto w = make_partitioned_kv(inj);
+    FixdOptions o = small_store_line_options();
+    o.line_budget = budget;
+    o.restart_on_heal_failure = false;
+    FixdController fixd(*w, o);
+    FixdReport rep = fixd.run_protected();
+    EXPECT_FALSE(rep.completed) << rep.render();
+    ASSERT_EQ(rep.ladder.size(), budget == 0 ? 0u : 1u) << rep.render();
+    if (budget > 0) {
+      EXPECT_EQ(rep.ladder[0].detail, "onset behind the horizon");
+    }
+    digest[budget == 0 ? 0 : 1] = w->digest();
+    inj.detach(*w);
+  }
+  EXPECT_EQ(digest[0], digest[1]);
+}
+
+// The rollback lands strictly before the violating step. CIC takes the
+// sender's checkpoint after the violating event has run, so a checkpoint at
+// the violation's own step may already hold the bad state; pinning there
+// undid nothing.
+TEST(FixdPipeline, RollbackPinsACheckpointBeforeTheViolation) {
+  auto w = make_counter_world(4, 1, CounterConfig{6});
+  FixdOptions o = counter_options();
+  o.max_recovery_attempts = 1;  // stop after the rollback and investigation
+  FixdController fixd(*w, o);
+  FixdReport rep = fixd.run_protected();
+  ASSERT_EQ(rep.bugs.size(), 1u);
+  const BugReport& bug = rep.bugs[0];
+  ASSERT_NE(bug.violation.pid, kNoProcess);
+  EXPECT_GT(bug.line.line.total_events_undone(), 0u) << rep.render();
+  const ckpt::StoredCheckpoint* pinned =
+      fixd.time_machine().store(bug.violation.pid).find(
+          bug.line.ids[bug.violation.pid]);
+  ASSERT_NE(pinned, nullptr);
+  EXPECT_LT(pinned->data->step, bug.violation.step);
+}
+
+// A global violation (two leaders) pins every process before it, not just
+// p0: a line that leaves the other leader standing is still split, and the
+// investigation starts from a state that already violates.
+TEST(FixdPipeline, GlobalViolationRollsEveryProcessBack) {
+  apps::ElectionConfig cfg;
+  rt::WorldOptions wopts;
+  wopts.env_seed = apps::find_colliding_env_seed(5, cfg);
+  auto w = apps::make_election_world(5, 1, cfg, wopts);
+  FixdOptions o;
+  o.install_invariants = apps::install_election_invariants;
+  o.investigate.order = mc::SearchOrder::kBfs;
+  o.investigate.max_states = 20000;
+  o.investigate.max_depth = 160;
+  o.max_recovery_attempts = 1;
+  FixdController fixd(*w, o);
+  FixdReport rep = fixd.run_protected();
+  ASSERT_EQ(rep.bugs.size(), 1u);
+  const BugReport& bug = rep.bugs[0];
+  ASSERT_EQ(bug.violation.pid, kNoProcess);
+  EXPECT_GT(bug.line.line.total_events_undone(), 0u) << rep.render();
+  for (ProcessId p = 0; p < w->size(); ++p) {
+    const ckpt::StoredCheckpoint* pinned =
+        fixd.time_machine().store(p).find(bug.line.ids[p]);
+    ASSERT_NE(pinned, nullptr) << "p" << p;
+    EXPECT_LT(pinned->data->step, bug.violation.step) << "p" << p;
+  }
+  ASSERT_FALSE(bug.trails.empty()) << rep.render();
+  for (const mc::SysViolation& t : bug.trails) {
+    EXPECT_FALSE(t.trail.steps.empty()) << rep.render();
+  }
 }
 
 TEST(FixdPipeline, PhaseTimingsArePopulated) {

@@ -153,7 +153,7 @@ TunerRow tune_scenario(const char* name, rt::World& w,
                        std::function<void(rt::World&)> install) {
   heal::TunerOptions topts;
   topts.validate = timed_delay_validate();
-  topts.install_invariants = std::move(install);
+  topts.validate.install_invariants = std::move(install);
   bench::WallTimer t;
   heal::TimeoutTuner tuner(w, site, topts);
   heal::TunerResult res = tuner.tune();

@@ -23,10 +23,9 @@ int main() {
   heal::PatchRegistry patches;
   patches.add(apps::counter_fix_patch(cfg));
 
-  // 3. Configure FixD: logging preset, checkpoint policy, investigation
-  //    budget, and how invariants are installed on investigation worlds.
+  // 3. Configure FixD: checkpoint policy, investigation budget, and how
+  //    invariants are installed on investigation worlds.
   core::FixdOptions options;
-  options.logging = scroll::LoggingPreset::digests();
   options.tm.cic = true;  // communication-induced checkpoints (the paper's)
   options.install_invariants = apps::install_counter_invariants;
   options.investigate.order = mc::SearchOrder::kRandomWalk;

@@ -45,13 +45,10 @@ void TimeMachine::reset() {
 CheckpointId TimeMachine::take_checkpoint(ProcessId pid, CkptReason reason) {
   FIXD_CHECK_MSG(pid < stores_.size(), "take_checkpoint: bad pid");
   if (stores_[pid].full()) advance_horizon();
-  // COW captures go through the world's capture cache: checkpointing a
-  // process that is clean since its last capture stores a shared pointer.
-  std::shared_ptr<const rt::ProcessCheckpoint> data =
-      opts_.cow ? world_.capture_process_shared(pid)
-                : std::make_shared<const rt::ProcessCheckpoint>(
-                      world_.capture_process(pid, /*cow=*/false));
-  CheckpointId id = stores_[pid].push(reason, std::move(data));
+  // Captures go through the world's capture cache: checkpointing a process
+  // that is clean since its last capture stores a shared pointer.
+  CheckpointId id =
+      stores_[pid].push(reason, world_.capture_process_shared(pid));
   ++stats_.checkpoints;
   switch (reason) {
     case CkptReason::kInitial: ++stats_.ckpt_initial; break;

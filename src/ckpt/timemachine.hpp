@@ -20,8 +20,9 @@
 // returns is at or after the horizon, and the log holds every delivery
 // after it, so no rollback loses a message that crossed its line.
 //
-// COW mode keeps checkpoints as shared page tables (cheap); full mode
-// serializes (transmissible). bench/fig2_time_machine measures both.
+// Checkpoints are COW captures: shared page tables, taken through the
+// world's capture cache. A checkpoint that must leave the process (the
+// controller's Fig. 4 exchange) is serialized at that point, not here.
 #pragma once
 
 #include <vector>
@@ -36,7 +37,6 @@ namespace fixd::ckpt {
 
 struct TimeMachineOptions {
   std::size_t store_capacity = 64;
-  bool cow = true;
   /// Take a checkpoint of a process every N events it handles (0 = off).
   std::uint64_t periodic_interval = 0;
   /// Communication-induced: checkpoint before every receive (Fig. 6) and

@@ -31,9 +31,17 @@ FixdController::FixdController(rt::World& world, FixdOptions opts,
     : world_(world),
       opts_(std::move(opts)),
       patches_(std::move(patches)),
-      scroll_(opts_.logging),
+      scroll_(scroll::LoggingPreset::digests()),
       tm_(world, opts_.tm) {
   FIXD_CHECK_MSG(world_.sealed(), "FixD: world must be sealed");
+  // Every exploration the controller runs checks the application's
+  // invariants unless its options name an installer of their own.
+  for (mc::SysExploreOptions* o :
+       {&opts_.investigate, &opts_.tuner.validate}) {
+    if (!o->install_invariants) {
+      o->install_invariants = opts_.install_invariants;
+    }
+  }
   world_.set_stop_on_violation(true);
   world_.add_observer(&scroll_);
   tm_.attach();
@@ -180,11 +188,7 @@ BugReport FixdController::handle_fault(std::size_t attempt, FixdReport& rep) {
     }
   }
   if (!investigated) {
-    mc::SysExploreOptions iopts = opts_.investigate;
-    if (!iopts.install_invariants) {
-      iopts.install_invariants = opts_.install_invariants;
-    }
-    mc::SystemExplorer explorer(world_, iopts);
+    mc::SystemExplorer explorer(world_, opts_.investigate);
     mc::SysExploreResult res = explorer.explore();
     bug.trails = res.violations;
     bug.explore = res.stats;
@@ -208,11 +212,7 @@ bool FixdController::recover(const BugReport& bug, FixdReport& rep) {
   // --- Rung 1: timeout tuner ------------------------------------------------
   if (opts_.attempt_timeout_tuning && !opts_.timeout_site.target_type.empty()
       && timer_implicated(bug)) {
-    heal::TunerOptions topts = opts_.tuner;
-    if (!topts.install_invariants) {
-      topts.install_invariants = opts_.install_invariants;
-    }
-    heal::TimeoutTuner tuner(world_, opts_.timeout_site, topts);
+    heal::TimeoutTuner tuner(world_, opts_.timeout_site, opts_.tuner);
     heal::TunerResult tr = tuner.tune();
     const bool tuned = tr.ok;
     const heal::UpdatePatch patch = tr.patch;
@@ -243,7 +243,7 @@ bool FixdController::recover(const BugReport& bug, FixdReport& rep) {
   }
 
   // --- Rung 2: static patch registry ----------------------------------------
-  if (opts_.attempt_heal && patches_.size() > 0) {
+  if (patches_.size() > 0) {
     // Pick the patch matching the faulty process (or any process if the
     // violation was global).
     const heal::UpdatePatch* patch = nullptr;
@@ -298,14 +298,6 @@ bool FixdController::recover(const BugReport& bug, FixdReport& rep) {
     ++rep.restarts;
     attempted(RecoveryRung::kRestart, true, "restarted from initial state");
     return done(true);
-  }
-
-  // --- Rung 5: graceful degradation -----------------------------------------
-  if (degrade_uses_ < opts_.degrade_budget) {
-    std::string detail;
-    const bool ok = recover_via_degrade(bug, rep, detail);
-    attempted(RecoveryRung::kDegrade, ok, std::move(detail));
-    if (ok) return done(true);
   }
 
   return done(false);
@@ -375,9 +367,6 @@ bool FixdController::recover_via_line(const BugReport& bug,
   mc::SysExploreOptions vopts = opts_.investigate;
   vopts.model_partition = true;
   vopts.model_restart = true;
-  if (!vopts.install_invariants) {
-    vopts.install_invariants = opts_.install_invariants;
-  }
   mc::SystemExplorer explorer(world_, vopts);
   mc::SysExploreResult vres = explorer.explore();
 
@@ -391,33 +380,6 @@ bool FixdController::recover_via_line(const BugReport& bug,
            " checkpoint(s), healed " + std::to_string(cuts.size()) +
            " link(s); validation found " + std::to_string(vres.violations.size()) +
            " trail(s) under re-partition";
-  return true;
-}
-
-bool FixdController::recover_via_degrade(const BugReport& bug, FixdReport& rep,
-                                         std::string& detail) {
-  ++degrade_uses_;
-  const ProcessId victim =
-      bug.violation.pid == kNoProcess ? 0 : bug.violation.pid;
-
-  // Quarantine: park the implicated process at its most recent checkpoint
-  // — a pre-violation state — and mark it crashed so it takes no further
-  // events. Restoring one process alone is causally inconsistent in
-  // general, but a quarantined process never acts on that state again; it
-  // only has to stop tripping the invariant.
-  world_.restore_process(victim, *tm_.store(victim).latest().data);
-  world_.set_crashed(victim, true);
-  world_.clear_violations();
-  world_.recheck_invariants();
-  if (world_.has_violation()) {
-    detail = "quarantined p" + std::to_string(victim) +
-             " but invariants still fail";
-    return false;
-  }
-  rep.degraded = true;
-  rep.quarantined.push_back(victim);
-  detail = "quarantined p" + std::to_string(victim) +
-           "; resuming with degraded capacity";
   return true;
 }
 

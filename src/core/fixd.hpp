@@ -26,10 +26,9 @@
 //
 // recover() itself is an escalation ladder (RecoveryRung): timeout tuner →
 // static patch registry → recovery-line rollback behind the partition onset
-// → restart from scratch → graceful degradation. Each rung has a per-run
-// budget; every attempt is recorded in FixdReport::ladder. The two
-// partition-era rungs (line, degrade) default to budget 0 so the legacy
-// tuner→patch→restart behaviour is unchanged unless opted into.
+// → restart from scratch. Every attempt is recorded in FixdReport::ladder.
+// The recovery-line rung has a per-run budget that defaults to 0, so the
+// tuner→patch→restart behaviour is unchanged unless it is opted into.
 #pragma once
 
 #include <chrono>
@@ -50,16 +49,16 @@
 namespace fixd::core {
 
 /// Rungs of the recovery escalation ladder, in the order recover() tries
-/// them. A rung runs only while its budget (FixdOptions) has uses left;
-/// the recovery-line rung additionally deepens its rollback by one
-/// checkpoint per prior use — a deterministic backoff, so the same fault
-/// schedule walks the same ladder on every run.
+/// them. The tuner runs when a timeout site is registered and the trails
+/// implicate a timer, the patch rung when the registry holds a patch; the
+/// recovery-line rung runs while its budget has uses left and deepens its
+/// rollback by one checkpoint per prior use — a deterministic backoff, so
+/// the same fault schedule walks the same ladder on every run.
 enum class RecoveryRung : std::uint8_t {
   kTimeoutTuner,   ///< synthesize + validate a timeout-configuration patch
   kPatchRegistry,  ///< dynamic update from the static patch registry
   kRecoveryLine,   ///< roll back behind the partition onset, heal the cut
   kRestart,        ///< restart from the initial state (§3.4's simplest option)
-  kDegrade,        ///< quarantine the implicated process; resume degraded
 };
 
 const char* to_string(RecoveryRung r);
@@ -72,17 +71,17 @@ struct RungOutcome {
 };
 
 struct FixdOptions {
-  scroll::LoggingPreset logging = scroll::LoggingPreset::digests();
   ckpt::TimeMachineOptions tm = [] {
     ckpt::TimeMachineOptions o;
     o.cic = true;  // the paper's communication-induced policy (§4.2)
     return o;
   }();
   mc::SysExploreOptions investigate;
-  bool attempt_heal = true;
   bool restart_on_heal_failure = true;
   std::size_t max_recovery_attempts = 3;
-  /// Registers the application's invariants on investigation worlds.
+  /// Registers the application's invariants on investigation worlds: the
+  /// constructor copies it into `investigate` and `tuner.validate` where
+  /// those carry no installer of their own.
   std::function<void(rt::World&)> install_invariants;
 
   /// Timeout healing (heal/timeout_tuner.hpp): when a bug report's trails
@@ -97,9 +96,9 @@ struct FixdOptions {
   heal::TimeoutSite timeout_site;
   heal::TunerOptions tuner;
 
-  /// Escalation-ladder budgets: how many times per run_protected() call
-  /// each partition-era rung may fire. Both default to 0 (rung disabled)
-  /// so existing pipelines keep the tuner→patch→restart behaviour.
+  /// How many times per run_protected() call the kRecoveryLine rung may
+  /// fire. 0 (the default) disables it, keeping the tuner→patch→restart
+  /// ladder.
   ///
   /// kRecoveryLine rolls every process to a consistent line behind the
   /// partition onset (the oldest send stranded on a blocked link), heals
@@ -107,9 +106,6 @@ struct FixdOptions {
   /// recheck; a bounded re-exploration with the partition model switched
   /// on runs first as recorded evidence.
   std::size_t line_budget = 0;
-  /// kDegrade parks the implicated process at its most recent checkpoint,
-  /// marks it crashed, and resumes the rest of the system degraded.
-  std::size_t degrade_budget = 0;
 
   /// Remote investigation: when non-empty, the investigate phase is
   /// delegated to a fixdd daemon at this endpoint ("unix:/path" or
@@ -175,11 +171,6 @@ struct FixdReport {
   std::size_t restarts = 0;
   /// Every rung attempted across all recoveries, in attempt order.
   std::vector<RungOutcome> ladder;
-  /// True when the run finished with at least one process quarantined.
-  bool degraded = false;
-  /// Processes parked by the kDegrade rung (crashed, state frozen at
-  /// their last checkpoint).
-  std::vector<ProcessId> quarantined;
   std::vector<BugReport> bugs;
   PhaseBreakdown phases;
   std::uint64_t scroll_records = 0;
@@ -226,18 +217,13 @@ class FixdController {
   /// cut links, validate, recheck. Fills `detail` either way.
   bool recover_via_line(const BugReport& bug, std::string& detail);
 
-  /// Rung 5 (kDegrade): quarantine the implicated process.
-  bool recover_via_degrade(const BugReport& bug, FixdReport& rep,
-                           std::string& detail);
-
   rt::World& world_;
   FixdOptions opts_;
   heal::PatchRegistry patches_;
-  scroll::Scroll scroll_;
+  scroll::Scroll scroll_;  ///< records with LoggingPreset::digests()
   ckpt::TimeMachine tm_;
   rt::WorldSnapshot initial_;
-  std::size_t line_uses_ = 0;     ///< kRecoveryLine firings (backoff input)
-  std::size_t degrade_uses_ = 0;  ///< kDegrade firings
+  std::size_t line_uses_ = 0;  ///< kRecoveryLine firings (backoff input)
 };
 
 }  // namespace fixd::core

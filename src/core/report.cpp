@@ -10,7 +10,6 @@ const char* to_string(RecoveryRung r) {
     case RecoveryRung::kPatchRegistry: return "patch-registry";
     case RecoveryRung::kRecoveryLine: return "recovery-line";
     case RecoveryRung::kRestart: return "restart";
-    case RecoveryRung::kDegrade: return "degrade";
   }
   return "?";
 }
@@ -51,11 +50,6 @@ std::string FixdReport::render() const {
     os << "ladder: " << to_string(rung.rung) << " "
        << (rung.ok ? "ok" : "FAILED");
     if (!rung.detail.empty()) os << " — " << rung.detail;
-    os << "\n";
-  }
-  if (degraded) {
-    os << "DEGRADED: quarantined";
-    for (ProcessId p : quarantined) os << " p" << p;
     os << "\n";
   }
   if (remote_investigations + investigate_fallbacks > 0) {

@@ -19,7 +19,7 @@ std::optional<std::string> Healer::check_update_point(
       FIXD_CHECK_MSG(false, "inflight counter disagrees with pending set");
     }
   }
-  if (opts_.require_no_speculation && specs != nullptr) {
+  if (specs != nullptr) {
     auto taints = specs->taints_of(pid);
     if (!taints.empty()) {
       return "process is inside speculation s" + std::to_string(taints[0]);

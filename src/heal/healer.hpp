@@ -1,10 +1,11 @@
 // The Healer (§3.4, Fig. 5): applying a fix to a running system.
 //
 // Given a rolled-back (or live) world and an UpdatePatch, the Healer:
-//   1. checks the update point is safe — by default the target must not be
-//      inside any speculation and must have no in-flight inbound traffic
-//      (quiescence, the condition under which old-state ≡ new-state
-//      equivalence can be established mechanically);
+//   1. checks the update point is safe — the target must not be inside any
+//      speculation (always checked when a SpeculationManager is given) and,
+//      by default, must have no in-flight inbound traffic (quiescence, the
+//      condition under which old-state ≡ new-state equivalence can be
+//      established mechanically);
 //   2. extracts the old state, runs the state transformer, loads it into a
 //      fresh instance of the new behaviour, carries the COW heap across;
 //   3. swaps the process objects in place (same pid; clocks/timers survive);
@@ -25,8 +26,6 @@ namespace fixd::heal {
 struct HealOptions {
   /// Refuse the update while messages addressed to the target are in flight.
   bool require_quiescent_inbound = true;
-  /// Refuse while the target is a member of an active speculation.
-  bool require_no_speculation = true;
   /// Re-run all invariants after the swap; roll the swap back if any fires.
   bool revalidate_invariants = true;
 };

@@ -4,6 +4,13 @@
 
 namespace fixd::heal {
 
+namespace {
+/// The ladder gives up rather than probe a candidate above this.
+constexpr VirtualTime kMaxTimeout = 1ull << 14;
+/// Total probe budget (ladder + bisection).
+constexpr std::size_t kMaxProbes = 24;
+}  // namespace
+
 std::uint64_t TunerResult::states_explored() const {
   std::uint64_t total = 0;
   for (const TunerProbe& p : trajectory) total += p.states;
@@ -67,9 +74,6 @@ TunerProbe TimeoutTuner::probe(VirtualTime candidate, std::string& error) {
 
   mc::SysExploreOptions vopts = opts_.validate;
   vopts.abstract_time = false;  // timed: the value must gate enabledness
-  if (!vopts.install_invariants) {
-    vopts.install_invariants = opts_.install_invariants;
-  }
   mc::SystemExplorer explorer(*w, vopts);
   mc::SysExploreResult res = explorer.explore();
   pr.violations = res.violations.size();
@@ -101,8 +105,8 @@ TunerResult TimeoutTuner::tune() {
   // Exponential ladder: double until a candidate validates clean.
   VirtualTime hi = lo;
   bool found = false;
-  while (res.trajectory.size() < opts_.max_probes) {
-    if (hi > opts_.max_timeout / 2) break;
+  while (res.trajectory.size() < kMaxProbes) {
+    if (hi > kMaxTimeout / 2) break;
     hi *= 2;
     TunerProbe p = probe(hi, error);
     res.trajectory.push_back(p);
@@ -117,7 +121,7 @@ TunerResult TimeoutTuner::tune() {
     lo = hi;  // highest known-failing rung
   }
   if (!found) {
-    res.error = "no timeout <= " + std::to_string(opts_.max_timeout) +
+    res.error = "no timeout <= " + std::to_string(kMaxTimeout) +
                 " validates clean (" + std::to_string(res.trajectory.size()) +
                 " probes)";
     return res;
@@ -125,20 +129,18 @@ TunerResult TimeoutTuner::tune() {
 
   // Bisect (lo fails, hi passes) down to the smallest clean value. Every
   // move of `hi` is to a directly-validated candidate.
-  if (opts_.minimize) {
-    while (hi - lo > 1 && res.trajectory.size() < opts_.max_probes) {
-      VirtualTime mid = lo + (hi - lo) / 2;
-      TunerProbe p = probe(mid, error);
-      res.trajectory.push_back(p);
-      if (!error.empty()) {
-        res.error = error;
-        return res;
-      }
-      if (p.passed) {
-        hi = mid;
-      } else {
-        lo = mid;
-      }
+  while (hi - lo > 1 && res.trajectory.size() < kMaxProbes) {
+    VirtualTime mid = lo + (hi - lo) / 2;
+    TunerProbe p = probe(mid, error);
+    res.trajectory.push_back(p);
+    if (!error.empty()) {
+      res.error = error;
+      return res;
+    }
+    if (p.passed) {
+      hi = mid;
+    } else {
+      lo = mid;
     }
   }
 

@@ -15,7 +15,9 @@
 // value (bounded-delay environments make "clean" monotone in the timeout;
 // the bisection assumes that, but every *accepted* value was itself
 // validated directly, so a non-monotone site can at worst make the result
-// non-minimal, never unsound).
+// non-minimal, never unsound). The search is bounded by two constants in
+// timeout_tuner.cpp: no candidate above 16384 and at most 24 probes; a
+// ladder that reaches the first bound without a clean value gives up.
 //
 // Validation: each candidate is probed on a fresh clone of the base world
 // — the patch is applied to the clone, then the Investigator re-explores
@@ -63,20 +65,11 @@ struct TimeoutSite {
 };
 
 struct TunerOptions {
-  /// Give up when the ladder would exceed this.
-  VirtualTime max_timeout = 1ull << 14;
-  /// Total probe budget (ladder + bisection).
-  std::size_t max_probes = 24;
-  /// Bisect down to the smallest validating value after the ladder finds
-  /// one (off: accept the first ladder hit).
-  bool minimize = true;
-  /// Exploration options for candidate validation. abstract_time is
-  /// forced to false (see file comment); enable model_message_delay (and
-  /// friends) here to validate against the adversarial environment.
+  /// Exploration options for candidate validation, invariant installer
+  /// included (clones carry no invariants). abstract_time is forced to
+  /// false (see file comment); enable model_message_delay (and friends)
+  /// here to validate against the adversarial environment.
   mc::SysExploreOptions validate;
-  /// Fallback invariant installer when validate.install_invariants is
-  /// empty (clones carry no invariants).
-  std::function<void(rt::World&)> install_invariants;
 };
 
 /// One validated candidate.

@@ -47,8 +47,10 @@ struct ExploreStats {
   std::uint64_t max_depth = 0;
   bool truncated = false;  ///< a budget (states/depth) was exhausted
   double wall_ms = 0.0;    ///< total explore() wall time
-  double digest_ms = 0.0;  ///< wall time spent hashing states for dedup
-  double snapshot_ms = 0.0;  ///< wall time spent capturing frontier states
+  /// Wall time spent hashing states for dedup and capturing frontier
+  /// states: estimates, sampled by SampledTimer.
+  double digest_ms = 0.0;
+  double snapshot_ms = 0.0;
   /// Peak retained frontier memory, shared buffers (COW checkpoints,
   /// message payloads) counted once (SystemExplorer only). Exact for
   /// sequential searches; with workers > 1 it is the sum of per-worker
@@ -170,6 +172,33 @@ struct ExploreResult {
   bool found_violation() const { return !violations.empty(); }
 };
 
+/// Charges the wall time of a hot call to a stats field, sampled: it times
+/// the first call and every 64th after it, and charges each timed call for
+/// itself and the untimed calls before it (so never for calls that did not
+/// happen). Digests and captures run for microseconds or less, so a clock
+/// read per call would be a visible share of the work it measures. One per
+/// worker and measured call site; not thread-safe.
+class SampledTimer {
+ public:
+  static constexpr std::uint64_t kEvery = 64;
+
+  template <typename F>
+  auto operator()(double& ms, F&& call) {
+    const std::uint64_t n = calls_++;
+    if (n % kEvery != 0) return call();
+    const auto t0 = std::chrono::steady_clock::now();
+    auto out = call();
+    ms += std::chrono::duration<double, std::milli>(
+              std::chrono::steady_clock::now() - t0)
+              .count() *
+          static_cast<double>(n == 0 ? 1 : kEvery);
+    return out;
+  }
+
+ private:
+  std::uint64_t calls_ = 0;
+};
+
 /// Default `max_states` caps. The two explorers deliberately differ:
 /// abstract-model states (Explorer<S>) are tens of bytes hashed in
 /// nanoseconds, so a ~1M-state default costs ~16 MB of visited set; a
@@ -226,18 +255,8 @@ class Explorer {
   static constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
 
   /// Hash a state for the visited set, charging the time to digest_ms.
-  /// Sampled 1-in-64 and scaled: abstract states hash in nanoseconds, so
-  /// per-call clock reads would dominate the thing being measured.
-  static constexpr std::uint64_t kHashSampleMask = 63;
-  std::uint64_t timed_hash(const S& s, ExploreStats& stats) const {
-    if ((hash_count_++ & kHashSampleMask) != 0) return model_.hash_state(s);
-    auto t0 = std::chrono::steady_clock::now();
-    std::uint64_t h = model_.hash_state(s);
-    stats.digest_ms += std::chrono::duration<double, std::milli>(
-                           std::chrono::steady_clock::now() - t0)
-                           .count() *
-                       static_cast<double>(kHashSampleMask + 1);
-    return h;
+  std::uint64_t timed_hash(const S& s, ExploreStats& stats) {
+    return hash_timer_(stats.digest_ms, [&] { return model_.hash_state(s); });
   }
 
   std::vector<std::string> trail_of(std::size_t meta_idx) const {
@@ -379,7 +398,7 @@ class Explorer {
   ExploreOptions opts_;
   PriorityFn priority_;
   std::vector<Meta> meta_;
-  mutable std::uint64_t hash_count_ = 0;
+  SampledTimer hash_timer_;
 };
 
 }  // namespace fixd::mc

@@ -49,14 +49,13 @@ std::uint64_t readiness_digest(const rt::World& w) {
   return acc;
 }
 
-/// Time one state-digest call and charge it to stats.digest_ms.
+/// The dedup digest of `w`, its time charged (sampled) to stats.digest_ms.
 std::uint64_t timed_mc_digest(rt::World& w, ExploreStats& stats,
-                              bool abstract_time) {
-  auto t0 = SteadyClock::now();
-  std::uint64_t d = w.mc_digest();
-  if (!abstract_time) d = hash_combine(d, readiness_digest(w));
-  stats.digest_ms += ms_since(t0);
-  return d;
+                              SampledTimer& timer, bool abstract_time) {
+  return timer(stats.digest_ms, [&] {
+    const std::uint64_t d = w.mc_digest();
+    return abstract_time ? d : hash_combine(d, readiness_digest(w));
+  });
 }
 
 }  // namespace
@@ -385,6 +384,8 @@ struct SystemExplorer::Worker {
   /// published by the frontier-deque mutexes. Freed wholesale after join.
   std::deque<PathNode> arena;
   ExploreStats stats;
+  SampledTimer digest_timer;
+  SampledTimer snapshot_timer;
   std::vector<SysViolation> violations;
   /// Digests this worker inserted first during the current slice (only
   /// with opts.collect_visited).
@@ -399,7 +400,6 @@ SystemExplorer::SystemExplorer(rt::World& base, SysExploreOptions opts)
     : base_(base), opts_(std::move(opts)) {
   scratch_ = base_.clone();
   scratch_->set_abstract_time(opts_.abstract_time);
-  scratch_->set_check_global_invariants(true);
   scratch_->set_stop_on_violation(false);
   if (opts_.install_invariants) opts_.install_invariants(*scratch_);
 }
@@ -407,7 +407,8 @@ SystemExplorer::SystemExplorer(rt::World& base, SysExploreOptions opts)
 SystemExplorer::~SystemExplorer() = default;
 
 void SystemExplorer::materialize(rt::World& w, const Node& n,
-                                 ExploreStats& stats) const {
+                                 Worker& me) const {
+  ExploreStats& stats = me.stats;
   // Snapshot mode: n.state is the node's exact state (replay_len == 0).
   // Trail mode: n.state is the anchor; re-execute the suffix after it.
   Anchor& anchor = *n.state;
@@ -431,7 +432,7 @@ void SystemExplorer::materialize(rt::World& w, const Node& n,
       for (const SysAction* a : prefix) apply_action(w, *a);
       w.clear_violations();
       stats.replayed_actions += anchor.depth;
-      reg_->install(anchor, capture(w, stats));
+      reg_->install(anchor, capture(w, stats, me.snapshot_timer));
       ++stats.anchor_recomputes;
       // w already sits at the anchor state; fall through to the suffix.
     }
@@ -879,13 +880,13 @@ bool SystemExplorer::probe_root(SysExploreResult& res) {
 }
 
 std::shared_ptr<const rt::WorldSnapshot> SystemExplorer::capture(
-    rt::World& w, ExploreStats& stats) const {
-  auto t0 = SteadyClock::now();
-  auto snap =
-      std::make_shared<const rt::WorldSnapshot>(w.snapshot(/*cow=*/true));
-  if (opts_.workers > 1) snap->share_across_threads();
-  stats.snapshot_ms += ms_since(t0);
-  return snap;
+    rt::World& w, ExploreStats& stats, SampledTimer& timer) const {
+  return timer(stats.snapshot_ms, [&] {
+    auto snap =
+        std::make_shared<const rt::WorldSnapshot>(w.snapshot(/*cow=*/true));
+    if (opts_.workers > 1) snap->share_across_threads();
+    return snap;
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -913,7 +914,7 @@ void SystemExplorer::expand(Shared& sh, Worker& me, Node cur) {
     return;
   }
 
-  materialize(w, cur, stats);
+  materialize(w, cur, me);
   std::vector<SysAction> actions = enabled_actions(w);
 
   // Keys and footprints are computed against the pre-state (footprints
@@ -929,7 +930,8 @@ void SystemExplorer::expand(Shared& sh, Worker& me, Node cur) {
   std::uint64_t cur_digest = 0;
   std::vector<std::size_t> run;
   if (opts_.por && n_act > 0) {
-    cur_digest = timed_mc_digest(w, stats, opts_.abstract_time);
+    cur_digest =
+        timed_mc_digest(w, stats, me.digest_timer, opts_.abstract_time);
     run = por_select(sh.por, cur_digest, fps, keys, stats);
   } else {
     run.resize(n_act);
@@ -953,7 +955,7 @@ void SystemExplorer::expand(Shared& sh, Worker& me, Node cur) {
       (opts_.trail_frontier ? cur.replay_len + 1 >= opts_.anchor_interval
                             : cur.replay_len > 0)) {
     auto anchor = std::make_shared<Anchor>();
-    anchor->snap = parent = capture(w, stats);
+    anchor->snap = parent = capture(w, stats, me.snapshot_timer);
     if (reg_) {
       // Evictable: record the root-relative rebuild recipe first.
       anchor->path = cur.path;
@@ -963,7 +965,7 @@ void SystemExplorer::expand(Shared& sh, Worker& me, Node cur) {
     cur.state = std::move(anchor);
     cur.replay_len = 0;
   } else if (cur.replay_len > 0 && run.size() > 1) {
-    parent = capture(w, stats);
+    parent = capture(w, stats, me.snapshot_timer);
   }
   bool at_parent = true;
 
@@ -977,7 +979,7 @@ void SystemExplorer::expand(Shared& sh, Worker& me, Node cur) {
       if (parent) {
         w.restore(*parent);
       } else {
-        materialize(w, cur, stats);
+        materialize(w, cur, me);
       }
     }
     w.clear_violations();
@@ -1007,7 +1009,8 @@ void SystemExplorer::expand(Shared& sh, Worker& me, Node cur) {
     }
 
     if (opts_.dedup) {
-      const std::uint64_t h = timed_mc_digest(w, stats, opts_.abstract_time);
+      const std::uint64_t h =
+          timed_mc_digest(w, stats, me.digest_timer, opts_.abstract_time);
       if (!sh.visited->insert(h)) {
         ++stats.duplicates;
         // The edge (if allocated for the violation trail above) was never
@@ -1037,7 +1040,7 @@ void SystemExplorer::expand(Shared& sh, Worker& me, Node cur) {
       // capture() publishes the snapshot before the push makes the node
       // stealable.
       child.state = std::make_shared<Anchor>();
-      child.state->snap = capture(w, stats);
+      child.state->snap = capture(w, stats, me.snapshot_timer);
     } else {
       // The expansion re-anchored the parent when its children would
       // exceed the interval, so extending by one is always valid.
@@ -1133,9 +1136,10 @@ std::unique_ptr<SystemExplorer::Shared> SystemExplorer::start_search(
   // One COW snapshot of the investigated state: the root node's anchor,
   // the POR backtrack anchor, and the image every worker world of a
   // multi-worker search is cloned from (capture() marks it shared before
-  // any thread exists).
+  // any thread exists). One call each: both are timed.
+  SampledTimer root_snapshot_timer, root_digest_timer;
   auto root_anchor = std::make_shared<Anchor>();
-  root_anchor->snap = capture(*scratch_, res.stats);
+  root_anchor->snap = capture(*scratch_, res.stats, root_snapshot_timer);
   if (reg_) reg_->set_root(root_anchor);
   if (opts_.por) sh->por.root = root_anchor;
   if (opts_.dedup) {
@@ -1145,8 +1149,9 @@ std::unique_ptr<SystemExplorer::Shared> SystemExplorer::start_search(
       // the uninterrupted run deduped against its own history.
       for (std::uint64_t h : opts_.resume_visited) sh->visited->insert(h);
     } else {
-      const std::uint64_t h =
-          timed_mc_digest(*scratch_, res.stats, opts_.abstract_time);
+      const std::uint64_t h = timed_mc_digest(*scratch_, res.stats,
+                                              root_digest_timer,
+                                              opts_.abstract_time);
       sh->visited->insert(h);
       if (opts_.collect_visited) res.visited.push_back(h);
     }
@@ -1418,7 +1423,6 @@ std::vector<rt::Violation> SystemExplorer::replay_trail(
     bool abstract_time) {
   auto w = base.clone();
   w->set_abstract_time(abstract_time);
-  w->set_check_global_invariants(true);
   w->set_stop_on_violation(false);
   if (install_invariants) install_invariants(*w);
   w->clear_violations();

@@ -392,7 +392,7 @@ class SystemExplorer {
   /// Bring `w` to `n`'s state: restore its anchor snapshot — rebuilding it
   /// first by root-anchored replay if the registry evicted it — and (trail
   /// mode) deterministically re-execute the replay suffix.
-  void materialize(rt::World& w, const Node& n, ExploreStats& stats) const;
+  void materialize(rt::World& w, const Node& n, Worker& me) const;
 
   std::vector<SysAction> enabled_actions(const rt::World& w) const;
   static void apply_action(rt::World& w, const SysAction& a);
@@ -445,10 +445,12 @@ class SystemExplorer {
   /// Probe the investigated state itself (the violation might already
   /// hold); returns false when the violation budget is already exhausted.
   bool probe_root(SysExploreResult& res);
-  /// Snapshot `w` (COW) for a frontier anchor, timed into snapshot_ms;
-  /// with workers > 1 it is marked shared, since any node may be stolen.
+  /// Snapshot `w` (COW) for a frontier anchor, timed (sampled) into
+  /// snapshot_ms; with workers > 1 it is marked shared, since any node may
+  /// be stolen.
   std::shared_ptr<const rt::WorldSnapshot> capture(rt::World& w,
-                                                   ExploreStats& stats) const;
+                                                   ExploreStats& stats,
+                                                   SampledTimer& timer) const;
   /// The graph-search engine (kBfs/kDfs) at any worker count: one slice of
   /// the live search, started first by start_search() when none is parked.
   SysExploreResult graph_search();

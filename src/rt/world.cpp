@@ -793,6 +793,10 @@ void World::recheck_invariants() {
       }
     }
   }
+  check_globals();
+}
+
+void World::check_globals() {
   for (const auto& gi : invariants_.globals()) {
     auto r = gi.fn(*this);
     if (r) {
@@ -824,20 +828,7 @@ void World::check_invariants(ProcessId pid, const EventDesc& ev) {
       record_violation(std::move(v));
     }
   }
-  if (opts_.check_global_invariants) {
-    for (const auto& gi : invariants_.globals()) {
-      auto r = gi.fn(*this);
-      if (r) {
-        Violation v;
-        v.invariant = gi.name;
-        v.pid = kNoProcess;
-        v.detail = *r;
-        v.at = now_;
-        v.step = step_;
-        record_violation(std::move(v));
-      }
-    }
-  }
+  check_globals();
 }
 
 std::uint64_t default_env_value(std::uint64_t env_seed, ProcessId pid,

@@ -10,7 +10,8 @@
 //   spec_hooks.before_deliver       (speculation absorption, §4.2)
 //   clock merges -> handler runs    (the application code)
 //   spec_hooks.apply_deferred       (speculation aborts -> rollbacks)
-//   invariant checks                (fault detection)
+//   invariant checks                (fault detection: the acting process's
+//                                    local invariants, then every global)
 //   interceptors.after_event
 //
 // Determinism contract: given the same processes, options, scheduler and
@@ -53,8 +54,6 @@ struct WorldOptions {
   bool abstract_time = false;
   /// run() stops as soon as a violation is recorded.
   bool stop_on_violation = true;
-  /// Evaluate global invariants after every event (omniscient testing mode).
-  bool check_global_invariants = true;
 };
 
 /// Cached per-process digest components (the `full` one feeds
@@ -177,11 +176,6 @@ class World : private net::DeliverableListener {
   /// Switch between timed and abstract-time enabled-event semantics (the
   /// Investigator explores in abstract time so timeout races are visible).
   void set_abstract_time(bool on) { opts_.abstract_time = on; }
-
-  /// Toggle omniscient global-invariant checking after every event.
-  void set_check_global_invariants(bool on) {
-    opts_.check_global_invariants = on;
-  }
 
   /// Toggle stop-on-violation for run().
   void set_stop_on_violation(bool on) { opts_.stop_on_violation = on; }
@@ -613,6 +607,8 @@ class World : private net::DeliverableListener {
   void dispatch(const EventDesc& ev);
   void run_handler(ProcessId pid, const std::function<void(Context&)>& body);
   void check_invariants(ProcessId pid, const EventDesc& ev);
+  /// Evaluate every global invariant against the whole world.
+  void check_globals();
   std::uint64_t default_env_value(ProcessId pid, std::string_view key,
                                   std::uint64_t count) const;
 

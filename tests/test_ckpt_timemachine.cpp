@@ -147,9 +147,7 @@ TEST(TimeMachine, CowCheckpointsAreCheapForHeapBackedState) {
   cfg.total_ops = 40;
   cfg.key_space = 64;
   auto w = apps::make_kv_world(2, 2, cfg);
-  TimeMachineOptions cow;
-  cow.cow = true;
-  TimeMachine tm(*w, cow);
+  TimeMachine tm(*w);
   tm.attach();
   w->run();
   // COW checkpoints retain page tables, not full content: far below the

@@ -128,7 +128,6 @@ ReferenceResult reference_bfs(rt::World& base,
                               const std::function<void(rt::World&)>& install) {
   auto w = base.clone();
   w->set_abstract_time(true);
-  w->set_check_global_invariants(true);
   w->set_stop_on_violation(false);
   if (install) install(*w);
 

@@ -23,8 +23,10 @@
 #include <fstream>
 #include <thread>
 
+#include "apps/rep_counter.hpp"
 #include "apps/two_phase_commit.hpp"
 #include "common/io.hpp"
+#include "core/fixd.hpp"
 #include "mc/sysmodel.hpp"
 #include "svc/client.hpp"
 #include "svc/jobd.hpp"
@@ -808,6 +810,57 @@ TEST(DaemonE2e, UnreachableDaemonDegradesToInProcess) {
   // Degraded path shares the runner: identical digests.
   EXPECT_EQ(outcome.result.visited_digest, base.visited_digest);
   EXPECT_EQ(outcome.result.trail_digest, base.trail_digest);
+}
+
+// ---------------------------------------------------------------------------
+// FixdController delegating its investigation to the daemon
+// ---------------------------------------------------------------------------
+
+/// One protected run of a buggy counter world that stops after its first
+/// investigation (max_recovery_attempts = 1), delegated to `endpoint`.
+core::FixdReport protect_via(const std::string& endpoint,
+                             const svc::RetryPolicy& retry) {
+  auto w = apps::make_counter_world(3, 1, apps::CounterConfig{4});
+  core::FixdOptions o;
+  o.install_invariants = apps::install_counter_invariants;
+  o.max_recovery_attempts = 1;
+  o.investigate_endpoint = endpoint;
+  o.investigate_job = small_spec();
+  o.investigate_retry = retry;
+  core::FixdController ctl(*w, o);
+  return ctl.run_protected();
+}
+
+TEST(DaemonE2e, ControllerDelegatesInvestigationToDaemon) {
+  const JobResultMsg base = run_local(small_spec());
+  DaemonHarness h;
+  const core::FixdReport rep = protect_via(
+      "unix:" + (h.dir.path() / "fixdd.sock").string(), h.client().policy());
+  ASSERT_EQ(rep.bugs.size(), 1u) << rep.render();
+  EXPECT_EQ(rep.bugs[0].investigated_via, "daemon");
+  EXPECT_EQ(rep.remote_investigations, 1u);
+  EXPECT_EQ(rep.investigate_fallbacks, 0u);
+  // The daemon ran the job the controller named: the in-process trails.
+  EXPECT_EQ(rep.bugs[0].trails.size(), base.violations.size());
+  EXPECT_EQ(svc::trail_digest(rep.bugs[0].trails, 1), base.trail_digest);
+}
+
+TEST(DaemonE2e, ControllerFallsBackInProcessWhenDaemonUnreachable) {
+  const JobResultMsg base = run_local(small_spec());
+  ScratchDir dir = ScratchDir::create("", "fixd-noone");
+  svc::RetryPolicy p;
+  p.max_attempts = 2;
+  p.rpc_timeout_ms = 100;
+  p.total_budget_ms = 500;
+  const core::FixdReport rep =
+      protect_via("unix:" + (dir.path() / "void.sock").string(), p);
+  ASSERT_EQ(rep.bugs.size(), 1u) << rep.render();
+  EXPECT_EQ(rep.bugs[0].investigated_via.rfind("degraded:", 0), 0u)
+      << rep.bugs[0].investigated_via;
+  EXPECT_EQ(rep.investigate_fallbacks, 1u);
+  EXPECT_EQ(rep.remote_investigations, 0u);
+  EXPECT_EQ(rep.bugs[0].trails.size(), base.violations.size());
+  EXPECT_EQ(svc::trail_digest(rep.bugs[0].trails, 1), base.trail_digest);
 }
 
 // ---------------------------------------------------------------------------

@@ -159,6 +159,30 @@ TEST(TimeoutTuner, ConvergesOnTpcStall) {
   EXPECT_FALSE(recheck.explore().found_violation());
 }
 
+TEST(TimeoutTuner, GivesUpAtItsBounds) {
+  // A site whose candidates all rebuild the current (buggy) value: no
+  // probe can pass, so the doubling ladder runs to the largest timeout the
+  // tuner will try and gives up there, within its probe budget.
+  apps::KvLagConfig cfg;
+  cfg.total_ops = 1;
+  auto w = apps::make_kv_lag_world(2, cfg);
+  heal::TimeoutSite site = apps::kv_lag_timeout_site(cfg);
+  site.make_patch = [build = site.make_patch, cur = site.current](
+                        VirtualTime) { return build(cur); };
+  heal::TunerOptions topts;
+  topts.validate = timed_delay_opts(apps::install_kv_lag_invariants);
+  heal::TimeoutTuner tuner(*w, site, topts);
+  heal::TunerResult res = tuner.tune();
+
+  EXPECT_FALSE(res.ok);
+  EXPECT_NE(res.error.find("16384"), std::string::npos) << res.error;
+  EXPECT_LE(res.trajectory.size(), 24u);
+  ASSERT_GT(res.trajectory.size(), 1u);
+  for (const heal::TunerProbe& p : res.trajectory) EXPECT_FALSE(p.passed);
+  EXPECT_LE(res.trajectory.back().candidate, 16384u);
+  EXPECT_GT(res.trajectory.back().candidate, 16384u / 2);
+}
+
 TEST(TimeoutTuner, TrajectoryIsDeterministic) {
   apps::KvLagConfig cfg;
   cfg.total_ops = 1;

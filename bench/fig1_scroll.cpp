@@ -5,12 +5,19 @@
 // need to be recorded by the Scroll". This bench quantifies what that buys:
 // the Scroll (nondet-only) vs digests vs a liblog-style full-payload log,
 // across workloads and message sizes, plus replay fidelity for each preset.
+// A last table runs the Scroll as FixdController keeps it, behind the Time
+// Machine's horizon, on the e2e protect workload's kv config at two run
+// lengths.
+#include <sys/resource.h>
+
 #include <cstdio>
 
 #include "apps/kv_store.hpp"
 #include "apps/rep_counter.hpp"
 #include "apps/token_ring.hpp"
 #include "bench_util.hpp"
+#include "common/hash.hpp"
+#include "core/fixd.hpp"
 #include "scroll/replay.hpp"
 
 namespace {
@@ -98,6 +105,62 @@ bool bench_workload(const char* name, MakeWorld make,
   return ok;
 }
 
+/// FixdController's Scroll, trimmed as the horizon moves, on the e2e
+/// protect workload's world (kv-store v2, four replicas, reordering
+/// network, seed 1) at 20000 and 80000 ops. Returns false when the held
+/// records' peak resident bytes at 80000 ops exceed 1.10x those at 20000:
+/// the always-on path must hold O(horizon), not O(run).
+bool bench_controller_scroll() {
+  bench::header("Fig.1 / FixdController Scroll (protect's kv config)");
+  bench::row("%-8s %9s %8s %10s %10s %12s %12s", "ops", "events", "held",
+             "trimmed", "resident", "peak resid.", "ru_maxrss");
+  bench::rule();
+  std::size_t peak[2] = {0, 0};
+  const std::uint64_t ops[2] = {20000, 80000};
+  for (int i = 0; i < 2; ++i) {
+    apps::KvConfig cfg;
+    cfg.total_ops = ops[i];
+    cfg.key_space = 64;
+    rt::WorldOptions wo;
+    wo.seed = 1;
+    wo.net = net::NetworkOptions::reordering();
+    wo.net.seed = hash_combine(0x70726f74656374ull, 1);
+    auto w = apps::make_kv_world(4, 2, cfg, wo);
+    core::FixdOptions fo;
+    fo.install_invariants = apps::install_kv_invariants;
+    core::FixdController ctl(*w, fo);
+    const core::FixdReport rep = ctl.run_protected();
+    if (!rep.completed || rep.faults_detected != 0) {
+      std::printf("FAIL: the protected kv run at %llu ops did not complete "
+                  "cleanly\n", (unsigned long long)ops[i]);
+      return false;
+    }
+    peak[i] = ctl.the_scroll().peak_resident_bytes();
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    bench::row("%-8llu %9llu %8llu %10llu %10zu %12zu %9.2f MiB",
+               (unsigned long long)ops[i],
+               (unsigned long long)rep.final_run.steps,
+               (unsigned long long)rep.scroll_records,
+               (unsigned long long)rep.scroll_trimmed,
+               ctl.the_scroll().resident_bytes(), peak[i],
+               static_cast<double>(ru.ru_maxrss) / 1024.0);
+  }
+  // resident: the held records' chunks at the end of the run; peak: the
+  // most they took at any point of it (the gate). ru_maxrss is the
+  // process's peak so far, this table's earlier runs included.
+  const double ratio =
+      peak[0] ? static_cast<double>(peak[1]) / static_cast<double>(peak[0])
+              : 0.0;
+  std::printf("peak resident at 80000 / 20000 ops: %.2fx (gate 1.10x)\n",
+              ratio);
+  if (peak[0] == 0 || ratio > 1.10) {
+    std::printf("FAIL: the controller's Scroll grows with the run\n");
+    return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 int main() {
@@ -124,12 +187,15 @@ int main() {
     return apps::make_kv_world(3, 2, cfg);
   }, 16.0);
 
+  ok &= bench_controller_scroll();
+
   std::printf(
       "\nShape check (paper): nondet-only logging is a small fraction of\n"
       "full interaction logging yet still replays the run exactly.\n");
   if (!ok) {
-    std::printf("FAIL: a recorded run did not replay exactly, or the "
-                "kv-store digests Scroll outgrew its footprint gate\n");
+    std::printf("FAIL: a recorded run did not replay exactly, the kv-store "
+                "digests Scroll outgrew its footprint gate, or the "
+                "controller's Scroll grew with the run\n");
     return 1;
   }
   return 0;

@@ -38,14 +38,18 @@ void DeliveredLog::append(const net::Message& msg,
 }
 
 DeliveredLog::View DeliveredLog::parse(std::span<const std::byte> rec) {
-  BinaryReader r(rec);
-  View v;
-  v.head.src = static_cast<ProcessId>(r.read_varint());
-  v.head.dst = static_cast<ProcessId>(r.read_varint());
-  v.head.send_stamp = r.read_varint();
-  v.head.dst_own_after = r.read_varint();
-  v.body = r.read_raw(r.remaining());
-  return v;
+  // Unchecked: the log reads only records it wrote.
+  const std::byte* p = rec.data();
+  std::uint64_t v = 0;
+  View out;
+  p = get_varint(p, v);
+  out.head.src = static_cast<ProcessId>(v);
+  p = get_varint(p, v);
+  out.head.dst = static_cast<ProcessId>(v);
+  p = get_varint(p, out.head.send_stamp);
+  p = get_varint(p, out.head.dst_own_after);
+  out.body = rec.subspan(static_cast<std::size_t>(p - rec.data()));
+  return out;
 }
 
 net::Message DeliveredLog::View::decode() const {

@@ -57,6 +57,14 @@ class DeliveredLog {
         [&](std::span<const std::byte> rec) { return keep(parse(rec)); });
   }
 
+  /// Visit every record oldest first, without changing the log.
+  template <typename Visit>
+  void for_each(Visit&& visit) const {
+    RecordLog::Cursor c = records_.cursor();
+    std::span<const std::byte> rec;
+    while (c.next(rec)) visit(parse(rec));
+  }
+
   std::size_t size() const { return records_.size(); }
   bool empty() const { return records_.empty(); }
   void clear() { records_.clear(); }

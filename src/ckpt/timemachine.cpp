@@ -1,5 +1,6 @@
 #include "ckpt/timemachine.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/error.hpp"
@@ -40,6 +41,7 @@ void TimeMachine::reset() {
   for (ProcessId pid = 0; pid < world_.size(); ++pid) {
     take_checkpoint(pid, CkptReason::kInitial);
   }
+  settle_horizon(/*reset=*/true);
 }
 
 CheckpointId TimeMachine::take_checkpoint(ProcessId pid, CkptReason reason) {
@@ -117,15 +119,39 @@ void TimeMachine::advance_horizon() {
   if (!moved) return;
   ++stats_.horizon_advances;
 
-  // A delivery at or behind the receiver's horizon checkpoint can never be
-  // undone, so no rollback will re-inject it.
+  settle_horizon(/*reset=*/false);
+}
+
+void TimeMachine::settle_horizon(bool reset) {
+  const std::size_t n = stores_.size();
   std::vector<std::uint64_t> own(n);
+  Horizon h;
+  h.reset = reset;
+  h.capture_serial = ~std::uint64_t{0};
+  h.crossing_send_stamps.assign(n, ~std::uint64_t{0});
   for (std::size_t p = 0; p < n; ++p) {
-    own[p] = stores_[p].entries().front().data->vclock[p];
+    const rt::ProcessCheckpoint& front = *stores_[p].entries().front().data;
+    own[p] = front.vclock[p];
+    h.capture_serial = std::min(h.capture_serial, front.capture_serial);
   }
-  delivered_log_.retain_if([&](const DeliveredLog::View& rec) {
-    return rec.head.dst_own_after > own[rec.head.dst];
+  const auto note = [&](ProcessId src, std::uint64_t send_stamp) {
+    if (send_stamp <= own[src]) {
+      h.crossing_send_stamps[src] =
+          std::min(h.crossing_send_stamps[src], send_stamp);
+    }
+  };
+  // A delivery at or behind the receiver's horizon checkpoint can never be
+  // undone, so no rollback will re-inject it. The same pass notes the
+  // crossing sends among the deliveries it keeps.
+  delivered_log_.retain_if([&](const DeliveredLog::View& v) {
+    if (v.head.dst_own_after <= own[v.head.dst]) return false;
+    note(v.head.src, v.head.send_stamp);
+    return true;
   });
+  for (const net::Message* m : world_.network().pending()) {
+    if (m->vclock.size() > 0) note(m->src, m->vclock[m->src]);
+  }
+  if (horizon_listener_) horizon_listener_(h);
 }
 
 RecoveryLine TimeMachine::compute_line() const {

@@ -18,13 +18,16 @@
 // consistent line with every process capped at half its store, and the
 // delivered log drops every record at or behind it. Every line the solver
 // returns is at or after the horizon, and the log holds every delivery
-// after it, so no rollback loses a message that crossed its line.
+// after it, so no rollback loses a message that crossed its line. A log
+// kept beside the Time Machine (the controller's Scroll) follows the
+// horizon through its listener.
 //
 // Checkpoints are COW captures: shared page tables, taken through the
 // world's capture cache. A checkpoint that must leave the process (the
 // controller's Fig. 4 exchange) is serialized at that point, not here.
 #pragma once
 
+#include <functional>
 #include <vector>
 
 #include "ckpt/checkpoint.hpp"
@@ -117,6 +120,31 @@ class TimeMachine final : public rt::StepInterceptor,
 
   const TimeMachineStats& stats() const { return stats_; }
 
+  /// Where the horizon stands, for a log kept beside the Time Machine (the
+  /// controller's Scroll) that drops what lies behind it.
+  struct Horizon {
+    /// reset() made the current state the horizon: with no message in
+    /// flight across it, nothing recorded before it is needed.
+    bool reset = false;
+    /// The world capture serial of the horizon's oldest checkpoint:
+    /// everything the world did before that capture lies behind every
+    /// process's horizon checkpoint. Capture serials never rewind.
+    std::uint64_t capture_serial = 0;
+    /// The horizon's channel state, by sender: the least send stamp (the
+    /// sender's own vclock entry at the send) of a message it sent at or
+    /// behind its horizon checkpoint that is still pending or was
+    /// delivered after the receiver's; all ones when there is none. The
+    /// sender's own clock stays at or above it from the send on, for as
+    /// long as the message is in flight: a rollback of the sender to
+    /// before the send drops the message or undoes its delivery.
+    std::vector<std::uint64_t> crossing_send_stamps;
+  };
+  /// Called each time the horizon moves: after an advance, and at the end
+  /// of reset(). One listener; an empty function removes it.
+  void set_horizon_listener(std::function<void(const Horizon&)> listener) {
+    horizon_listener_ = std::move(listener);
+  }
+
   /// Total retained checkpoint storage (bytes) across processes.
   std::uint64_t retained_bytes() const;
 
@@ -140,9 +168,12 @@ class TimeMachine final : public rt::StepInterceptor,
 
  private:
   /// Moves every store's front to the latest consistent line with each
-  /// process capped at half its store, and drops the deliveries at or
-  /// behind it from the log.
+  /// process capped at half its store, then settles the horizon there.
   void advance_horizon();
+  /// Drops the deliveries at or behind the horizon (every store's front)
+  /// from the log, in one pass that notes the crossing sends of those it
+  /// keeps, and tells the listener where the horizon stands.
+  void settle_horizon(bool reset);
   /// `line` with the checkpoint id each process is restored to.
   RecoveryLine line_of(LineResult line) const;
   void execute_line(RecoveryLine& rl);
@@ -152,6 +183,7 @@ class TimeMachine final : public rt::StepInterceptor,
   std::vector<CheckpointStore> stores_;
   DeliveredLog delivered_log_;
   TimeMachineStats stats_;
+  std::function<void(const Horizon&)> horizon_listener_;
   std::uint64_t submitted_before_event_ = 0;
   bool attached_ = false;
 };

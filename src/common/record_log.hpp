@@ -9,6 +9,10 @@
 // to a 1 MiB cap, or one record if larger: a short run maps a few KiB, and
 // a long log's chunk being filled leaves about an eighth of it empty where
 // doubling chunks would leave up to half.
+//
+// Each chunk counts its records, so a log whose owner knows where its
+// chunks begin can free whole leading chunks without reading a record
+// (drop_front_chunks).
 #pragma once
 
 #include <cstddef>
@@ -35,7 +39,17 @@ class RecordLog {
   /// freed with the chunk's last record, unless it is the last chunk.
   void pop_front();
 
-  /// Walks the records oldest first; a change to the log invalidates it.
+  /// Chunks held, oldest first; append() adds one only when a record does
+  /// not fit the last.
+  std::size_t chunk_count() const { return chunks_.size(); }
+  /// Records held in chunk `k`.
+  std::size_t chunk_records(std::size_t k) const { return chunks_[k].records; }
+  /// Frees the `k` oldest chunks with their records, reading none of them:
+  /// O(k). `k` must leave the last chunk.
+  void drop_front_chunks(std::size_t k);
+
+  /// Walks the records oldest first, or from chunk `k`'s first held
+  /// record; a change to the log invalidates it.
   class Cursor {
    public:
     /// Sets `rec` to the next record's bytes; false past the newest.
@@ -43,12 +57,13 @@ class RecordLog {
 
    private:
     friend class RecordLog;
-    explicit Cursor(const RecordLog& log) : log_(&log), offset_(log.head_) {}
+    Cursor(const RecordLog& log, std::size_t chunk)
+        : log_(&log), chunk_(chunk), offset_(chunk == 0 ? log.head_ : 0) {}
     const RecordLog* log_;
-    std::size_t chunk_ = 0;
+    std::size_t chunk_;
     std::size_t offset_;
   };
-  Cursor cursor() const { return Cursor(*this); }
+  Cursor cursor(std::size_t chunk = 0) const { return Cursor(*this, chunk); }
 
   /// Drops the records for which `keep(bytes)`, called oldest first, is
   /// false; compacts the rest in place and frees emptied chunks. `keep`
@@ -67,9 +82,12 @@ class RecordLog {
   std::size_t largest_chunk_bytes() const;
 
  private:
-  /// Sized to its last record's end, within the capacity reserved when
-  /// it is made, so its bytes never move (a copy's chunks are full).
-  using Chunk = std::vector<std::byte>;
+  struct Chunk {
+    /// Sized to its last record's end, within the capacity reserved when
+    /// it is made, so they never move (a copy's chunks are full).
+    std::vector<std::byte> bytes;
+    std::size_t records = 0;  ///< held: popped ones are not counted
+  };
 
   /// The record at `at`: sets `body` to its bytes; returns its whole size.
   static std::size_t parse(const std::byte* at,
@@ -93,12 +111,12 @@ inline std::size_t RecordLog::parse(const std::byte* at,
 
 inline bool RecordLog::Cursor::next(std::span<const std::byte>& rec) {
   const std::deque<Chunk>& chunks = log_->chunks_;
-  while (chunk_ < chunks.size() && offset_ == chunks[chunk_].size()) {
+  while (chunk_ < chunks.size() && offset_ == chunks[chunk_].bytes.size()) {
     ++chunk_;
     offset_ = 0;
   }
   if (chunk_ == chunks.size()) return false;
-  offset_ += parse(chunks[chunk_].data() + offset_, rec);
+  offset_ += parse(chunks[chunk_].bytes.data() + offset_, rec);
   return true;
 }
 
@@ -107,26 +125,33 @@ void RecordLog::retain_if(Keep&& keep) {
   // Kept records move down to a write position that never passes the one
   // being read: it starts at the head, and moves to a later chunk only when
   // the record does not fit the current one, which the record's own chunk
-  // always does.
+  // always does. A chunk's count restarts when the writer enters it, after
+  // the reader has left it.
   std::size_t wc = 0;
   std::size_t wo = head_;
   std::size_t kept = 0;
   std::size_t kept_bytes = 0;
+  if (!chunks_.empty()) chunks_[0].records = 0;
   for (std::size_t rc = 0; rc < chunks_.size(); ++rc) {
-    const std::byte* src = chunks_[rc].data();
-    for (std::size_t ro = rc == 0 ? head_ : 0; ro < chunks_[rc].size();) {
+    const std::byte* src = chunks_[rc].bytes.data();
+    const std::size_t end = chunks_[rc].bytes.size();
+    for (std::size_t ro = rc == 0 ? head_ : 0; ro < end;) {
       std::span<const std::byte> body;
       const std::size_t bytes = parse(src + ro, body);
       if (keep(body)) {
-        while (wo + bytes > chunks_[wc].capacity()) {
-          chunks_[wc].resize(wo);
+        while (wo + bytes > chunks_[wc].bytes.capacity()) {
+          chunks_[wc].bytes.resize(wo);
           ++wc;
           wo = 0;
+          chunks_[wc].records = 0;
         }
-        Chunk& dst = chunks_[wc];
+        std::vector<std::byte>& dst = chunks_[wc].bytes;
         if (dst.size() < wo + bytes) dst.resize(wo + bytes);  // capacity
-        std::memmove(dst.data() + wo, src + ro, bytes);
+        if (wc != rc || wo != ro) {
+          std::memmove(dst.data() + wo, src + ro, bytes);
+        }
         wo += bytes;
+        ++chunks_[wc].records;
         ++kept;
         kept_bytes += bytes;
       }
@@ -134,14 +159,14 @@ void RecordLog::retain_if(Keep&& keep) {
     }
   }
   if (chunks_.empty()) return;
-  chunks_[wc].resize(wo);
+  chunks_[wc].bytes.resize(wo);
   chunks_.resize(wc + 1);
   size_ = kept;
   bytes_ = kept_bytes;
   drop_consumed_front();
   if (kept == 0) {
     head_ = 0;
-    chunks_.front().clear();
+    chunks_.front().bytes.clear();
   }
 }
 

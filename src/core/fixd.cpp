@@ -44,6 +44,19 @@ FixdController::FixdController(rt::World& world, FixdOptions opts,
   }
   world_.set_stop_on_violation(true);
   world_.add_observer(&scroll_);
+  // The Scroll keeps only what lies after the Time Machine's horizon, and
+  // the sends of the messages in flight across it; after a reset with none
+  // in flight, nothing from before it.
+  tm_.set_horizon_listener([this](const ckpt::TimeMachine::Horizon& h) {
+    const bool in_flight = std::ranges::any_of(
+        h.crossing_send_stamps,
+        [](std::uint64_t stamp) { return stamp != ~std::uint64_t{0}; });
+    if (h.reset && !in_flight) {
+      scroll_.clear();
+    } else {
+      scroll_.trim(h.capture_serial, h.crossing_send_stamps);
+    }
+  });
   tm_.attach();
   initial_ = world_.snapshot(/*cow=*/true);
 }
@@ -83,8 +96,10 @@ FixdReport FixdController::run_protected(std::uint64_t max_steps) {
     ++attempt;
   }
 
-  rep.scroll_records = scroll_.stats().records;
-  rep.scroll_bytes = scroll_.stats().bytes;
+  const scroll::ScrollStats held = scroll_.stats();
+  rep.scroll_records = held.records;
+  rep.scroll_trimmed = held.trimmed;
+  rep.scroll_bytes = held.bytes;
   return rep;
 }
 
@@ -92,6 +107,9 @@ BugReport FixdController::handle_fault(std::size_t attempt, FixdReport& rep) {
   BugReport bug;
   FIXD_CHECK_MSG(world_.has_violation(), "handle_fault without violation");
   bug.violation = world_.violations().front();
+  // The newest records held, newest last: the excerpt ends at the
+  // violating event.
+  bug.scroll_excerpt = scroll_.render(40);
 
   // --- Phase: roll back to a consistent line (§3.2) ------------------------
   auto t0 = Clock::now();
@@ -194,8 +212,6 @@ BugReport FixdController::handle_fault(std::size_t attempt, FixdReport& rep) {
     bug.explore = res.stats;
   }
   rep.phases.investigate_ms += ms_since(t0);
-
-  bug.scroll_excerpt = scroll_.render(40);
   return bug;
 }
 

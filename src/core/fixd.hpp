@@ -2,7 +2,8 @@
 //
 // Wires the four components over a running world:
 //
-//   Scroll        records the run (attached as an observer)
+//   Scroll        records the run (attached as an observer), keeping
+//                 what lies after the Time Machine's horizon
 //   Time Machine  checkpoints per policy; rolls back on fault
 //   Investigator  explores from the restored state; returns trails
 //   Healer        applies a registered patch, or restarts from scratch
@@ -173,8 +174,9 @@ struct FixdReport {
   std::vector<RungOutcome> ladder;
   std::vector<BugReport> bugs;
   PhaseBreakdown phases;
-  std::uint64_t scroll_records = 0;
-  std::uint64_t scroll_bytes = 0;
+  std::uint64_t scroll_records = 0;  ///< held at the end of the run
+  std::uint64_t scroll_trimmed = 0;  ///< dropped behind the horizon
+  std::uint64_t scroll_bytes = 0;    ///< of the records held
   std::uint64_t work_retained_events = 0;  ///< events preserved by rollbacks
   /// Investigations served by a fixdd daemon vs. fallen back in-process
   /// (daemon configured but unreachable after the retry budget).
@@ -220,7 +222,8 @@ class FixdController {
   rt::World& world_;
   FixdOptions opts_;
   heal::PatchRegistry patches_;
-  scroll::Scroll scroll_;  ///< records with LoggingPreset::digests()
+  /// Records with LoggingPreset::digests(); trimmed as the horizon moves.
+  scroll::Scroll scroll_;
   ckpt::TimeMachine tm_;
   rt::WorldSnapshot initial_;
   std::size_t line_uses_ = 0;  ///< kRecoveryLine firings (backoff input)

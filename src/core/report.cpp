@@ -56,8 +56,8 @@ std::string FixdReport::render() const {
     os << "investigations: " << remote_investigations << " via daemon, "
        << investigate_fallbacks << " degraded in-process\n";
   }
-  os << "scroll: " << scroll_records << " records, " << scroll_bytes
-     << " bytes\n";
+  os << "scroll: " << scroll_records << " records held, " << scroll_trimmed
+     << " trimmed, " << scroll_bytes << " bytes\n";
   os << "phases (ms): run " << phases.run_ms << ", rollback "
      << phases.rollback_ms << ", collect " << phases.collect_ms
      << ", investigate " << phases.investigate_ms << ", heal "

@@ -272,6 +272,9 @@ class World : private net::DeliverableListener {
 
   VirtualTime now() const { return now_; }
   std::uint64_t step_count() const { return step_; }
+  /// The latest capture's capture_serial (0 before any): unlike the step
+  /// count, no restore rewinds it.
+  std::uint64_t capture_serial() const { return capture_seq_; }
   const VectorClock& vclock_of(ProcessId pid) const;
   LamportTime lamport_of(ProcessId pid) const;
   const TimerQueue& timers_of(ProcessId pid) const;

@@ -251,24 +251,68 @@ ScrollRecord Scroll::stamp(RecordKind kind, ProcessId pid,
   return r;
 }
 
-void Scroll::keep(const ScrollRecord& r, std::string_view text,
-                  std::span<const std::byte> payload) {
+void Scroll::keep(const rt::World* w, const ScrollRecord& r,
+                  std::string_view text, std::span<const std::byte> payload) {
+  const Codec base = encoder_;
+  const std::size_t chunks = log_.chunk_count();
   encoder_.put(log_, r, text, payload);
+  if (log_.chunk_count() != chunks) {
+    peak_resident_ = std::max(peak_resident_, log_.resident_bytes());
+    Mark& m = marks_.emplace_back(Mark{base, ~std::uint64_t{0}, {}});
+    if (w != nullptr) {
+      m.capture_serial = w->capture_serial();
+      for (ProcessId p = 0; p < w->size(); ++p) {
+        const VectorClock& vc = w->vclock_of(p);
+        m.clocks.push_back(p < vc.size() ? vc[p] : 0);
+      }
+    }
+  }
   ++by_kind_[static_cast<std::size_t>(r.kind)];
+}
+
+void Scroll::trim(std::uint64_t capture_serial,
+                  std::span<const std::uint64_t> send_stamps) {
+  // Chunk k opened after every record before it, so when it opened behind
+  // the cut, so were they all. Capture serials never rewind, so the marks
+  // before the capture are a prefix; a sender's clock stays at or above a
+  // crossing message's stamp from its send on, so the chunk holding the
+  // send and every later one opened at or above it.
+  std::size_t k = 0;
+  for (std::size_t i = 1;
+       i < marks_.size() && marks_[i].capture_serial < capture_serial; ++i) {
+    const std::vector<std::uint64_t>& clocks = marks_[i].clocks;
+    if (clocks.size() != send_stamps.size()) break;
+    bool before_sends = true;
+    for (std::size_t p = 0; p < clocks.size(); ++p) {
+      before_sends &= clocks[p] < send_stamps[p];
+    }
+    if (before_sends) k = i;
+  }
+  if (k == 0) return;
+  const std::size_t held = log_.size();
+  log_.drop_front_chunks(k);
+  marks_.erase(marks_.begin(), marks_.begin() + static_cast<std::ptrdiff_t>(k));
+  trimmed_ += held - log_.size();
+}
+
+void Scroll::clear() {
+  trimmed_ += log_.size();
+  log_.clear();
+  marks_.clear();
 }
 
 void Scroll::keep_value(RecordKind kind, ProcessId pid, const rt::World& w,
                         std::uint64_t value, std::string_view text) {
   ScrollRecord r = stamp(kind, pid, w);
   r.value = value;
-  keep(r, text);
+  keep(&w, r, text);
 }
 
 void Scroll::on_event(const rt::World& w, const rt::EventDesc& ev) {
   if (!preset_.schedule) return;
   ScrollRecord r = stamp(RecordKind::kEvent, ev.pid, w);
   r.event = ev;
-  keep(r);
+  keep(&w, r);
 }
 
 void Scroll::push_io(RecordKind kind, ProcessId pid, ProcessId peer,
@@ -278,8 +322,9 @@ void Scroll::push_io(RecordKind kind, ProcessId pid, ProcessId peer,
   r.peer = peer;
   r.tag = msg.tag;
   r.digest = msg.content_digest();
-  keep(r, {}, preset_.payloads ? std::span(msg.payload)
-                               : std::span<const std::byte>());
+  keep(&w, r, {},
+       preset_.payloads ? std::span(msg.payload)
+                        : std::span<const std::byte>());
 }
 
 void Scroll::on_send(const rt::World& w, const net::Message& msg) {
@@ -316,7 +361,7 @@ void Scroll::on_spec(const rt::World& w, ProcessId pid, SpecId spec,
   ScrollRecord r = stamp(RecordKind::kSpec, pid, w);
   r.spec = spec;
   r.spec_op = static_cast<std::uint8_t>(op);
-  keep(r);
+  keep(&w, r);
 }
 
 std::vector<ScrollRecord> Scroll::for_process(ProcessId pid) const {
@@ -355,17 +400,22 @@ std::vector<ScrollRecord> Scroll::total_order() const {
 }
 
 std::string Scroll::render(std::size_t max_records) const {
+  // Decode from the latest chunk that leaves max_records to show: its mark
+  // holds the codec state it starts from.
+  std::size_t chunk = log_.chunk_count();
+  std::size_t tail = 0;  ///< records held in chunks from `chunk` on
+  while (chunk > 0 && tail < max_records) tail += log_.chunk_records(--chunk);
+  const std::size_t skip = tail > max_records ? tail - max_records : 0;
+  const std::uint64_t earlier = trimmed_ + (size() - tail) + skip;
   std::string out;
-  std::size_t n = 0;
-  Cursor c = cursor();
+  if (earlier > 0) out += "... (" + std::to_string(earlier) + " earlier)\n";
+  if (tail == 0) return out;
+  Cursor c(log_.cursor(chunk), marks_[chunk].base);
   ScrollRecord r;
-  while (n < max_records && c.next(r)) {
+  for (std::size_t i = 0; c.next(r); ++i) {
+    if (i < skip) continue;
     out += r.to_string();
     out += "\n";
-    ++n;
-  }
-  if (n < size()) {
-    out += "... (" + std::to_string(size() - n) + " more)\n";
   }
   return out;
 }
@@ -386,6 +436,11 @@ void Scroll::save(BinaryWriter& w) const {
   w.write_varint(kStreamVersion);
   for (bool LoggingPreset::*flag : kPresetFlags) w.write_bool(preset_.*flag);
   w.write_varint(next_seq_);
+  w.write_varint(trimmed_);
+  const Codec& front = front_base();
+  for (std::uint64_t v : {front.seq, front.lamport, front.msg, front.at}) {
+    w.write_varint(v);
+  }
   w.write_varint(log_.size());
   RecordLog::Cursor c = log_.cursor();
   std::span<const std::byte> rec;
@@ -402,12 +457,18 @@ void Scroll::load(BinaryReader& r) {
   LoggingPreset preset;
   for (bool LoggingPreset::*flag : kPresetFlags) preset.*flag = r.read_bool();
   const std::uint64_t next_seq = r.read_varint();
+  Scroll loaded(preset);
+  loaded.trimmed_ = r.read_varint();
+  for (std::uint64_t* v : {&loaded.encoder_.seq, &loaded.encoder_.lamport,
+                           &loaded.encoder_.msg, &loaded.encoder_.at}) {
+    *v = r.read_varint();
+  }
   const std::uint64_t n = r.read_varint();
   // The log grows as records decode: a count the stream cannot back runs
   // out of bytes (SerializationError) before it can allocate. Each record
-  // is decoded, checked and encoded afresh.
-  Scroll loaded(preset);
-  Codec decoder;
+  // is decoded, checked and encoded afresh from the front base, which
+  // gives back its bytes.
+  Codec decoder = loaded.encoder_;
   ScrollRecord rec;
   for (std::uint64_t i = 0; i < n; ++i) {
     const std::uint64_t len = r.read_varint();

@@ -18,11 +18,27 @@
 // compact encoding that is also the save() stream's: a header byte, then
 // varints, with seq stored only when it is not the last one + 1, lamport
 // and message ids as deltas, and digests as 8 raw bytes (see scroll.cpp).
-// Readers walk the records forward with a Cursor, decoding each.
+// Readers walk the records forward with a Cursor, decoding each from the
+// front base: the codec state before the oldest record held.
+//
+// Trimming. A Scroll kept for a whole run grows with it; one kept beside a
+// Time Machine (FixdController's) only needs the records after its
+// horizon. For every chunk of the log the Scroll opens, it notes the front
+// base the chunk would start from and where the world stood: its capture
+// serial and each process's own vector-clock entry. trim() frees whole
+// leading chunks opened behind a cut (before a capture, and before each
+// sender's clock reached a bound), reading none of their records, and the
+// next chunk's base becomes the front base. clear() drops every record.
+// Nothing trims a standalone Scroll: it keeps the whole run, and replays
+// from the initial state (replay.hpp).
+//
+// The save() stream (version 3) carries the trimmed count and the front
+// base before the records; load() refuses any other version.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <span>
 #include <string>
 #include <string_view>
@@ -68,10 +84,13 @@ struct LoggingPreset {
 };
 
 struct ScrollStats {
-  std::uint64_t records = 0;
-  /// Bytes of the kept records, length prefixes included: what save()
+  std::uint64_t records = 0;  ///< held
+  std::uint64_t trimmed = 0;  ///< recorded, then dropped by trim()/clear()
+  /// Bytes of the held records, length prefixes included: what save()
   /// writes after its header.
   std::uint64_t bytes = 0;
+  /// Records kept of each kind, trimmed ones included (a loaded scroll
+  /// counts from its load).
   std::array<std::uint64_t, 8> by_kind{};
 };
 
@@ -97,7 +116,7 @@ class Scroll final : public rt::RuntimeObserver {
 
  public:
   /// Version of the save() stream; load() refuses any other.
-  static constexpr std::uint64_t kStreamVersion = 2;
+  static constexpr std::uint64_t kStreamVersion = 3;
 
   explicit Scroll(LoggingPreset preset = LoggingPreset::nondet_only())
       : preset_(preset) {}
@@ -128,14 +147,25 @@ class Scroll final : public rt::RuntimeObserver {
 
    private:
     friend class Scroll;
-    explicit Cursor(const RecordLog& log) : records_(log.cursor()) {}
+    Cursor(RecordLog::Cursor records, const Codec& base)
+        : records_(records), codec_(base) {}
     RecordLog::Cursor records_;
     Codec codec_;
   };
-  Cursor cursor() const { return Cursor(log_); }
+  Cursor cursor() const { return Cursor(log_.cursor(), front_base()); }
 
-  /// Keep `r` as given, seq included (the taps stamp their own).
-  void append(const ScrollRecord& r) { keep(r, r.text, r.payload); }
+  /// Keep `r` as given, seq included (the taps stamp their own). trim()
+  /// keeps the chunks such records open.
+  void append(const ScrollRecord& r) { keep(nullptr, r, r.text, r.payload); }
+
+  /// Frees every leading chunk of records that a later chunk shows were
+  /// all recorded before the world's capture `capture_serial`, and while
+  /// each process p's own vector-clock entry was below `send_stamps[p]`.
+  /// Costs O(chunks dropped) and reads none of their records.
+  void trim(std::uint64_t capture_serial,
+            std::span<const std::uint64_t> send_stamps);
+  /// Drops every record held.
+  void clear();
 
   std::size_t size() const { return log_.size(); }
 
@@ -149,18 +179,22 @@ class Scroll final : public rt::RuntimeObserver {
   /// "globally consistent run" reconstruction of §2.2.
   std::vector<ScrollRecord> total_order() const;
 
-  /// Retained/serialized sizes (the Fig. 1 cost metric).
+  /// Held/serialized sizes (the Fig. 1 cost metric).
   ScrollStats stats() const {
-    return {log_.size(), log_.record_bytes(), by_kind_};
+    return {log_.size(), trimmed_, log_.record_bytes(), by_kind_};
   }
 
   /// Bytes the record log holds allocated: every chunk's full capacity.
   std::size_t resident_bytes() const { return log_.resident_bytes(); }
+  /// The most resident_bytes() has been (it grows only as a chunk opens).
+  std::size_t peak_resident_bytes() const { return peak_resident_; }
 
-  /// Human-readable trace (bug-report appendix).
+  /// Human-readable trace of the newest `max_records` held, newest last
+  /// (bug-report appendix), after a line counting the earlier ones.
   std::string render(std::size_t max_records = 200) const;
 
-  /// Version, preset, next seq, record count, then the log's records.
+  /// Version, preset, next seq, trimmed count, front base, record count,
+  /// then the log's records.
   void save(BinaryWriter& w) const;
   /// Decodes and checks every record; on a malformed stream, throws
   /// SerializationError and keeps what the scroll held.
@@ -171,16 +205,35 @@ class Scroll final : public rt::RuntimeObserver {
   ScrollRecord stamp(RecordKind kind, ProcessId pid, const rt::World& w);
   void push_io(RecordKind kind, ProcessId pid, ProcessId peer,
                const rt::World& w, const net::Message& msg);
-  void keep(const ScrollRecord& r, std::string_view text = {},
+  /// Encodes `r` into the log; marks the chunk it opens, if any, with
+  /// where `w` stands (a world-less chunk is never trimmed).
+  void keep(const rt::World* w, const ScrollRecord& r,
+            std::string_view text = {},
             std::span<const std::byte> payload = {});
   void keep_value(RecordKind kind, ProcessId pid, const rt::World& w,
                   std::uint64_t value, std::string_view text = {});
+  /// The codec state before the oldest record held (the encoder's, when
+  /// none is).
+  const Codec& front_base() const {
+    return marks_.empty() ? encoder_ : marks_.front().base;
+  }
+
+  /// What one chunk of the log was recorded after, read by trim() in
+  /// place of the chunk's records.
+  struct Mark {
+    Codec base;  ///< the encoder's state before the chunk's first record
+    std::uint64_t capture_serial;  ///< the world's then (all ones: none)
+    std::vector<std::uint64_t> clocks;  ///< each own vclock entry then
+  };
 
   LoggingPreset preset_;
   RecordLog log_;
   Codec encoder_;
+  std::deque<Mark> marks_;  ///< one per chunk of log_, oldest first
   std::array<std::uint64_t, 8> by_kind_{};
   std::uint64_t next_seq_ = 0;
+  std::uint64_t trimmed_ = 0;
+  std::size_t peak_resident_ = 0;
 };
 
 }  // namespace fixd::scroll

@@ -458,6 +458,110 @@ TEST(ReinjectionOracleRuns, ReinjectSomeMessages) {
   }
 }
 
+// --- the delivered log's horizon trim ------------------------------------
+//
+// A shadow log fed the same deliveries, and trimmed by its own retain_if,
+// must hold the same records after every advance, through rollbacks; the
+// horizon the listener is given names the crossing messages the shadow
+// holds.
+
+class ShadowLog final : public rt::RuntimeObserver {
+ public:
+  void on_deliver(const rt::World& w, const net::Message& msg) override {
+    log.append(msg, w.vclock_of(msg.dst)[msg.dst]);
+  }
+  DeliveredLog log;
+};
+
+/// Every record of `log` as its head fields and body bytes, oldest first.
+std::vector<std::vector<std::uint64_t>> contents(const DeliveredLog& log) {
+  std::vector<std::vector<std::uint64_t>> out;
+  log.for_each([&](const DeliveredLog::View& v) {
+    std::vector<std::uint64_t> r{v.head.src, v.head.dst, v.head.send_stamp,
+                                 v.head.dst_own_after};
+    for (std::byte b : v.body) r.push_back(static_cast<std::uint64_t>(b));
+    out.push_back(std::move(r));
+  });
+  return out;
+}
+
+TEST(TimeMachine, HorizonTrimHoldsWhatAFullRetainHolds) {
+  for (std::size_t cap : {std::size_t{2}, std::size_t{3}, std::size_t{8}}) {
+    std::uint64_t advances = 0;
+    for (bool kv : {false, true}) {
+      for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        SCOPED_TRACE(std::string(kv ? "kv" : "counter") + " seed " +
+                     std::to_string(seed) + " store " + std::to_string(cap));
+        const OracleCase c{kv, seed, cap};
+        auto w = make_oracle_world(c);
+        TimeMachineOptions o;
+        o.cic = true;
+        o.store_capacity = cap;
+        TimeMachine tm(*w, o);
+        ShadowLog shadow;
+        w->add_observer(&shadow);
+        const auto own_clocks = [&] {
+          std::vector<std::uint64_t> own;
+          for (ProcessId p = 0; p < w->size(); ++p) {
+            own.push_back(tm.store(p).entries().front().data->vclock[p]);
+          }
+          return own;
+        };
+        tm.set_horizon_listener([&](const TimeMachine::Horizon& h) {
+          ASSERT_FALSE(h.reset);
+          const std::vector<std::uint64_t> own = own_clocks();
+          shadow.log.retain_if([&](const DeliveredLog::View& v) {
+            return v.head.dst_own_after > own[v.head.dst];
+          });
+          EXPECT_EQ(contents(tm.delivered_log()), contents(shadow.log));
+          // The crossing stamps the trim pass noted: the least send stamp,
+          // per sender, of the held or pending messages it sent at or
+          // behind its horizon.
+          std::vector<std::uint64_t> least(w->size(), ~std::uint64_t{0});
+          const auto note = [&](ProcessId src, std::uint64_t stamp) {
+            if (stamp <= own[src]) least[src] = std::min(least[src], stamp);
+          };
+          shadow.log.for_each([&](const DeliveredLog::View& v) {
+            note(v.head.src, v.head.send_stamp);
+          });
+          for (const net::Message* m : w->network().pending()) {
+            note(m->src, m->vclock[m->src]);
+          }
+          EXPECT_EQ(h.crossing_send_stamps, least);
+          std::uint64_t serial = ~std::uint64_t{0};
+          for (ProcessId p = 0; p < w->size(); ++p) {
+            serial = std::min(
+                serial, tm.store(p).entries().front().data->capture_serial);
+          }
+          EXPECT_EQ(h.capture_serial, serial);
+          ++advances;
+        });
+        tm.attach();
+
+        Rng rng(seed);
+        for (int round = 0; round < 3 && !w->all_halted(); ++round) {
+          w->run(20 + rng.next_below(40));
+          const auto pid = static_cast<ProcessId>(rng.next_below(w->size()));
+          const RecoveryLine rl =
+              tm.rollback_to(pid, rng.next_below(tm.store(pid).size()));
+          // A rollback forgets every delivery after the receiver's cut.
+          shadow.log.retain_if([&](const DeliveredLog::View& v) {
+            const ProcessId d = v.head.dst;
+            const auto& cut = tm.store(d).at(rl.line.index[d]);
+            return v.head.dst_own_after <= cut.data->vclock[d];
+          });
+          EXPECT_EQ(contents(tm.delivered_log()), contents(shadow.log));
+        }
+        w->run(200000);
+        EXPECT_TRUE(w->all_halted());
+        w->remove_observer(&shadow);
+        tm.set_horizon_listener({});
+      }
+    }
+    EXPECT_GT(advances, 50u) << "store " << cap;
+  }
+}
+
 // After a long CIC run in small stores, the horizon (every store's front)
 // is a consistent line, no store exceeds its capacity, and the log holds
 // only deliveries after the horizon.

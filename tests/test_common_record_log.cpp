@@ -2,12 +2,14 @@
 // records behind their lengths, in chunks that never move.
 //
 // Walks back records of every length, evicts oldest first and frees
-// drained chunks, compacts in place, copies independently, keeps its empty
-// tail to about an eighth, and allocates only when a chunk fills. This
+// drained chunks, frees whole leading chunks with exact counts, compacts
+// in place, copies independently, keeps its empty tail to about an
+// eighth, and allocates only when a chunk fills. This
 // binary replaces the global operator new with a counting one (test
 // binaries are per file, so the replacement is scoped to this file).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -196,6 +198,58 @@ TEST(RecordLog, RetainIfAfterPopFrontKeepsOrder) {
   }
   want.erase(want.begin(), want.end() - 500);
   EXPECT_EQ(walk(log), want);
+}
+
+// Freeing whole leading chunks reads no record, yet leaves the count and
+// bytes of what is held exact: each chunk counts its records through
+// appends, evictions and compaction. What is left is the suffix that
+// starts at a chunk's first record.
+TEST(RecordLog, DropFrontChunksKeepsCountsThroughEvictionAndCompaction) {
+  for (int shape = 0; shape < 3; ++shape) {
+    RecordLog log;
+    std::vector<std::uint64_t> opened;  ///< the record that opened a chunk
+    for (std::uint64_t i = 0; i < 30000; ++i) {
+      const std::size_t chunks = log.chunk_count();
+      put(log, i);
+      if (log.chunk_count() != chunks) opened.push_back(i);
+    }
+    if (shape >= 1) {
+      for (int i = 0; i < 700; ++i) log.pop_front();  // a head mid-chunk
+    }
+    if (shape == 2) {
+      log.retain_if([](std::span<const std::byte> rec) {
+        return index_of(rec) % 3 != 0;
+      });
+    }
+    const std::vector<std::uint64_t> before = walk(log);
+    ASSERT_GT(log.chunk_count(), 3u);
+    while (log.chunk_count() > 1) {
+      const std::size_t k = std::min<std::size_t>(2, log.chunk_count() - 1);
+      log.drop_front_chunks(k);
+      const std::vector<std::uint64_t> after = walk(log);  // counts match
+      ASSERT_FALSE(after.empty());
+      ASSERT_LE(after.size(), before.size());
+      EXPECT_TRUE(std::equal(after.begin(), after.end(),
+                             before.end() - static_cast<std::ptrdiff_t>(
+                                                after.size())));
+      if (shape == 0) {
+        EXPECT_NE(std::find(opened.begin(), opened.end(), after.front()),
+                  opened.end());
+      }
+      std::size_t bytes = 0;
+      for (std::uint64_t i : after) {
+        const std::size_t n = make_record(i).size();
+        bytes += varint_size(n) + n;
+      }
+      EXPECT_EQ(log.record_bytes(), bytes);
+    }
+    EXPECT_EQ(walk(log), std::vector<std::uint64_t>(
+                             before.end() - static_cast<std::ptrdiff_t>(
+                                                log.size()),
+                             before.end()));
+    put(log, 99999);
+    EXPECT_EQ(walk(log).back(), 99999u);
+  }
 }
 
 TEST(RecordLog, CopiesAreIndependent) {

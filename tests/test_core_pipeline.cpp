@@ -1,5 +1,6 @@
 // End-to-end FixD pipeline: detect -> rollback -> collect -> investigate ->
-// heal/restart -> resume, on the example applications.
+// heal/restart -> resume, on the example applications; and the
+// controller's Scroll, trimmed behind the Time Machine's horizon.
 #include <gtest/gtest.h>
 
 #include <utility>
@@ -10,6 +11,8 @@
 #include "apps/leader_election.hpp"
 #include "apps/rep_counter.hpp"
 #include "apps/token_ring.hpp"
+#include "common/hash.hpp"
+#include "common/rng.hpp"
 #include "core/fixd.hpp"
 #include "fault/injector.hpp"
 
@@ -466,6 +469,280 @@ TEST(FixdPipeline, ScrollAvailableAfterRun) {
   fixd.run_protected();
   EXPECT_GT(fixd.the_scroll().size(), 0u);
   EXPECT_GT(fixd.time_machine().stats().checkpoints, 0u);
+}
+
+// --- the Scroll behind the horizon -----------------------------------------
+
+std::vector<scroll::ScrollRecord> records_of(const scroll::Scroll& s) {
+  std::vector<scroll::ScrollRecord> out;
+  scroll::Scroll::Cursor c = s.cursor();
+  scroll::ScrollRecord r;
+  while (c.next(r)) out.push_back(r);
+  return out;
+}
+
+/// The protect workload's world: kv-store v2, four replicas, reordering
+/// network, seed 1.
+std::unique_ptr<rt::World> make_protect_world(std::uint64_t ops) {
+  apps::KvConfig cfg;
+  cfg.total_ops = ops;
+  cfg.key_space = 64;
+  rt::WorldOptions wo;
+  wo.seed = 1;
+  wo.net = net::NetworkOptions::reordering();
+  wo.net.seed = hash_combine(0x70726f74656374ull, 1);
+  return apps::make_kv_world(4, 2, cfg, wo);
+}
+
+FixdOptions kv_options() {
+  FixdOptions o;
+  o.install_invariants = apps::install_kv_invariants;
+  return o;
+}
+
+/// Checks the controller's Scroll against `shadow`, an untrimmed Scroll
+/// with the same preset on the same world since the controller attached:
+/// it holds the shadow's tail, record for record, and the send of every
+/// message in flight across the horizon (pending, or delivered after its
+/// receiver's horizon checkpoint, and sent at or behind its sender's). In
+/// a run without rollback or restart, where clocks never rewind, no record
+/// it dropped is after its process's horizon checkpoint. Returns how many
+/// crossing messages it checked.
+std::size_t expect_shadow_tail(FixdController& fixd,
+                               const scroll::Scroll& shadow,
+                               const rt::World& w, bool rewinds) {
+  const std::vector<scroll::ScrollRecord> all = records_of(shadow);
+  const std::vector<scroll::ScrollRecord> held = records_of(fixd.the_scroll());
+  EXPECT_LE(held.size(), all.size());
+  if (held.size() > all.size()) return 0;
+  const std::size_t cut = all.size() - held.size();
+  EXPECT_EQ(fixd.the_scroll().stats().trimmed, cut);
+  for (std::size_t i = 0; i < held.size(); ++i) {
+    EXPECT_EQ(held[i], all[cut + i]) << "held record " << i;
+    if (held[i] != all[cut + i]) return 0;
+  }
+
+  const ckpt::TimeMachine& tm = fixd.time_machine();
+  std::vector<const rt::ProcessCheckpoint*> front;
+  for (ProcessId p = 0; p < w.size(); ++p) {
+    front.push_back(tm.store(p).entries().front().data.get());
+  }
+  std::vector<net::Message> crossing;
+  for (const net::Message* m : w.network().pending()) {
+    if (m->vclock[m->src] <= front[m->src]->vclock[m->src]) {
+      crossing.push_back(*m);
+    }
+  }
+  tm.delivered_log().for_each([&](const ckpt::DeliveredLog::View& v) {
+    if (v.head.send_stamp <= front[v.head.src]->vclock[v.head.src]) {
+      crossing.push_back(v.decode());
+    }
+  });
+  for (const net::Message& m : crossing) {
+    // Its send: the newest send record of the same sender, lamport time
+    // and content.
+    std::size_t at = all.size();
+    for (std::size_t i = all.size(); i-- > 0;) {
+      const scroll::ScrollRecord& r = all[i];
+      if (r.kind == scroll::RecordKind::kSend && r.pid == m.src &&
+          r.lamport == m.lamport && r.digest == m.content_digest()) {
+        at = i;
+        break;
+      }
+    }
+    EXPECT_LT(at, all.size()) << "p" << m.src << " L" << m.lamport;
+    EXPECT_GE(at, cut) << "the send of a crossing message was trimmed: "
+                       << all[at].to_string();
+  }
+  if (!rewinds) {
+    for (std::size_t i = 0; i < cut; ++i) {
+      EXPECT_LE(all[i].lamport, front[all[i].pid]->lamport)
+          << "trimmed a record after the horizon: " << all[i].to_string();
+    }
+  }
+  return crossing.size();
+}
+
+// Differential: on the protect workload's world, the controller's Scroll
+// is the tail of an untrimmed shadow Scroll at every point of the run, and
+// holds the send of every message in flight across the horizon. Small
+// stores move the horizon past messages still pending.
+TEST(FixdPipeline, TrimmedScrollIsTheShadowsTail) {
+  for (std::size_t cap : {ckpt::TimeMachineOptions{}.store_capacity,
+                          std::size_t{2}}) {
+    SCOPED_TRACE("store capacity " + std::to_string(cap));
+    auto w = make_protect_world(2000);
+    FixdOptions o = kv_options();
+    o.tm.store_capacity = cap;
+    FixdController fixd(*w, o);
+    scroll::Scroll shadow(fixd.the_scroll().preset());
+    w->add_observer(&shadow);
+    std::size_t crossings = 0;
+    const bool clean = !HasFailure();
+    for (int slice = 0; slice < 1000; ++slice) {
+      const FixdReport rep = fixd.run_protected(211);
+      ASSERT_TRUE(rep.completed);
+      crossings += expect_shadow_tail(fixd, shadow, *w, /*rewinds=*/false);
+      if ((clean && HasFailure()) ||
+          rep.final_run.reason != rt::StopReason::kMaxSteps) {
+        break;
+      }
+    }
+    w->remove_observer(&shadow);
+    EXPECT_TRUE(w->all_halted());
+    EXPECT_GT(fixd.time_machine().stats().horizon_advances, 20u);
+    EXPECT_GT(fixd.the_scroll().stats().trimmed, shadow.size() / 2);
+    EXPECT_GT(crossings, 0u);  // the check above is not vacuous
+  }
+}
+
+// The same through rollbacks, which rewind clocks and re-inject crossing
+// messages: every few slices the Time Machine rolls one process back to a
+// random checkpoint, and the run still completes.
+TEST(FixdPipeline, TrimmedScrollIsTheShadowsTailThroughRollbacks) {
+  for (std::size_t cap : {ckpt::TimeMachineOptions{}.store_capacity,
+                          std::size_t{2}}) {
+    SCOPED_TRACE("store capacity " + std::to_string(cap));
+    auto w = make_protect_world(2000);
+    FixdOptions o = kv_options();
+    o.tm.store_capacity = cap;
+    FixdController fixd(*w, o);
+    ckpt::TimeMachine& tm = fixd.time_machine();
+    scroll::Scroll shadow(fixd.the_scroll().preset());
+    w->add_observer(&shadow);
+    Rng rng(cap);
+    const bool clean = !HasFailure();
+    for (int slice = 0; slice < 1000; ++slice) {
+      const FixdReport rep = fixd.run_protected(211);
+      ASSERT_TRUE(rep.completed);
+      expect_shadow_tail(fixd, shadow, *w, /*rewinds=*/true);
+      if ((clean && HasFailure()) ||
+          rep.final_run.reason != rt::StopReason::kMaxSteps) {
+        break;
+      }
+      if (slice % 4 == 3) {
+        const auto pid = static_cast<ProcessId>(rng.next_below(w->size()));
+        tm.rollback_to(pid, rng.next_below(tm.store(pid).size()));
+        expect_shadow_tail(fixd, shadow, *w, /*rewinds=*/true);
+      }
+    }
+    w->remove_observer(&shadow);
+    EXPECT_TRUE(w->all_halted());
+    EXPECT_FALSE(w->has_violation());
+    EXPECT_GE(tm.stats().rollbacks, 8u);
+    EXPECT_GT(tm.stats().messages_reinjected, 0u);
+    EXPECT_GT(fixd.the_scroll().stats().trimmed, shadow.size() / 2);
+  }
+}
+
+// A reset makes the current state the horizon: the Scroll then holds
+// nothing from before it but the sends of the messages still in flight,
+// and nothing at all when none is, whether the Time Machine is reset
+// directly or by the restart rung.
+TEST(FixdPipeline, ResetKeepsOnlyTheSendsInFlight) {
+  auto w = make_protect_world(200);
+  FixdController fixd(*w, kv_options());
+  scroll::Scroll shadow(fixd.the_scroll().preset());
+  w->add_observer(&shadow);
+  fixd.run_protected(300);
+  ASSERT_FALSE(w->network().pending().empty());
+  const std::uint64_t recorded = shadow.size();
+  fixd.time_machine().reset();
+  EXPECT_GT(expect_shadow_tail(fixd, shadow, *w, /*rewinds=*/false), 0u);
+  EXPECT_LT(fixd.the_scroll().size(), recorded);
+
+  fixd.run_protected();
+  w->remove_observer(&shadow);
+  ASSERT_TRUE(w->all_halted());
+  ASSERT_TRUE(w->network().pending().empty());
+  const scroll::ScrollStats before = fixd.the_scroll().stats();
+  ASSERT_GT(before.records, 0u);
+  fixd.time_machine().reset();
+  EXPECT_EQ(fixd.the_scroll().size(), 0u);
+  EXPECT_EQ(fixd.the_scroll().stats().trimmed,
+            before.records + before.trimmed);
+  EXPECT_EQ(fixd.the_scroll().stats().bytes, 0u);
+
+  // The restart rung: the world restarts from its initial state, so the
+  // records after it start the run over, each process's start first.
+  auto c = make_counter_world(3, 1, CounterConfig{4});
+  FixdOptions o = counter_options();
+  o.max_recovery_attempts = 2;
+  FixdController restarted(*c, o, heal::PatchRegistry{});
+  scroll::Scroll full(restarted.the_scroll().preset());
+  c->add_observer(&full);
+  const FixdReport rep = restarted.run_protected();
+  c->remove_observer(&full);
+  ASSERT_EQ(rep.restarts, 1u);
+  const std::vector<scroll::ScrollRecord> all = records_of(full);
+  std::vector<std::size_t> starts;
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    if (all[i].kind == scroll::RecordKind::kEvent &&
+        all[i].event.kind == rt::EventKind::kStart) {
+      starts.push_back(i);
+    }
+  }
+  ASSERT_EQ(starts.size(), 2 * c->size());  // the run, then the restart's
+  const std::size_t restart_at = starts[c->size()];
+  EXPECT_EQ(restarted.the_scroll().stats().trimmed, restart_at);
+  EXPECT_EQ(restarted.the_scroll().size(), all.size() - restart_at);
+}
+
+// The always-on path holds O(horizon): the held Scroll's resident bytes
+// peak no higher over a run four times as long.
+TEST(FixdPipeline, HeldScrollDoesNotGrowWithTheRun) {
+  std::size_t peak[2] = {0, 0};
+  std::uint64_t held[2] = {0, 0};
+  const std::uint64_t ops[2] = {20000, 80000};
+  for (int i = 0; i < 2; ++i) {
+    auto w = make_protect_world(ops[i]);
+    FixdController fixd(*w, kv_options());
+    const FixdReport rep = fixd.run_protected();
+    ASSERT_TRUE(rep.completed);
+    ASSERT_EQ(rep.faults_detected, 0u);
+    peak[i] = fixd.the_scroll().peak_resident_bytes();
+    held[i] = rep.scroll_records;
+    EXPECT_GT(rep.scroll_trimmed, 10 * rep.scroll_records) << ops[i];
+  }
+  EXPECT_GT(peak[0], 0u);
+  EXPECT_LE(static_cast<double>(peak[1]), 1.10 * static_cast<double>(peak[0]))
+      << "peak resident " << peak[0] << " B at 20000 ops, " << peak[1]
+      << " B at 80000";
+  EXPECT_LE(static_cast<double>(held[1]), 2.0 * static_cast<double>(held[0]));
+}
+
+// The bug report's excerpt is the newest records held, newest last: it
+// ends at the violating event and shows deliveries on the way there.
+TEST(FixdPipeline, ExcerptEndsAtTheViolation) {
+  auto w = make_counter_world(3, 1, CounterConfig{4});
+  FixdOptions o = counter_options();
+  o.max_recovery_attempts = 1;  // report the fault, then stop
+  FixdController fixd(*w, o);
+  scroll::Scroll shadow(fixd.the_scroll().preset());
+  w->add_observer(&shadow);
+  const FixdReport rep = fixd.run_protected();
+  w->remove_observer(&shadow);
+  ASSERT_EQ(rep.bugs.size(), 1u);
+  const std::string& excerpt = rep.bugs[0].scroll_excerpt;
+
+  // The shadow stopped at the fault: its newest event is the violating
+  // one, and its newest record ends the excerpt.
+  const std::vector<scroll::ScrollRecord> all = records_of(shadow);
+  ASSERT_FALSE(all.empty());
+  std::size_t violating = all.size();
+  while (violating-- > 0 &&
+         all[violating].kind != scroll::RecordKind::kEvent) {
+  }
+  ASSERT_LT(violating, all.size());
+  EXPECT_EQ(all[violating].pid, rep.bugs[0].violation.pid);
+  EXPECT_NE(excerpt.find(all[violating].to_string() + "\n"),
+            std::string::npos)
+      << excerpt;
+  EXPECT_NE(excerpt.find(" DELIVER "), std::string::npos) << excerpt;
+  const std::string newest = all.back().to_string() + "\n";
+  ASSERT_GE(excerpt.size(), newest.size());
+  EXPECT_EQ(excerpt.substr(excerpt.size() - newest.size()), newest)
+      << excerpt;
 }
 
 }  // namespace

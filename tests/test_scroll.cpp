@@ -5,6 +5,7 @@
 // check that the taps allocate only when the record log fills a chunk.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -171,6 +172,7 @@ TEST(Scroll, LoadRejectsCountTheStreamCannotHold) {
     bw.write_varint(Scroll::kStreamVersion);
     for (int i = 0; i < 9; ++i) bw.write_bool(true);
     bw.write_varint(0);      // next seq
+    for (int i = 0; i < 5; ++i) bw.write_varint(0);  // trimmed, front base
     bw.write_varint(count);  // records that never follow
     Scroll s;
     BinaryReader br(bw.bytes());
@@ -198,13 +200,13 @@ TEST(Scroll, SaveLoadRoundTrip) {
 }
 
 // Bytes of a save() stream before its first record: version, the nine
-// preset flags, next seq and record count.
+// preset flags, next seq, trimmed count, the four front base fields and
+// record count.
 std::size_t header_bytes(const std::vector<std::byte>& stream) {
   BinaryReader r(stream);
   r.read_varint();
   for (int i = 0; i < 9; ++i) r.read_bool();
-  r.read_varint();
-  r.read_varint();
+  for (int i = 0; i < 7; ++i) r.read_varint();
   return r.position();
 }
 
@@ -605,6 +607,134 @@ TEST(Scroll, TapsAllocateOnlyWhenAChunkFills) {
   }
 }
 
+/// A digests-preset Scroll of a kv run long enough to span many chunks.
+Scroll kv_scroll(std::uint64_t ops) {
+  apps::KvConfig cfg;
+  cfg.total_ops = ops;
+  cfg.key_space = 64;
+  auto w = apps::make_kv_world(4, 2, cfg);
+  Scroll s(LoggingPreset::digests());
+  w->add_observer(&s);
+  w->run();
+  w->remove_observer(&s);
+  return s;
+}
+
+constexpr std::uint64_t kNone = ~std::uint64_t{0};
+
+// trim() frees the leading chunks that a later chunk opened behind the
+// cut: the rest is the untrimmed scroll's tail, record for record, and
+// reads on from the next chunk's base. A cut before every chunk, a send
+// bound no chunk opened below, or a bound for another world trims nothing.
+TEST(Scroll, TrimFreesLeadingChunksOpenedBehindTheCut) {
+  const Scroll whole = kv_scroll(1500);
+  const std::vector<ScrollRecord> all = records_of(whole);
+  const std::vector<std::uint64_t> none(4, kNone);
+
+  Scroll s = whole;
+  s.trim(0, none);                             // before every capture
+  s.trim(kNone, std::vector<std::uint64_t>(4, 0));  // below every clock
+  s.trim(kNone, std::vector<std::uint64_t>(3, kNone));
+  EXPECT_EQ(to_bytes(s), to_bytes(whole));
+  EXPECT_EQ(s.stats().trimmed, 0u);
+
+  s.trim(kNone, none);  // every chunk but the last
+  const std::vector<ScrollRecord> held = records_of(s);
+  ASSERT_GT(held.size(), 0u);
+  ASSERT_LT(held.size(), all.size() / 4);
+  const std::size_t cut = all.size() - held.size();
+  EXPECT_EQ(s.stats().trimmed, cut);
+  EXPECT_EQ(s.stats().records, held.size());
+  for (std::size_t i = 0; i < held.size(); ++i) {
+    ASSERT_EQ(held[i], all[cut + i]) << i;
+  }
+  EXPECT_EQ(s.stats().by_kind, whole.stats().by_kind);  // trimmed included
+  expect_stats_match_stream(s);
+  EXPECT_LT(s.resident_bytes(), whole.resident_bytes() / 4);
+  EXPECT_EQ(s.peak_resident_bytes(), whole.peak_resident_bytes());
+
+  // Kept records open chunks no cut passes.
+  Scroll appended = scroll_of(LoggingPreset::digests(), all);
+  appended.trim(kNone, none);
+  EXPECT_EQ(appended.size(), all.size());
+
+  // clear() drops the rest; the taps record on, and render counts what
+  // came before.
+  auto w = make_counter_world(2, 2, CounterConfig{1});
+  s.clear();
+  EXPECT_EQ(s.size(), 0u);
+  EXPECT_EQ(s.stats().trimmed, all.size());
+  EXPECT_EQ(s.stats().bytes, 0u);
+  s.on_rng(*w, 0, 5);
+  ASSERT_EQ(records_of(s).size(), 1u);
+  EXPECT_EQ(records_of(s)[0].seq, all.back().seq + 1);
+  EXPECT_EQ(s.render(10).rfind("... (" + std::to_string(all.size()) +
+                                   " earlier)\n",
+                               0),
+            0u);
+}
+
+// render() decodes only from the chunk where its newest records start,
+// yet shows what a walk from the front would: the newest n, newest last,
+// after a line counting the earlier ones, trimmed ones included.
+TEST(Scroll, RenderShowsTheNewestRecordsFromAnyChunk) {
+  Scroll s = kv_scroll(1500);
+  for (bool trimmed : {false, true}) {
+    if (trimmed) s.trim(kNone, std::vector<std::uint64_t>(4, kNone));
+    const std::vector<ScrollRecord> held = records_of(s);
+    const std::uint64_t before = s.stats().trimmed;
+    for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{40},
+                          std::size_t{700}, std::size_t{5000}, held.size(),
+                          held.size() + 10}) {
+      const std::size_t shown = std::min(n, held.size());
+      std::string want;
+      if (before + held.size() - shown > 0) {
+        want = "... (" + std::to_string(before + held.size() - shown) +
+               " earlier)\n";
+      }
+      for (std::size_t i = held.size() - shown; i < held.size(); ++i) {
+        want += held[i].to_string() + "\n";
+      }
+      EXPECT_EQ(s.render(n), want) << n << (trimmed ? " trimmed" : "");
+    }
+  }
+}
+
+// A trimmed scroll round-trips through save() and load(): the stream
+// carries its trimmed count and front base, the reload holds the same
+// records, bytes and figures, and records on as the original does.
+TEST(Scroll, TrimmedScrollRoundTripsThroughSaveAndLoad) {
+  Scroll s = kv_scroll(1500);
+  s.trim(kNone, std::vector<std::uint64_t>(4, kNone));
+  ASSERT_GT(s.stats().trimmed, 0u);
+  const std::vector<std::byte> stream = to_bytes(s);
+  Scroll loaded = load_stream(stream);
+  EXPECT_EQ(to_bytes(loaded), stream);
+  EXPECT_EQ(records_of(loaded), records_of(s));
+  EXPECT_EQ(loaded.stats().records, s.stats().records);
+  EXPECT_EQ(loaded.stats().trimmed, s.stats().trimmed);
+  EXPECT_EQ(loaded.stats().bytes, s.stats().bytes);
+  std::uint64_t kinds = 0;  // the reload counts what it loaded
+  for (std::uint64_t k : loaded.stats().by_kind) kinds += k;
+  EXPECT_EQ(kinds, s.stats().records);
+
+  auto w = make_counter_world(2, 2, CounterConfig{1});
+  for (Scroll* t : {&s, &loaded}) {
+    t->on_annotation(*w, 1, "after the load");
+    t->on_rng(*w, 0, 42);
+  }
+  EXPECT_EQ(to_bytes(loaded), to_bytes(s));
+
+  // Emptied by clear(), it still saves where its next record starts.
+  s.clear();
+  Scroll empty = load_stream(to_bytes(s));
+  EXPECT_EQ(empty.size(), 0u);
+  EXPECT_EQ(empty.stats().trimmed, s.stats().trimmed);
+  s.on_rng(*w, 0, 7);
+  empty.on_rng(*w, 0, 7);
+  EXPECT_EQ(to_bytes(empty), to_bytes(s));
+}
+
 TEST(Scroll, TotalOrderIsLamportMonotone) {
   auto w = make_counter_world(4, 2, CounterConfig{3});
   Scroll s(LoggingPreset::digests());
@@ -642,7 +772,14 @@ TEST(Scroll, RenderProducesReadableTrace) {
   w->run();
   std::string text = s.render(10);
   EXPECT_NE(text.find("EVENT"), std::string::npos);
-  EXPECT_NE(text.find("more)"), std::string::npos);  // truncation marker
+  // The newest ten, newest last, after a line counting the earlier ones.
+  EXPECT_EQ(text.rfind("... (" + std::to_string(s.size() - 10) +
+                           " earlier)\n",
+                       0),
+            0u);
+  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 11);
+  const std::string newest = records_of(s).back().to_string() + "\n";
+  EXPECT_EQ(text.substr(text.size() - newest.size()), newest);
 }
 
 class ReplaySeedSweep : public ::testing::TestWithParam<std::uint64_t> {};
